@@ -3,9 +3,10 @@
 A :class:`BaseSpace` is a finite 1-complex standing in for a compact
 space: an interval, a circle, a subdivided multigraph, or a torus grid.
 Samples carry coordinates, oriented edges carry the adjacency, and
-``loop_basis`` generates the discrete fundamental group.  Self-maps are
-stored per sample as a :class:`Location` (edge + parameter) so that
-images need not land on sample points.
+``loop_basis`` generates the discrete fundamental group.  Edges and the
+adjacency are arrays.  A :class:`SelfMap` stores each sample's image as
+a location (edge + parameter) in arrays, so images need not land on
+sample points.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,20 +36,47 @@ class Location:
 
 @dataclass
 class BaseSpace:
+    """A sampled 1-complex.
+
+    ``edges`` is an ``(E, 2)`` intp array of oriented (tail, head) sample
+    indices; constructors may pass any sequence of pairs.  ``adjacency``
+    is the (S, S) compressed sparse row matrix built from it once: row
+    ``s`` lists the neighbours of sample ``s`` in edge-id order, one entry
+    per incident edge (parallel edges stay separate entries), and
+    ``adj_edge`` / ``adj_dir`` hold each entry's edge id and direction
+    (+1 when ``s`` is the tail).
+    """
+
     kind: str                      # interval | circle | graph | torus2
     coords: np.ndarray             # (S,) float for interval/circle, (S,2) for torus2/graph
-    edges: list[tuple[int, int]]   # oriented (tail, head) sample indices
+    edges: np.ndarray              # (E, 2) intp oriented (tail, head) sample indices
     loop_basis: list[list[tuple[int, int]]] = field(default_factory=list)
     # each loop is a closed walk of (edge_id, direction) with direction +-1
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_samples)]
-        for eid, (a, b) in enumerate(self.edges):
-            if a == b:
-                raise BaseSpaceError(f"edge {eid} connects a sample to itself")
-            self._adj[a].append((eid, +1))
-            self._adj[b].append((eid, -1))
+        S = self.n_samples
+        edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= S):
+            raise BaseSpaceError("edge references a sample outside the base")
+        self_loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if self_loops.size:
+            raise BaseSpaceError(f"edge {int(self_loops[0])} connects a sample to itself")
+        self.edges = edges
+        # entries interleaved as (tail side, head side) per edge, so a stable
+        # sort by sample keeps every row in edge-id order
+        rows = edges.ravel()
+        order = np.argsort(rows, kind="stable")
+        E = len(edges)
+        self.adj_edge = np.repeat(np.arange(E, dtype=np.intp), 2)[order]
+        self.adj_dir = np.tile(np.array([1, -1], dtype=np.intp), E)[order]
+        indptr = np.zeros(S + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=S), out=indptr[1:])
+        self.adjacency = csr_matrix(
+            (np.ones(2 * E), edges[:, ::-1].ravel()[order], indptr), shape=(S, S))
+        self._check_loops()
+
+    def _check_loops(self):
         for loop in self.loop_basis:
             if not loop:
                 raise BaseSpaceError("empty loop in loop_basis")
@@ -66,129 +96,121 @@ class BaseSpace:
 
     def incident(self, sample: int) -> list[tuple[int, int]]:
         """Edges at ``sample`` as (edge_id, direction); +1 when it is the tail."""
-        return self._adj[sample]
+        lo, hi = self.adjacency.indptr[sample], self.adjacency.indptr[sample + 1]
+        return list(zip(self.adj_edge[lo:hi].tolist(), self.adj_dir[lo:hi].tolist()))
 
     def edge_endpoint(self, edge_id: int, direction: int) -> tuple[int, int]:
-        a, b = self.edges[edge_id]
+        a, b = self.edges[edge_id].tolist()
         return (a, b) if direction > 0 else (b, a)
 
     def walk_samples(self, walk: list[tuple[int, int]]) -> list[int]:
         """Sample sequence visited by a walk of (edge_id, direction) steps."""
-        tail, head = self.edge_endpoint(*walk[0])
-        out = [tail, head]
-        for eid, direction in walk[1:]:
-            a, b = self.edge_endpoint(eid, direction)
-            if a != out[-1]:
-                raise BaseSpaceError("walk is not edge-connected")
-            out.append(b)
-        return out
+        steps = np.asarray(walk, dtype=np.intp).reshape(-1, 2)
+        ends = self.edges[steps[:, 0]]
+        forward = steps[:, 1] > 0
+        tails = np.where(forward, ends[:, 0], ends[:, 1])
+        heads = np.where(forward, ends[:, 1], ends[:, 0])
+        if np.any(tails[1:] != heads[:-1]):
+            raise BaseSpaceError("walk is not edge-connected")
+        return [int(tails[0])] + heads.tolist()
 
-    def spanning_tree(self, root: int = 0) -> tuple[list[tuple[int, int, int]], list[int]]:
+    def spanning_tree(self, root: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """BFS spanning tree from ``root``.
 
-        Returns ``(tree, order)`` where ``tree[k] = (sample, parent_edge,
-        direction)`` gives, for each non-root sample in BFS order, the edge
-        used to reach it (direction +1 means traversed tail->head), and
-        ``order`` is the BFS visit order including the root.
+        Returns ``(tree, order)``: ``order`` is the (S,) BFS visit order
+        including the root, and row k of the (S-1, 3) array ``tree`` is
+        ``(sample, parent_edge, direction)`` for the k-th non-root sample in
+        that order, giving the edge used to reach it (direction +1 means
+        traversed tail->head).  Neighbours are visited in edge-id order and
+        the parent edge is the lowest-id edge from the BFS predecessor.
         """
-        seen = [False] * self.n_samples
-        seen[root] = True
-        order = [root]
-        tree: list[tuple[int, int, int]] = []
-        dq = deque([root])
-        while dq:
-            cur = dq.popleft()
-            for eid, direction in self._adj[cur]:
-                _, nxt = self.edge_endpoint(eid, direction)
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    tree.append((nxt, eid, direction))
-                    order.append(nxt)
-                    dq.append(nxt)
-        if not all(seen):
+        S = self.n_samples
+        order, pred = breadth_first_order(self.adjacency, root, directed=True,
+                                          return_predecessors=True)
+        if len(order) != S:
             raise BaseSpaceError("base space is not connected")
-        return tree, order
+        adj = self.adjacency
+        rows = np.repeat(np.arange(S), np.diff(adj.indptr))
+        hits = np.flatnonzero(pred[adj.indices] == rows)    # entries pred[c] -> c
+        # a row lists its entries in edge-id order, so the first hit per
+        # child is its lowest-id edge from the predecessor
+        first = np.full(S, len(hits), dtype=np.intp)
+        np.minimum.at(first, adj.indices[hits], np.arange(len(hits)))
+        nodes = order[1:].astype(np.intp)
+        entry = hits[first[nodes]]
+        tree = np.column_stack([nodes, self.adj_edge[entry], self.adj_dir[entry]])
+        return tree, order.astype(np.intp)
 
     # -- coordinates -------------------------------------------------------
 
+    def sample_locations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical location of every sample as ``(edges, params)``:
+        parameter 0 on its lowest-id outgoing edge, else parameter 1 on its
+        lowest-id incoming edge."""
+        E = self.n_edges
+        ids = np.arange(E, dtype=np.intp)
+        first_out = np.full(self.n_samples, E, dtype=np.intp)
+        np.minimum.at(first_out, self.edges[:, 0], ids)
+        first_in = np.full(self.n_samples, E, dtype=np.intp)
+        np.minimum.at(first_in, self.edges[:, 1], ids)
+        has_out = first_out < E
+        return np.where(has_out, first_out, first_in), np.where(has_out, 0.0, 1.0)
+
     def sample_location(self, sample: int) -> Location:
-        """Canonical location of a sample: parameter 0 on an outgoing edge."""
-        for eid, direction in self._adj[sample]:
-            if direction > 0:
-                return Location(eid, 0.0)
-        eid, _ = self._adj[sample][0]
-        return Location(eid, 1.0)
+        """Canonical location of one sample (see :meth:`sample_locations`)."""
+        edges, params = self.sample_locations()
+        return Location(int(edges[sample]), float(params[sample]))
 
-    def location_coordinate(self, loc: Location):
-        """Exact coordinate of a location (kind-specific scalar or pair).
+    def location_coordinates(self, edges, params) -> np.ndarray:
+        """Exact coordinates of locations given as edge and parameter arrays.
 
+        Shape (K,) on interval and circle, (K, 2) on torus2 and graph (a
+        graph reports the combinatorial edge id and the global parameter).
         Endpoint parameters return the sample coordinate bit-exactly, so a
         snapped sample location evaluates like the sample itself.
         """
-        a, b = self.edges[loc.edge]
-        if loc.t == 0.0:
-            s = a
-        elif loc.t == 1.0:
-            s = b
-        else:
-            s = None
-        if self.kind == "interval":
-            if s is not None:
-                return float(self.coords[s])
-            return float(self.coords[a] + loc.t * (self.coords[b] - self.coords[a]))
-        if self.kind == "circle":
-            if s is not None:
-                return float(self.coords[s])
-            ca, cb = float(self.coords[a]), float(self.coords[b])
-            delta = (cb - ca) % TWO_PI
-            return (ca + loc.t * delta) % TWO_PI
+        ends = self.edges[np.asarray(edges, dtype=np.intp)]
+        t = np.asarray(params, dtype=float)
+        ca, cb = self.coords[ends[:, 0]], self.coords[ends[:, 1]]
+        if self.kind == "graph":
+            return np.column_stack([ca[:, 0], ca[:, 1] + t * (cb[:, 1] - ca[:, 1])])
         if self.kind == "torus2":
-            if s is not None:
-                return (float(self.coords[s][0]), float(self.coords[s][1]))
-            ca, cb = self.coords[a], self.coords[b]
-            d0 = (cb[0] - ca[0]) % TWO_PI
-            d1 = (cb[1] - ca[1]) % TWO_PI
-            return ((ca[0] + loc.t * d0) % TWO_PI, (ca[1] + loc.t * d1) % TWO_PI)
-        # graph: report (combinatorial edge id, global parameter) when known
-        ca, cb = self.coords[a], self.coords[b]
-        return (float(ca[0]), float(ca[1] + loc.t * (cb[1] - ca[1])))
+            t = t[:, None]
+        if self.kind == "interval":
+            inner = ca + t * (cb - ca)
+        else:
+            inner = (ca + t * ((cb - ca) % TWO_PI)) % TWO_PI
+        return np.where(t == 0.0, ca, np.where(t == 1.0, cb, inner))
+
+    def location_coordinate(self, loc: Location):
+        """Exact coordinate of one location (a float, or a pair on torus2/graph)."""
+        c = self.location_coordinates([loc.edge], [loc.t])[0]
+        return float(c) if c.ndim == 0 else tuple(c.tolist())
+
+    def coordinate_locations(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of :meth:`location_coordinates` for coordinate-charted kinds."""
+        coords = np.asarray(coords, dtype=float)
+        n = self.n_samples
+        if self.kind == "interval":
+            pos = np.minimum(np.maximum(coords, 0.0), 1.0) * (n - 1)
+            e = np.minimum(pos.astype(np.intp), n - 2)
+        elif self.kind == "circle":
+            pos = (coords % TWO_PI) / TWO_PI * n
+            e = np.minimum(pos.astype(np.intp), n - 1)
+        else:
+            raise BaseSpaceError(f"no global chart for base kind {self.kind!r}")
+        return e, pos - e
 
     def coordinate_location(self, coord) -> Location:
-        """Inverse of :meth:`location_coordinate` for coordinate-charted kinds."""
-        if self.kind == "interval":
-            x = min(max(float(coord), 0.0), 1.0)
-            n = self.n_samples
-            pos = x * (n - 1)
-            e = min(int(pos), n - 2)
-            return Location(e, pos - e)
-        if self.kind == "circle":
-            n = self.n_samples
-            theta = float(coord) % TWO_PI
-            pos = theta / TWO_PI * n
-            e = min(int(pos), n - 1)
-            return Location(e, pos - e)
-        raise BaseSpaceError(f"no global chart for base kind {self.kind!r}")
+        e, t = self.coordinate_locations(np.asarray([coord], dtype=float))
+        return Location(int(e[0]), float(t[0]))
 
     def nearest_sample(self, loc: Location) -> int:
-        a, b = self.edges[loc.edge]
+        a, b = self.edges[loc.edge].tolist()
         return a if loc.t < 0.5 else b
 
-    def edge_distance(self, loc_a: Location, loc_b: Location) -> float:
-        """Distance between two locations measured in edge lengths."""
-        if self.kind == "interval":
-            n = self.n_samples
-            return abs(self.location_coordinate(loc_a) - self.location_coordinate(loc_b)) * (n - 1)
-        if self.kind == "circle":
-            n = self.n_samples
-            d = abs(self.location_coordinate(loc_a) - self.location_coordinate(loc_b)) % TWO_PI
-            return min(d, TWO_PI - d) / TWO_PI * n
-        if self.kind == "torus2":
-            n, m = self.meta["shape"]
-            (a0, a1), (b0, b1) = self.location_coordinate(loc_a), self.location_coordinate(loc_b)
-            d0 = abs(a0 - b0) % TWO_PI
-            d1 = abs(a1 - b1) % TWO_PI
-            return min(d0, TWO_PI - d0) / TWO_PI * n + min(d1, TWO_PI - d1) / TWO_PI * m
-        # graph: hop count between the nearest samples
+    def _hop_distance(self, loc_a: Location, loc_b: Location) -> float:
+        """Graph distance in edge lengths: hop count between nearest samples."""
         src, dst = self.nearest_sample(loc_a), self.nearest_sample(loc_b)
         if src == dst:
             return abs(loc_a.t - 0.5) + abs(loc_b.t - 0.5)
@@ -196,7 +218,7 @@ class BaseSpace:
         dq = deque([src])
         while dq:
             cur = dq.popleft()
-            for eid, direction in self._adj[cur]:
+            for eid, direction in self.incident(cur):
                 _, nxt = self.edge_endpoint(eid, direction)
                 if nxt not in dist:
                     dist[nxt] = dist[cur] + 1
@@ -208,94 +230,112 @@ class BaseSpace:
 
 @dataclass
 class SelfMap:
-    """A continuous self-map of a base, sampled as per-sample image locations."""
+    """A continuous self-map of a base, sampled as per-sample image locations.
+
+    Sample ``s`` maps to parameter ``image_params[s]`` along edge
+    ``image_edges[s]``.  ``image_coords`` holds those points' exact
+    coordinates (see :meth:`BaseSpace.location_coordinates`), computed
+    once: shape (S,) on interval and circle, (S, 2) on torus2 and graph.
+    ``exprs`` are the parsed coordinate expressions, when the map has them.
+    """
 
     base: BaseSpace
-    images: list[Location]
-    exprs: tuple | None = None     # parsed coordinate expressions, when given
+    image_edges: np.ndarray
+    image_params: np.ndarray
+    exprs: tuple | None = None
+    image_coords: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.image_edges = np.asarray(self.image_edges, dtype=np.intp)
+        self.image_params = np.asarray(self.image_params, dtype=float)
+        self.image_coords = self.base.location_coordinates(self.image_edges,
+                                                           self.image_params)
 
     def image_coordinate(self, coord):
-        """Exact image coordinate; falls back to sample-image interpolation."""
-        if self.exprs is not None:
-            from . import funcspec
-
-            kind = self.base.kind
-            if kind == "interval":
-                val = funcspec.eval_scalar(self.exprs[0], {"x": coord})
-                return _real_coordinate(val, "interval")
-            if kind == "circle":
-                val = funcspec.eval_scalar(self.exprs[0], {"theta": coord})
-                return _real_coordinate(val, "circle")
-            if kind == "torus2":
-                env = {"theta1": coord[0], "theta2": coord[1]}
-                v1 = funcspec.eval_scalar(self.exprs[0], env)
-                v2 = funcspec.eval_scalar(self.exprs[1], env)
-                return (_real_coordinate(v1, "circle"), _real_coordinate(v2, "circle"))
-        loc = self.base.coordinate_location(coord)
-        a, b = self.base.edges[loc.edge]
-        ca = self.base.location_coordinate(self.images[a])
-        cb = self.base.location_coordinate(self.images[b])
-        return _interp_coordinate(self.base.kind, ca, cb, loc.t)
+        """Exact image coordinate of one point (see :meth:`image_coords_array`)."""
+        c = self.image_coords_array(np.asarray([coord], dtype=float))[0]
+        return float(c) if c.ndim == 0 else tuple(c.tolist())
 
     def image_coords_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`image_coordinate` over a coordinate array."""
-        kind = self.base.kind
+        """Image coordinates at a coordinate array: exact for expression
+        maps, interpolated between sample images otherwise."""
+        coords = np.asarray(coords, dtype=float)
         if self.exprs is not None:
-            from . import funcspec
-
-            if kind == "interval":
-                vals = np.asarray(funcspec._eval(self.exprs[0], {"x": coords}))
-                return _real_coordinates_array(vals, "interval", coords.shape)
-            if kind == "circle":
-                vals = np.asarray(funcspec._eval(self.exprs[0], {"theta": coords}))
-                return _real_coordinates_array(vals, "circle", coords.shape)
-            if kind == "torus2":
-                env = {"theta1": coords[..., 0], "theta2": coords[..., 1]}
-                v1 = _real_coordinates_array(
-                    np.asarray(funcspec._eval(self.exprs[0], env)), "circle",
-                    coords[..., 0].shape)
-                v2 = _real_coordinates_array(
-                    np.asarray(funcspec._eval(self.exprs[1], env)), "circle",
-                    coords[..., 1].shape)
-                return np.stack([v1, v2], axis=-1)
-        return np.array([self.image_coordinate(c) for c in coords])
-
-
-def _real_coordinate(value, kind):
-    value = complex(value)
-    if abs(value.imag) > 1e-9:
-        raise BaseSpaceError(f"self-map image {value} is not a real coordinate")
-    x = value.real
-    if kind == "interval":
-        if x < -1e-9 or x > 1.0 + 1e-9:
-            raise BaseSpaceError(f"self-map image {x} outside [0, 1]")
-        return min(max(x, 0.0), 1.0)
-    return x % TWO_PI
-
-
-def _real_coordinates_array(values, kind, shape):
-    values = np.broadcast_to(np.asarray(values, dtype=complex), shape)
-    if np.any(np.abs(values.imag) > 1e-9):
-        raise BaseSpaceError("self-map image is not a real coordinate")
-    x = values.real.copy()
-    if kind == "interval":
-        if np.any(x < -1e-9) or np.any(x > 1.0 + 1e-9):
-            raise BaseSpaceError("self-map image outside [0, 1]")
-        return np.clip(x, 0.0, 1.0)
-    return x % TWO_PI
-
-
-def _interp_coordinate(kind, ca, cb, t):
-    if kind == "interval":
-        return ca + t * (cb - ca)
-    if kind == "circle":
+            images, checks = _expression_images(self.base.kind, self.exprs, coords)
+            _raise_first(checks)
+            return images
+        base = self.base
+        e, t = base.coordinate_locations(coords)
+        ends = base.edges[e]
+        ca, cb = self.image_coords[ends[:, 0]], self.image_coords[ends[:, 1]]
+        if base.kind == "interval":
+            return ca + t * (cb - ca)
         d = (cb - ca + math.pi) % TWO_PI - math.pi   # shortest signed arc
         return (ca + t * d) % TWO_PI
-    if kind == "torus2":
-        return tuple(
-            _interp_coordinate("circle", ca[i], cb[i], t) for i in range(2)
-        )
-    raise BaseSpaceError(f"cannot interpolate image coordinates on kind {kind!r}")
+
+
+def _raise_first(checks) -> None:
+    """Raise the error of the first failing check at the first failing point.
+
+    ``checks`` is an ordered list of ``(mask, make_error)``; points are
+    checked in index order and, at one point, in list order.
+    """
+    if not checks:
+        return
+    bad = np.stack([mask for mask, _ in checks])
+    hits = np.flatnonzero(bad.any(axis=0))
+    if hits.size:
+        s = int(hits[0])
+        raise checks[int(np.argmax(bad[:, s]))][1](s)
+
+
+def _expression_images(kind: str, exprs, coords: np.ndarray):
+    """Image coordinates of an expression self-map at ``coords``.
+
+    Returns the images and the per-point checks, unraised, in the order a
+    point is checked: each expression's value must be finite
+    (:class:`funcspec.EvalError`), real and, on the interval, inside
+    [0, 1] (:class:`BaseSpaceError`).  Images are clamped to [0, 1] on the
+    interval and reduced mod 2*pi on circle coordinates.
+    """
+    from . import funcspec
+
+    if kind == "interval":
+        names = ("x",)
+    elif kind == "circle":
+        names = ("theta",)
+    elif kind == "torus2":
+        names = ("theta1", "theta2")
+    else:
+        raise BaseSpaceError(f"expression self-maps unsupported on kind {kind!r}")
+    if len(exprs) != len(names):
+        raise BaseSpaceError(
+            f"a {kind} self-map takes {len(names)} coordinate expression(s) "
+            f"({', '.join(names)}), got {len(exprs)}")
+    columns = [coords] if len(names) == 1 else [coords[..., k] for k in range(2)]
+    env = dict(zip(names, columns))
+
+    def not_finite(s):
+        at = {name: float(col[s]) for name, col in env.items()}
+        return funcspec.EvalError(f"expression is not finite at {at}")
+
+    checks = []
+    images = []
+    with np.errstate(invalid="ignore"):
+        for expr in exprs:
+            v = np.broadcast_to(np.asarray(funcspec._eval(expr, env), dtype=complex),
+                                columns[0].shape)
+            x = v.real
+            checks.append((~(np.isfinite(v.real) & np.isfinite(v.imag)), not_finite))
+            checks.append((np.abs(v.imag) > 1e-9, lambda s, v=v: BaseSpaceError(
+                f"self-map image {complex(v[s])} is not a real coordinate")))
+            if kind == "interval":
+                checks.append(((x < -1e-9) | (x > 1.0 + 1e-9), lambda s, x=x: BaseSpaceError(
+                    f"self-map image {float(x[s])} outside [0, 1]")))
+                images.append(np.minimum(np.maximum(x, 0.0), 1.0))
+            else:
+                images.append(x % TWO_PI)
+    return (images[0] if len(images) == 1 else np.stack(images, axis=-1)), checks
 
 
 # -- constructors ------------------------------------------------------------
@@ -306,7 +346,7 @@ def make_interval(n: int) -> BaseSpace:
     if n < 2:
         raise BaseSpaceError("interval needs at least 2 samples")
     coords = np.linspace(0.0, 1.0, n)
-    edges = [(i, i + 1) for i in range(n - 1)]
+    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
     return BaseSpace("interval", coords, edges)
 
 
@@ -315,31 +355,30 @@ def make_circle(n: int) -> BaseSpace:
     if n < 3:
         raise BaseSpaceError("circle needs at least 3 samples")
     coords = TWO_PI * np.arange(n) / n
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
     loop = [(i, +1) for i in range(n)]
     return BaseSpace("circle", coords, edges, [loop])
 
 
 def make_torus2(n: int, m: int) -> BaseSpace:
-    """n x m wraparound grid with the two generator loops."""
+    """n x m wraparound grid with the two generator loops.
+
+    Sample ``s = i*m + j`` sits at (2*pi*i/n, 2*pi*j/m).  Edge layout, an
+    invariant that :func:`sample_selfmap` relies on: edge ``2s`` is the
+    right edge of sample ``s`` (to ``((i+1) % n)*m + j``) and edge ``2s+1``
+    its up edge (to ``i*m + (j+1) % m``), both with ``s`` as the tail.
+    """
     if n < 3 or m < 3:
         raise BaseSpaceError("torus grid needs at least 3 samples per direction")
-    coords = np.empty((n * m, 2))
-    for i in range(n):
-        for j in range(m):
-            coords[i * m + j] = (TWO_PI * i / n, TWO_PI * j / m)
-    edges = []
-    eid_right = {}
-    eid_up = {}
-    for i in range(n):
-        for j in range(m):
-            s = i * m + j
-            eid_right[(i, j)] = len(edges)
-            edges.append((s, ((i + 1) % n) * m + j))
-            eid_up[(i, j)] = len(edges)
-            edges.append((s, i * m + (j + 1) % m))
-    loop1 = [(eid_right[(i, 0)], +1) for i in range(n)]
-    loop2 = [(eid_up[(0, j)], +1) for j in range(m)]
+    i = np.repeat(np.arange(n), m)
+    j = np.tile(np.arange(m), n)
+    coords = np.column_stack([TWO_PI * i / n, TWO_PI * j / m])
+    edges = np.empty((2 * n * m, 2), dtype=np.intp)
+    edges[:, 0] = np.repeat(np.arange(n * m), 2)
+    edges[0::2, 1] = ((i + 1) % n) * m + j
+    edges[1::2, 1] = i * m + (j + 1) % m
+    loop1 = [(2 * i * m, +1) for i in range(n)]
+    loop2 = [(2 * j + 1, +1) for j in range(m)]
     return BaseSpace("torus2", coords, edges, [loop1, loop2], meta={"shape": (n, m)})
 
 
@@ -368,6 +407,7 @@ def make_graph(n_vertices: int, cedges: list[tuple[int, int]], samples_per_edge:
         edges.append((prev, v))
     base = BaseSpace("graph", np.array(coords), edges, meta={"cedges": list(cedges)})
     tree, _ = base.spanning_tree(0)   # also checks connectivity
+    tree = tree.tolist()
     in_tree = {eid for _, eid, _ in tree}
     parent = {s: (eid, direction) for s, eid, direction in tree}
     loops = []
@@ -376,7 +416,7 @@ def make_graph(n_vertices: int, cedges: list[tuple[int, int]], samples_per_edge:
             continue
         loops.append(_fundamental_cycle(base, parent, eid, a, b))
     base.loop_basis = loops
-    base.__post_init__()
+    base._check_loops()
     return base
 
 
@@ -412,99 +452,94 @@ def sample_selfmap(base: BaseSpace, spec, continuity_bound: float = 2.0) -> Self
 
     ``spec`` may be an expression string (interval/circle), a pair of
     expression strings (torus2), or an explicit list of Locations /
-    coordinates.  Images of adjacent samples must stay within
-    ``continuity_bound`` edge lengths of each other.
+    coordinates.  Expressions are evaluated once over all samples; every
+    image must be finite and real, inside [0, 1] on the interval, and on
+    the sample grid lines on the torus.  Images of adjacent samples must
+    stay within ``continuity_bound`` edge lengths of each other.
     """
-    exprs = None
-    if isinstance(spec, str) or (
-        isinstance(spec, (tuple, list))
-        and len(spec) == 2
-        and all(isinstance(s, str) for s in spec)
-        and base.kind == "torus2"
-    ):
+    if isinstance(spec, str) or (isinstance(spec, (tuple, list)) and spec
+                                 and all(isinstance(s, str) for s in spec)):
         from . import funcspec
 
         texts = [spec] if isinstance(spec, str) else list(spec)
         exprs = tuple(funcspec.parse(t) for t in texts)
-        images = []
-        for s in range(base.n_samples):
-            coord = base.location_coordinate(base.sample_location(s))
-            images.append(_image_location(base, exprs, coord))
+        images, checks = _expression_images(base.kind, exprs, base.coords)
+        if base.kind == "torus2":
+            edges, params, off_grid = _torus_grid_locations(base, images)
+            checks.append((off_grid, lambda s: BaseSpaceError(
+                "torus self-map image does not lie on the sample grid lines")))
+            _raise_first(checks)
+        else:
+            _raise_first(checks)
+            edges, params = base.coordinate_locations(images)
+        smap = SelfMap(base, edges, params, exprs)
     else:
-        images = []
-        for item in spec:
-            if isinstance(item, Location):
-                images.append(item)
-            else:
-                images.append(base.coordinate_location(item))
-    if len(images) != base.n_samples:
-        raise BaseSpaceError("self-map table length differs from sample count")
-    smap = SelfMap(base, images, exprs)
+        locs = [item if isinstance(item, Location) else base.coordinate_location(item)
+                for item in spec]
+        if len(locs) != base.n_samples:
+            raise BaseSpaceError("self-map table length differs from sample count")
+        smap = SelfMap(base, [loc.edge for loc in locs], [loc.t for loc in locs])
     _check_discrete_continuity(smap, continuity_bound)
     return smap
 
 
-def _image_location(base, exprs, coord):
-    from . import funcspec
+def _torus_grid_locations(base, images, snap=1e-9):
+    """Locations of torus points, which must lie on the sample grid lines.
 
-    kind = base.kind
-    if kind == "interval":
-        val = funcspec.eval_scalar(exprs[0], {"x": coord})
-        return base.coordinate_location(_real_coordinate(val, "interval"))
-    if kind == "circle":
-        val = funcspec.eval_scalar(exprs[0], {"theta": coord})
-        return base.coordinate_location(_real_coordinate(val, "circle"))
-    if kind == "torus2":
-        env = {"theta1": coord[0], "theta2": coord[1]}
-        t1 = _real_coordinate(funcspec.eval_scalar(exprs[0], env), "circle")
-        t2 = _real_coordinate(funcspec.eval_scalar(exprs[1], env), "circle")
-        return _torus_location(base, t1, t2)
-    raise BaseSpaceError(f"expression self-maps unsupported on kind {kind!r}")
-
-
-def _torus_location(base, t1, t2, snap=1e-9):
-    """Location of a torus point; it must lie on the sample grid lines."""
+    Returns ``(edges, params, off_grid)``; the locations are meaningful
+    only where ``off_grid`` is False.  Uses :func:`make_torus2`'s edge
+    layout (right edge ``2s``, up edge ``2s+1``).
+    """
     n, m = base.meta["shape"]
-    i = (t1 / TWO_PI * n) % n
-    j = (t2 / TWO_PI * m) % m
-    i_int = abs(i - round(i)) < snap * n
-    j_int = abs(j - round(j)) < snap * m
-    if not (i_int or j_int):
-        raise BaseSpaceError(
-            "torus self-map image does not lie on the sample grid lines")
-
-    def edge_to(src, dst):
-        for eid, direction in base.incident(src):
-            if direction > 0 and base.edges[eid][1] == dst:
-                return eid
-        raise BaseSpaceError("torus grid edge lookup failed")
-
-    if i_int and j_int:
-        s = (int(round(i)) % n) * m + (int(round(j)) % m)
-        return base.sample_location(s)
-    if i_int:
-        ii = int(round(i)) % n
-        j0 = int(j) % m
-        s = ii * m + j0
-        return Location(edge_to(s, ii * m + (j0 + 1) % m), j - int(j))
-    jj = int(round(j)) % m
-    i0 = int(i) % n
-    s = i0 * m + jj
-    return Location(edge_to(s, ((i0 + 1) % n) * m + jj), i - int(i))
+    with np.errstate(invalid="ignore"):
+        i = (images[:, 0] / TWO_PI * n) % n
+        j = (images[:, 1] / TWO_PI * m) % m
+        ri, rj = np.rint(i), np.rint(j)
+        i_int = np.abs(i - ri) < snap * n
+        j_int = np.abs(j - rj) < snap * m
+        off_grid = ~(i_int | j_int)
+        i_near, j_near = ri.astype(np.intp) % n, rj.astype(np.intp) % m
+        i_low, j_low = i.astype(np.intp), j.astype(np.intp)
+    # on a vertical grid line: up edge of (i_near, j_low); on a horizontal
+    # one: right edge of (i_low, j_near); at a crossing: the sample itself
+    vertical = i_int & ~j_int
+    row = np.where(i_int, i_near, i_low % n)
+    col = np.where(vertical, j_low % m, j_near)
+    edges = 2 * (row * m + col) + vertical
+    params = np.where(vertical, j - j_low, np.where(i_int, 0.0, i - i_low))
+    return edges, params, off_grid
 
 
 def _check_discrete_continuity(smap: SelfMap, bound: float):
+    """Adjacent samples' images must be within ``bound`` edge lengths."""
     base = smap.base
-    for eid, (a, b) in enumerate(base.edges):
-        d = base.edge_distance(smap.images[a], smap.images[b])
-        if d > bound + 1e-9:
-            raise BaseSpaceError(
-                f"self-map violates discrete continuity on edge {eid}: "
-                f"image distance {d:.3f} edges exceeds bound {bound}"
-            )
+    if base.kind == "graph":
+        locs = [Location(e, t) for e, t in zip(smap.image_edges.tolist(),
+                                               smap.image_params.tolist())]
+        dist = np.array([base._hop_distance(locs[x], locs[y])
+                         for x, y in base.edges.tolist()])
+    else:
+        c = smap.image_coords
+        diff = np.abs(c[base.edges[:, 0]] - c[base.edges[:, 1]])
+        if base.kind == "interval":
+            dist = diff * (base.n_samples - 1)
+        else:
+            d = diff % TWO_PI
+            arc = np.minimum(d, TWO_PI - d) / TWO_PI
+            if base.kind == "circle":
+                dist = arc * base.n_samples
+            else:
+                n, m = base.meta["shape"]
+                dist = arc[:, 0] * n + arc[:, 1] * m
+    bad = np.flatnonzero(dist > bound + 1e-9)
+    if bad.size:
+        eid = int(bad[0])
+        raise BaseSpaceError(
+            f"self-map violates discrete continuity on edge {eid}: "
+            f"image distance {dist[eid]:.3f} edges exceeds bound {bound}"
+        )
 
 
 def identity_selfmap(base: BaseSpace) -> SelfMap:
     """The identity map, snapped exactly onto sample locations."""
-    images = [base.sample_location(s) for s in range(base.n_samples)]
-    return SelfMap(base, images, None)
+    return SelfMap(base, *base.sample_locations())

@@ -11,6 +11,7 @@ sheets genuinely merge and the minimal assignment is accepted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -89,6 +90,12 @@ class MonicPolynomial:
     @property
     def degree(self) -> int:
         return self.coeff_values.shape[1]
+
+    @functools.cached_property
+    def fibers(self) -> np.ndarray:
+        """(S, n) canonically ordered roots per sample, solved once and
+        shared by :func:`discriminant` and :func:`build_bundle`."""
+        return _kernels.solve_fibers(self.coeff_values)
 
     @property
     def coeffs(self) -> list[funcspec.SampledFunction]:
@@ -226,14 +233,13 @@ def pullback_polynomial(p: MonicPolynomial, smap: SelfMap) -> MonicPolynomial:
     if smap.base is not p.base:
         raise BundleError("self-map and polynomial live on different bases")
     base = p.base
-    if base.kind in ("interval", "circle", "torus2"):
-        image_coords = np.array(
-            [base.location_coordinate(loc) for loc in smap.images])
-        values = p.coeff_values_at_coords(image_coords)
+    if base.kind == "graph":
+        # graph polynomials are sampled values: interpolate along image edges
+        ends = base.edges[smap.image_edges]
+        t = smap.image_params[:, None]
+        values = (1.0 - t) * p.coeff_values[ends[:, 0]] + t * p.coeff_values[ends[:, 1]]
     else:
-        values = np.empty_like(p.coeff_values)
-        for s in range(base.n_samples):
-            values[s] = p.coeffs_at(smap.images[s])
+        values = p.coeff_values_at_coords(smap.image_coords)
     return MonicPolynomial(p.base, values, source=PullbackSource(p, smap))
 
 
@@ -371,7 +377,7 @@ class RootBundle:
 def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundle:
     """Solve and glue all fibers of ``p`` into a :class:`RootBundle`."""
     base = p.base
-    fibers = _kernels.solve_fibers(p.coeff_values)
+    fibers = p.fibers
     res = _kernels.residuals(p.coeff_values, fibers)
     scale = max(1.0, float(np.max(np.abs(p.coeff_values))))
     if np.max(res) > tol.root_residual * scale:
@@ -380,7 +386,7 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
             f"fiber residual {np.max(res):.3e} above tolerance at sample {worst}")
     flags = _min_fiber_gap(fibers) < tol.branch_tol
 
-    edges = np.asarray(base.edges, dtype=np.intp)
+    edges = base.edges
     tails = fibers[edges[:, 0]]
     heads = fibers[edges[:, 1]]
     perms, best, second = _match_batch(tails, heads)
@@ -435,7 +441,7 @@ def discriminant(p: MonicPolynomial, check: bool = True,
     With ``check`` the values are cross-checked against the resultant of p
     and its derivative away from branch-flagged samples.
     """
-    fibers = _kernels.solve_fibers(p.coeff_values)
+    fibers = p.fibers
     n = p.degree
     prod = np.ones(p.base.n_samples, dtype=complex)
     for i, j in itertools.combinations(range(n), 2):
@@ -534,7 +540,9 @@ def _component_path_span(base, comp):
     Exact for path/cycle-shaped components; a marked component containing
     a full cycle is treated as spanning everything.
     """
-    edges_inside = sum(1 for a, b in base.edges if a in comp and b in comp)
+    inside = np.zeros(base.n_samples, dtype=bool)
+    inside[list(comp)] = True
+    edges_inside = int(np.count_nonzero(inside[base.edges[:, 0]] & inside[base.edges[:, 1]]))
     if edges_inside >= len(comp):
         return len(base.coords) + len(comp)      # contains a cycle
     far, _ = _bfs_far(base, comp, next(iter(comp)))

@@ -110,6 +110,17 @@ def validate_config(config: dict) -> None:
         if "polynomial" not in config or "selfmap" not in config:
             raise ScenarioError(
                 "$.analyses: extension analyses need 'polynomial' and 'selfmap'")
+    selfmap = config.get("selfmap")
+    if selfmap is not None and not selfmap.get("identity"):
+        key = {"interval": "expr", "circle": "expr", "torus2": "exprs"}.get(kind)
+        if key is None:
+            raise ScenarioError(f"$.selfmap: a {kind} base takes only 'identity'")
+        other = "exprs" if key == "expr" else "expr"
+        if other in selfmap:
+            raise ScenarioError(
+                f"$.selfmap: '{other}' does not fit a {kind} base, which takes '{key}'")
+        if key not in selfmap:
+            raise ScenarioError(f"$.selfmap: a {kind} base needs '{key}' or 'identity'")
 
 
 def _scaled_base(spec: dict, factor: int, override: int | None):
@@ -143,7 +154,7 @@ def _check_coefficient_continuity(poly):
     downstream verdict; reject them at load time instead.
     """
     pv = poly.coeff_values
-    edges = np.asarray(poly.base.edges, dtype=np.intp)
+    edges = poly.base.edges
     jumps = np.max(np.abs(pv[edges[:, 1]] - pv[edges[:, 0]]), axis=1)
     scale = 1.0 + float(np.max(np.abs(pv)))
     typical = float(np.quantile(jumps, 0.9))
@@ -328,8 +339,7 @@ def _analyze(config: dict, factor: int, override: int | None,
             cole = decide_lift(problem)
         if ah is None:
             ah = decide_subalgebra(problem, tol)
-        root = has_root(pullback_polynomial(poly, smap), tol,
-                        require_admissible=False)
+        root = has_root(pt, tol, require_admissible=False)
         results["cross_checks"] = {
             "ah_implies_cole": {
                 "ah": ah.answer,

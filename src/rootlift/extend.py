@@ -39,6 +39,41 @@ class InadmissibleError(ExtendError):
 # -- the lift constraint problem --------------------------------------------------
 
 
+def _inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """Row-wise inverse permutations."""
+    inv = np.empty_like(perms)
+    inv[np.arange(len(perms))[:, None], perms] = np.arange(perms.shape[1])
+    return inv
+
+
+def _tree_transports(bundles, root: int, nodes, tree_edges, dirs, pred) -> list[np.ndarray]:
+    """Per bundle, transports T with T[root] = id and T[x] = step(x) . T[pred[x]].
+
+    ``step(x)`` is the sheet permutation along x's tree edge.  The bundles'
+    permutations are composed together, as one block-diagonal permutation
+    per sample, by pointer doubling: while ``T[x] = F[x] . T[anc[x]]`` for
+    a partial product F, each round sets ``F[x] <- F[x] . F[anc[x]]`` and
+    ``anc[x] <- anc[anc[x]]`` for every x whose ``anc`` is not yet the
+    root, so a tree of depth d takes about log2(d) rounds.
+    """
+    steps, offsets = [], [0]
+    for bundle in bundles:
+        perms = bundle.edge_perms[tree_edges]
+        steps.append(offsets[-1] + np.where((dirs > 0)[:, None], perms, _inverse_rows(perms)))
+        offsets.append(offsets[-1] + bundle.degree)
+    T = np.empty((len(pred), offsets[-1]), dtype=np.intp)
+    T[root] = np.arange(offsets[-1])
+    T[nodes] = np.concatenate(steps, axis=1)
+    anc = pred.copy()
+    todo = np.flatnonzero(anc != root)
+    while todo.size:
+        up = anc[todo]
+        T[todo] = np.take_along_axis(T[todo], T[up], axis=1)
+        anc[todo] = anc[up]
+        todo = todo[anc[todo] != root]
+    return [T[:, lo:hi] - lo for lo, hi in zip(offsets, offsets[1:])]
+
+
 class LiftProblem:
     """Fiber-assignment constraints between two bundles over one base."""
 
@@ -69,36 +104,46 @@ class LiftProblem:
         return best
 
     def _build_transports(self):
+        """Sheet transports from the basepoint along the BFS spanning tree.
+
+        ``TA[x]`` (``TB[x]``) sends a basepoint slot of the source (target)
+        to its slot at sample x; ``cotree`` lists the edges off the tree.
+        """
         base = self.base
-        nA, nB = self.source.degree, self.target.degree
-        S = base.n_samples
-        self.TA = np.empty((S, nA), dtype=np.intp)
-        self.TB = np.empty((S, nB), dtype=np.intp)
-        self.TA[self.basepoint] = np.arange(nA)
-        self.TB[self.basepoint] = np.arange(nB)
         tree, _ = base.spanning_tree(self.basepoint)
-        self._tree = tree
-        in_tree = set()
-        for sample, eid, direction in tree:
-            parent, _ = base.edge_endpoint(eid, direction)
-            self.TA[sample] = self.source.step_perm(eid, direction)[self.TA[parent]]
-            self.TB[sample] = self.target.step_perm(eid, direction)[self.TB[parent]]
-            in_tree.add(eid)
-        self._cotree = [eid for eid in range(base.n_edges) if eid not in in_tree]
-        self.invTA = np.empty_like(self.TA)
-        rows = np.arange(S)[:, None]
-        self.invTA[rows, self.TA] = np.arange(nA)[None, :]
-        self.invTB = np.empty_like(self.TB)
-        self.invTB[rows, self.TB] = np.arange(nB)[None, :]
+        nodes, tree_edges, dirs = tree.T
+        ends = base.edges[tree_edges]
+        pred = np.arange(base.n_samples)
+        pred[nodes] = np.where(dirs > 0, ends[:, 0], ends[:, 1])
+        self.TA, self.TB = _tree_transports((self.source, self.target), self.basepoint,
+                                            nodes, tree_edges, dirs, pred)
+        in_tree = np.zeros(base.n_edges, dtype=bool)
+        in_tree[tree_edges] = True
+        self.cotree = np.flatnonzero(~in_tree)
+        self.invTA = _inverse_rows(self.TA)
+        self.invTB = _inverse_rows(self.TB)
 
     def _build_loop_constraints(self):
-        """Each co-tree edge x->y yields g0 . rhoA = rhoB . g0 at the basepoint."""
-        self.loop_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        for eid in self._cotree:
-            a, b = self.base.edges[eid]
-            rhoA = self.invTA[b][self.source.edge_perms[eid][self.TA[a]]]
-            rhoB = self.invTB[b][self.target.edge_perms[eid][self.TB[a]]]
-            self.loop_pairs.append((rhoA, rhoB))
+        """Each co-tree edge x->y yields g0 . rhoA = rhoB . g0 at the basepoint.
+
+        ``loop_pairs`` keeps each distinct (rhoA, rhoB) once, in order of
+        first occurrence over the co-tree edges.
+        """
+        a, b = self.base.edges[self.cotree].T
+        rhoA = np.take_along_axis(self.invTA[b], np.take_along_axis(
+            self.source.edge_perms[self.cotree], self.TA[a], axis=1), axis=1)
+        rhoB = np.take_along_axis(self.invTB[b], np.take_along_axis(
+            self.target.edge_perms[self.cotree], self.TB[a], axis=1), axis=1)
+        keep = []
+        if len(self.cotree):
+            # one opaque key per (rhoA, rhoB) row; unique's stable sort
+            # returns each key's first occurrence
+            small = np.min_scalar_type(max(self.source.degree, self.target.degree))
+            rows = np.ascontiguousarray(np.concatenate([rhoA, rhoB], axis=1), dtype=small)
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+            keep = np.sort(np.unique(keys, return_index=True)[1])
+        self.loop_pairs: list[tuple[np.ndarray, np.ndarray]] = [
+            (rhoA[k], rhoB[k]) for k in keep]
 
     def merge_tolerance(self, sample: int) -> float:
         return self.tol.branch_tol + self.tol.merge_scale * self.target.local_motion(sample)
@@ -216,7 +261,7 @@ def validate_witness(problem: LiftProblem, witness: LiftWitness) -> dict:
     """Re-check every lift constraint directly against the raw bundles."""
     A, B = problem.source, problem.target
     G = witness.assignments
-    edges = np.asarray(problem.base.edges, dtype=np.intp)
+    edges = problem.base.edges
     permsA = A.edge_perms
     permsB = B.edge_perms
     lhs = np.take_along_axis(G[edges[:, 1]], permsA, axis=1)
@@ -385,7 +430,7 @@ def decide_lift(problem: LiftProblem, count_solutions: bool = True) -> Verdict:
         "basepoint": problem.basepoint,
         "source_degree": problem.source.degree,
         "target_degree": problem.target.degree,
-        "loop_constraints": len(problem.loop_pairs),
+        "loop_constraints": len(problem.cotree),
         "merge_samples": [int(s) for s in problem.merge_samples],
     }
     return Verdict("no", certificate=cert,
@@ -453,26 +498,27 @@ def ah_fit(bundle: RootBundle, values: np.ndarray,
     coeffs = np.full((S, n), np.nan, dtype=complex)
     coeffs[fit_mask] = qs
 
+    edges = base.edges
     if bundle.poly is not None:
         pv = bundle.poly.coeff_values
-        edges = np.asarray(base.edges, dtype=np.intp)
         osc = float(np.max(np.abs(pv[edges[:, 1]] - pv[edges[:, 0]]))) if len(edges) else 0.0
     else:
         osc = float(np.max(np.abs(values))) * 1e-3
     bound = tol.fit_jump_factor * osc * n + 1e-8 * (1.0 + float(np.max(np.abs(values))))
 
-    for eid, (a, b) in enumerate(base.edges):
-        if not (fit_mask[a] and fit_mask[b]):
-            continue
-        jump = float(np.max(np.abs(coeffs[b] - coeffs[a])))
-        if jump > bound:
-            return FitResult(False, coeffs, fit_mask, refusal={
-                "kind": "coefficient_jump",
-                "edge": eid,
-                "samples": [int(a), int(b)],
-                "jump": jump,
-                "bound": bound,
-            })
+    fitted = np.flatnonzero(fit_mask[edges[:, 0]] & fit_mask[edges[:, 1]])
+    jumps = np.max(np.abs(coeffs[edges[fitted, 1]] - coeffs[edges[fitted, 0]]), axis=1)
+    over = np.flatnonzero(jumps > bound)
+    if over.size:
+        eid = int(fitted[over[0]])
+        a, b = edges[eid].tolist()
+        return FitResult(False, coeffs, fit_mask, refusal={
+            "kind": "coefficient_jump",
+            "edge": eid,
+            "samples": [a, b],
+            "jump": float(jumps[over[0]]),
+            "bound": bound,
+        })
 
     # continuity across skipped branch runs: flank-to-flank jumps
     skipped = np.flatnonzero(~fit_mask)

@@ -142,10 +142,9 @@ def components(bundle: RootBundle) -> list[set[tuple[int, int]]]:
         if ri != rj:
             parent[ri] = rj
 
-    for eid, (a, b) in enumerate(bundle.base.edges):
-        perm = bundle.edge_perms[eid]
+    for (a, b), perm in zip(bundle.base.edges.tolist(), bundle.edge_perms.tolist()):
         for i in range(n):
-            union(a * n + i, b * n + int(perm[i]))
+            union(a * n + i, b * n + perm[i])
     for s in np.flatnonzero(bundle.branch_flags):
         for cluster in bundle.merge_clusters(int(s)):
             for i in cluster[1:]:

@@ -1,18 +1,22 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from rootlift.base import (BaseSpaceError, identity_selfmap,
+from rootlift import funcspec
+from rootlift.base import (BaseSpaceError, Location, identity_selfmap,
                            make_circle, make_graph, make_interval,
                            make_torus2, sample_selfmap)
+from rootlift.funcspec import EvalError
+from rootlift.scenarios import time_warp_map
 
 
 def test_interval_smallest():
     base = make_interval(2)
     assert base.n_samples == 2
     assert base.coords[0] == 0.0 and base.coords[1] == 1.0
-    assert base.edges == [(0, 1)]
+    assert base.edges.tolist() == [[0, 1]]
     assert base.loop_basis == []
 
 
@@ -97,16 +101,17 @@ def test_loop_basis_walks_are_closed():
 def test_identity_selfmap_snaps_to_samples():
     base = make_interval(9)
     smap = identity_selfmap(base)
-    for s, loc in enumerate(smap.images):
-        assert loc.t in (0.0, 1.0)
-        assert base.nearest_sample(loc) == s
+    for s, (edge, t) in enumerate(zip(smap.image_edges, smap.image_params)):
+        assert t in (0.0, 1.0)
+        assert base.nearest_sample(Location(int(edge), float(t))) == s
+    assert np.array_equal(smap.image_coords, base.coords)
 
 
 def test_sample_selfmap_flip():
     base = make_interval(5)
     smap = sample_selfmap(base, "1-x")
     # sample at 0.25 maps to location 0.75
-    assert base.location_coordinate(smap.images[1]) == pytest.approx(0.75)
+    assert smap.image_coords[1] == pytest.approx(0.75)
 
 
 def test_flip_twice_is_identity_up_to_spacing():
@@ -114,7 +119,7 @@ def test_flip_twice_is_identity_up_to_spacing():
     smap = sample_selfmap(base, "1-x")
     h = 1.0 / 40
     for s in range(base.n_samples):
-        mid = base.location_coordinate(smap.images[s])
+        mid = smap.image_coords[s]
         back = smap.image_coordinate(mid)
         assert abs(back - base.coords[s]) <= h + 1e-12
 
@@ -122,7 +127,7 @@ def test_flip_twice_is_identity_up_to_spacing():
 def test_selfmap_half_turn_on_circle():
     base = make_circle(4)
     smap = sample_selfmap(base, f"theta+{math.pi}")
-    assert base.location_coordinate(smap.images[0]) == pytest.approx(math.pi)
+    assert smap.image_coords[0] == pytest.approx(math.pi)
 
 
 def test_selfmap_rejects_discontinuous_table():
@@ -148,6 +153,128 @@ def test_location_roundtrip():
 def test_torus_swap_map_images():
     base = make_torus2(6, 6)
     smap = sample_selfmap(base, ("theta2", "theta1"))
-    c = base.location_coordinate(smap.images[1 * 6 + 2])   # (t1, t2) of (1,2)
+    c = smap.image_coords[1 * 6 + 2]   # (t1, t2) of (1,2)
     assert c[0] == pytest.approx(base.coords[2 * 6 + 1][0])
     assert c[1] == pytest.approx(base.coords[2 * 6 + 1][1])
+
+
+# -- spanning tree: csgraph BFS against the per-sample deque BFS ----------------
+
+
+def _deque_bfs_tree(base, root):
+    """Reference BFS: neighbours in edge-id order, first edge wins."""
+    adj = [[] for _ in range(base.n_samples)]
+    for eid, (a, b) in enumerate(base.edges.tolist()):
+        adj[a].append((eid, +1, b))
+        adj[b].append((eid, -1, a))
+    seen = [False] * base.n_samples
+    seen[root] = True
+    order, tree = [root], []
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for eid, direction, nxt in adj[cur]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                tree.append((nxt, eid, direction))
+                order.append(nxt)
+                queue.append(nxt)
+    return tree, order
+
+
+@pytest.mark.parametrize("base", [
+    make_interval(9), make_interval(101), make_circle(7), make_circle(200),
+    make_torus2(3, 3), make_torus2(64, 64),
+    make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 2),   # parallel sample edges
+], ids=["interval9", "interval101", "circle7", "circle200", "torus3", "torus64",
+        "graph-parallel"])
+def test_spanning_tree_matches_deque_bfs(base):
+    S = base.n_samples
+    for root in sorted({0, S // 2, S - 1}):
+        tree, order = base.spanning_tree(root)
+        ref_tree, ref_order = _deque_bfs_tree(base, root)
+        assert order.tolist() == ref_order
+        assert [tuple(row) for row in tree.tolist()] == ref_tree
+
+
+def test_adjacency_rows_in_edge_id_order():
+    base = make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 2)
+    for s in range(base.n_samples):
+        eids = [eid for eid, _ in base.incident(s)]
+        assert eids == sorted(eids)
+        for eid, direction in base.incident(s):
+            assert base.edge_endpoint(eid, direction)[0] == s
+
+
+def test_torus_edge_layout_invariant():
+    n, m = 5, 4
+    base = make_torus2(n, m)
+    for i in range(n):
+        for j in range(m):
+            s = i * m + j
+            assert base.edges[2 * s].tolist() == [s, ((i + 1) % n) * m + j]
+            assert base.edges[2 * s + 1].tolist() == [s, i * m + (j + 1) % m]
+
+
+# -- torus self-map checks ----------------------------------------------------------
+
+
+def test_torus_selfmap_off_grid_rejected():
+    base = make_torus2(6, 6)
+    with pytest.raises(BaseSpaceError, match="does not lie on the sample grid lines"):
+        sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_torus_selfmap_on_grid_lines_between_samples(axis):
+    base = make_torus2(6, 6)
+    spec = ("theta1+0.25", "theta2") if axis == 0 else ("theta1", "theta2+0.25")
+    smap = sample_selfmap(base, spec)
+    # shifted along one axis, every image sits inside a right (axis 0) or
+    # an up (axis 1) edge of the sample grid
+    assert np.all(smap.image_edges % 2 == axis)
+    assert np.all((smap.image_params > 0.0) & (smap.image_params < 1.0))
+    shifted = (base.coords[:, axis] + 0.25) % (2 * math.pi)
+    assert np.allclose(smap.image_coords[:, axis], shifted)
+    assert np.array_equal(smap.image_coords[:, 1 - axis], base.coords[:, 1 - axis])
+
+
+def test_torus_selfmap_rejects_discontinuous_table():
+    base = make_torus2(6, 6)
+    table = [Location(2 * s, 0.0) for s in range(36)]
+    table[14] = Location(2 * 33, 0.0)          # sample (2,2) jumps to (5,3)
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(base, table)
+    # the first violating edge is 16, from (1,2) into (2,2)
+    assert str(err.value) == ("self-map violates discrete continuity on edge 16: "
+                              "image distance 3.000 edges exceeds bound 2.0")
+
+
+def test_selfmap_spec_must_fit_base_kind():
+    with pytest.raises(BaseSpaceError, match="takes 1 coordinate expression"):
+        sample_selfmap(make_circle(12), ("theta", "theta"))
+    with pytest.raises(BaseSpaceError, match="takes 2 coordinate expression"):
+        sample_selfmap(make_torus2(4, 4), "theta1")
+
+
+def test_selfmap_nonfinite_image_is_an_eval_error():
+    base = make_torus2(6, 6)
+    with pytest.raises(EvalError, match="expression is not finite"):
+        sample_selfmap(base, (f"1/(theta1-{2 * math.pi / 6!r})", "theta2"))
+
+
+# -- expression self-maps are sampled by array evaluation ----------------------------
+
+
+def test_selfmap_sampling_makes_no_scalar_evaluations(monkeypatch):
+    calls = []
+    original = funcspec.eval_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(funcspec, "eval_scalar", counting)
+    sample_selfmap(make_torus2(64, 64), ("theta2", "theta1"))
+    time_warp_map(make_circle(2000))
+    assert calls == []

@@ -171,3 +171,18 @@ def test_crossing_assertions_run_at_load(tmp_path):
     run_scenario(cfg, str(tmp_path))
     doc = json.loads((tmp_path / "verdict.json").read_text())
     assert "assertions" in doc["analyses"]
+
+
+@pytest.mark.parametrize("base, selfmap", [
+    ({"kind": "circle", "samples": 24}, {"exprs": ["theta", "theta"]}),
+    ({"kind": "torus2", "shape": [8, 8]}, {"expr": "theta1"}),
+], ids=["exprs-on-circle", "expr-on-torus"])
+def test_selfmap_spec_must_fit_base_kind(tmp_path, base, selfmap):
+    cfg = {"name": "mismatch", "base": base,
+           "polynomial": {"coefficients": ["-4", "0"]},
+           "selfmap": selfmap, "analyses": ["cole"]}
+    with pytest.raises(ScenarioError, match=r"\$\.selfmap"):
+        run_scenario(cfg, str(tmp_path / "out"))
+    cfg_path = tmp_path / "mismatch.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out2")]) == 1

@@ -1,11 +1,12 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from rootlift import (build_bundle, identity_selfmap, make_circle,
-                      make_interval, poly_from_exprs, poly_from_values,
-                      pullback)
+                      make_interval, make_torus2, poly_from_exprs,
+                      poly_from_values, pullback, sample_selfmap)
 from rootlift.extend import (InadmissibleError, LiftProblem, ah_fit,
                              ah_implies_cole_check, cole_extendable,
                              decide_lift, decide_subalgebra,
@@ -279,3 +280,91 @@ def test_witness_validator_catches_corruption():
     w._values = None
     report = validate_witness(problem, w)
     assert not report["valid"]
+
+
+# -- the array LiftProblem against per-sample references ---------------------------
+
+
+def _reference_transports(problem):
+    """Step-by-step composition down the BFS tree, one sample at a time."""
+    base = problem.base
+    A, B = problem.source, problem.target
+    TA = {problem.basepoint: np.arange(A.degree)}
+    TB = {problem.basepoint: np.arange(B.degree)}
+    tree, _ = base.spanning_tree(problem.basepoint)
+    for sample, eid, direction in tree.tolist():
+        parent, _ = base.edge_endpoint(eid, direction)
+        TA[sample] = A.step_perm(eid, direction)[TA[parent]]
+        TB[sample] = B.step_perm(eid, direction)[TB[parent]]
+    return TA, TB
+
+
+def _reference_loop_pairs(problem):
+    """One (rhoA, rhoB) per co-tree edge, in edge-id order."""
+    base = problem.base
+    tree, _ = base.spanning_tree(problem.basepoint)
+    in_tree = {eid for _, eid, _ in tree.tolist()}
+    pairs = []
+    for eid, (a, b) in enumerate(base.edges.tolist()):
+        if eid in in_tree:
+            continue
+        rhoA = problem.invTA[b][problem.source.edge_perms[eid][problem.TA[a]]]
+        rhoB = problem.invTB[b][problem.target.edge_perms[eid][problem.TB[a]]]
+        pairs.append((rhoA, rhoB))
+    return pairs
+
+
+def _check_against_reference(problem):
+    TA, TB = _reference_transports(problem)
+    assert len(TA) == problem.base.n_samples
+    for s in range(problem.base.n_samples):
+        assert np.array_equal(problem.TA[s], TA[s])
+        assert np.array_equal(problem.TB[s], TB[s])
+    ref = _reference_loop_pairs(problem)
+    key = [(tuple(a.tolist()), tuple(b.tolist())) for a, b in ref]
+    got = [(tuple(a.tolist()), tuple(b.tolist())) for a, b in problem.loop_pairs]
+    assert len(got) == len(set(got))                 # each distinct pair once
+    assert got == list(dict.fromkeys(key))           # first-occurrence order
+    assert len(problem.cotree) == len(ref)
+    full = copy.copy(problem)                        # the search with every co-tree edge
+    full.loop_pairs = ref
+    assert len(full.enumerate()) == len(problem.enumerate())
+
+
+def _torus_swap_problems(n=64):
+    base = make_torus2(n, n)
+    p = poly_from_exprs(base, ["-exp(1i*theta1)", "0"])
+    A = build_bundle(p)
+    swap = sample_selfmap(base, ("theta2", "theta1"))
+    return (LiftProblem(A, pullback(p, swap)),
+            LiftProblem(A, pullback(p, identity_selfmap(base))))
+
+
+def test_lift_problem_matches_reference_on_random_instances():
+    import sys
+    sys.path.insert(0, "tests")
+    from instancegen import (random_admissible_poly, random_circle_selfmap,
+                             random_interval_selfmap)
+
+    rng = np.random.default_rng(55)
+    interval = make_interval(201)
+    circle = make_circle(120)
+    for _ in range(4):
+        p = random_admissible_poly(interval, int(rng.integers(2, 5)), rng)
+        _check_against_reference(lift_problem(p, random_interval_selfmap(interval, rng)))
+        q = random_admissible_poly(circle, int(rng.integers(2, 4)), rng)
+        _check_against_reference(lift_problem(q, random_circle_selfmap(circle, rng)))
+
+
+def test_lift_problem_matches_reference_on_torus_swap():
+    swap, ident = _torus_swap_problems()
+    for problem in (swap, ident):
+        _check_against_reference(problem)
+    assert len(swap.cotree) == 4097                  # E - S + 1 on the 64x64 grid
+    assert len(swap.loop_pairs) == 3
+    assert len(ident.loop_pairs) == 2
+    verdict = decide_lift(swap)
+    assert verdict.answer == "no"
+    assert verdict.certificate["kind"] == "csp_exhaustion"
+    assert verdict.certificate["loop_constraints"] == 4097
+    assert decide_lift(ident).answer == "yes"
