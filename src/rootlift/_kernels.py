@@ -1,4 +1,4 @@
-"""Numpy fallback for the batched fiber root solver.
+"""Batched fiber root solver.
 
 Roots come from batched companion-matrix eigenvalues, then a few guarded
 Newton polishing sweeps push residuals to solver tolerance.  Fibers are
@@ -9,6 +9,8 @@ part), which numpy's complex sort implements directly.
 from __future__ import annotations
 
 import numpy as np
+
+BACKEND = "numpy"      # the solver's name, recorded in every verdict.json
 
 
 def horner(coeffs: np.ndarray, z: np.ndarray):

@@ -4,20 +4,20 @@ A :class:`BaseSpace` is a finite 1-complex standing in for a compact
 space: an interval, a circle, a subdivided multigraph, or a torus grid.
 Samples carry coordinates, oriented edges carry the adjacency, and
 ``loop_basis`` generates the discrete fundamental group.  Edges and the
-adjacency are arrays.  A :class:`SelfMap` stores each sample's image as
-a location (edge + parameter) in arrays, so images need not land on
-sample points.
+adjacency are arrays, and every graph walk (breadth-first search, hop
+distances, connected components) runs on them in ``scipy.sparse.csgraph``.
+A :class:`SelfMap` stores each sample's image as a location (edge +
+parameter) in arrays, so images need not land on sample points.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +114,51 @@ class BaseSpace:
             raise BaseSpaceError("walk is not edge-connected")
         return [int(tails[0])] + heads.tolist()
 
+    def bfs(self, sources) -> tuple[np.ndarray, np.ndarray]:
+        """Breadth-first search from one sample or a sequence of samples.
+
+        Samples are claimed as a FIFO queue seeded with ``sources`` claims
+        them: the sources first, in the given order, then every other
+        sample by the first claimed sample that reaches it, neighbours
+        scanned in edge-id order.  Returns ``(order, pred)``: the claimed
+        samples in claim order, and each sample's claimer (-1 for the
+        sources and for samples no source reaches).
+        """
+        S = self.n_samples
+        sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
+        adj = self.adjacency
+        # a virtual sample S whose row lists the sources seeds the queue
+        seeded = csr_matrix(
+            (np.ones(adj.nnz + len(sources)), np.concatenate([adj.indices, sources]),
+             np.append(adj.indptr, adj.nnz + len(sources))), shape=(S + 1, S + 1))
+        order, pred = breadth_first_order(seeded, S, directed=True,
+                                          return_predecessors=True)
+        pred = pred[:S].astype(np.intp)
+        pred[(pred < 0) | (pred == S)] = -1
+        return order[1:].astype(np.intp), pred
+
+    def hops(self, source: int, mask=None) -> np.ndarray:
+        """Edge count of a shortest path from ``source`` to every sample,
+        ``inf`` where there is none; with ``mask``, paths stay on the
+        samples where it is True."""
+        adj = self.adjacency
+        if mask is not None:
+            rows = np.repeat(np.arange(self.n_samples), np.diff(adj.indptr))
+            keep = mask[rows] & mask[adj.indices]
+            adj = csr_matrix((adj.data[keep], (rows[keep], adj.indices[keep])),
+                             shape=adj.shape)
+        return dijkstra(adj, directed=True, indices=source, unweighted=True)
+
+    def components(self, mask) -> list[np.ndarray]:
+        """Connected components of the samples where ``mask`` is True,
+        joined by the edges with both ends there: one ascending sample
+        array per component, in order of smallest sample."""
+        mask = np.asarray(mask, dtype=bool)
+        inside = np.flatnonzero(mask)
+        position = np.cumsum(mask) - 1          # sample -> its index in ``inside``
+        ends = self.edges[mask[self.edges[:, 0]] & mask[self.edges[:, 1]]]
+        return [inside[c] for c in node_components(len(inside), position[ends])]
+
     def spanning_tree(self, root: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """BFS spanning tree from ``root``.
 
@@ -125,8 +170,7 @@ class BaseSpace:
         the parent edge is the lowest-id edge from the BFS predecessor.
         """
         S = self.n_samples
-        order, pred = breadth_first_order(self.adjacency, root, directed=True,
-                                          return_predecessors=True)
+        order, pred = self.bfs(root)
         if len(order) != S:
             raise BaseSpaceError("base space is not connected")
         adj = self.adjacency
@@ -136,10 +180,10 @@ class BaseSpace:
         # child is its lowest-id edge from the predecessor
         first = np.full(S, len(hits), dtype=np.intp)
         np.minimum.at(first, adj.indices[hits], np.arange(len(hits)))
-        nodes = order[1:].astype(np.intp)
+        nodes = order[1:]
         entry = hits[first[nodes]]
         tree = np.column_stack([nodes, self.adj_edge[entry], self.adj_dir[entry]])
-        return tree, order.astype(np.intp)
+        return tree, order
 
     # -- coordinates -------------------------------------------------------
 
@@ -214,18 +258,21 @@ class BaseSpace:
         src, dst = self.nearest_sample(loc_a), self.nearest_sample(loc_b)
         if src == dst:
             return abs(loc_a.t - 0.5) + abs(loc_b.t - 0.5)
-        dist = {src: 0}
-        dq = deque([src])
-        while dq:
-            cur = dq.popleft()
-            for eid, direction in self.incident(cur):
-                _, nxt = self.edge_endpoint(eid, direction)
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    if nxt == dst:
-                        return float(dist[nxt]) + 1.0
-                    dq.append(nxt)
-        return math.inf
+        return float(self.hops(src)[dst]) + 1.0
+
+
+def node_components(n: int, pairs) -> list[np.ndarray]:
+    """Connected components of the graph on nodes ``0..n-1`` whose edges
+    are the rows of ``pairs``: one ascending node array per component, in
+    order of smallest node."""
+    if n == 0:
+        return []
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    nodes = np.argsort(labels, kind="stable")       # ascending within each label
+    groups = np.split(nodes, np.cumsum(np.bincount(labels))[:-1])
+    return sorted(groups, key=lambda g: int(g[0]))
 
 
 @dataclass
@@ -300,20 +347,15 @@ def _expression_images(kind: str, exprs, coords: np.ndarray):
     """
     from . import funcspec
 
-    if kind == "interval":
-        names = ("x",)
-    elif kind == "circle":
-        names = ("theta",)
-    elif kind == "torus2":
-        names = ("theta1", "theta2")
-    else:
+    names = funcspec.COORDINATES.get(kind)
+    if names is None:
         raise BaseSpaceError(f"expression self-maps unsupported on kind {kind!r}")
     if len(exprs) != len(names):
         raise BaseSpaceError(
             f"a {kind} self-map takes {len(names)} coordinate expression(s) "
             f"({', '.join(names)}), got {len(exprs)}")
-    columns = [coords] if len(names) == 1 else [coords[..., k] for k in range(2)]
-    env = dict(zip(names, columns))
+    env = funcspec.coordinate_env(kind, coords)
+    shape = coords.shape[:1]
 
     def not_finite(s):
         at = {name: float(col[s]) for name, col in env.items()}
@@ -323,8 +365,7 @@ def _expression_images(kind: str, exprs, coords: np.ndarray):
     images = []
     with np.errstate(invalid="ignore"):
         for expr in exprs:
-            v = np.broadcast_to(np.asarray(funcspec._eval(expr, env), dtype=complex),
-                                columns[0].shape)
+            v = np.broadcast_to(np.asarray(funcspec._eval(expr, env), dtype=complex), shape)
             x = v.real
             checks.append((~(np.isfinite(v.real) & np.isfinite(v.imag)), not_finite))
             checks.append((np.abs(v.imag) > 1e-9, lambda s, v=v: BaseSpaceError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, funcspec
-from .base import BaseSpace, Location, SelfMap
+from .base import BaseSpace, Location, SelfMap, node_components
 
 MAX_ENUM_DEGREE = 7            # exhaustive assignment enumeration above this uses LSAP
 
@@ -126,17 +126,6 @@ class MonicPolynomial:
         return out
 
 
-def _coord_env(kind, coords):
-    coords = np.asarray(coords)
-    if kind == "interval":
-        return {"x": coords}
-    if kind == "circle":
-        return {"theta": coords}
-    if kind == "torus2":
-        return {"theta1": coords[..., 0], "theta2": coords[..., 1]}
-    raise BundleError(f"no coordinate chart on base kind {kind!r}")
-
-
 class ExprSource:
     """Exact coefficients from one expression per lower coefficient."""
 
@@ -149,7 +138,7 @@ class ExprSource:
                          for e in self.exprs])
 
     def at_coords(self, base, coords):
-        env = _coord_env(base.kind, coords)
+        env = funcspec.coordinate_env(base.kind, np.asarray(coords))
         n = len(coords)
         cols = [np.broadcast_to(np.asarray(funcspec._eval(e, env), dtype=complex), (n,))
                 for e in self.exprs]
@@ -169,7 +158,7 @@ class FactoredSource:
         return _expand_monic(roots[None, :])[0]
 
     def at_coords(self, base, coords):
-        env = _coord_env(base.kind, coords)
+        env = funcspec.coordinate_env(base.kind, np.asarray(coords))
         n = len(coords)
         cols = [np.broadcast_to(np.asarray(funcspec._eval(e, env), dtype=complex), (n,))
                 for e in self.root_exprs]
@@ -344,24 +333,9 @@ class RootBundle:
 
     def merge_clusters(self, sample: int) -> list[list[int]]:
         """Slots whose root values coincide within branch tolerance."""
-        n = self.degree
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         vals = self.fibers[sample]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(vals[i] - vals[j]) < self.tol.branch_tol:
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return [sorted(g) for g in sorted(groups.values())]
+        close = np.abs(vals[:, None] - vals[None, :]) < self.tol.branch_tol
+        return [g.tolist() for g in node_components(self.degree, np.argwhere(close))]
 
     def local_motion(self, sample: int) -> float:
         """Largest sheet movement along edges incident to ``sample``."""
@@ -503,35 +477,16 @@ def is_admissible(p: MonicPolynomial, zero_tol: float | None = None,
     if window is None:
         window = max(8, math.ceil(0.02 * S))
     d = discriminant(p, check=False).values
-    marked = np.abs(d) < zero_tol
     runs = []
-    seen = np.zeros(S, dtype=bool)
-    for s in range(S):
-        if not marked[s] or seen[s]:
-            continue
-        comp = _marked_component(p.base, marked, s)
-        seen[list(comp)] = True
+    for comp in p.base.components(np.abs(d) < zero_tol):
         span = _component_path_span(p.base, comp)
         if span >= window:
             runs.append({
-                "samples": sorted(comp)[:50],
+                "samples": comp[:50].tolist(),
                 "size": len(comp),
                 "path_span": span,
             })
     return AdmissibilityReport(p.degree >= 2 and not runs, zero_tol, window, runs)
-
-
-def _marked_component(base, marked, start):
-    comp = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for eid, direction in base.incident(cur):
-            _, nxt = base.edge_endpoint(eid, direction)
-            if marked[nxt] and nxt not in comp:
-                comp.add(nxt)
-                stack.append(nxt)
-    return comp
 
 
 def _component_path_span(base, comp):
@@ -541,29 +496,13 @@ def _component_path_span(base, comp):
     a full cycle is treated as spanning everything.
     """
     inside = np.zeros(base.n_samples, dtype=bool)
-    inside[list(comp)] = True
+    inside[comp] = True
     edges_inside = int(np.count_nonzero(inside[base.edges[:, 0]] & inside[base.edges[:, 1]]))
     if edges_inside >= len(comp):
         return len(base.coords) + len(comp)      # contains a cycle
-    far, _ = _bfs_far(base, comp, next(iter(comp)))
-    _, depth = _bfs_far(base, comp, far)
-    return depth + 1
-
-
-def _bfs_far(base, comp, start):
-    dist = {start: 0}
-    queue = [start]
-    far, fdist = start, 0
-    while queue:
-        cur = queue.pop(0)
-        for eid, direction in base.incident(cur):
-            _, nxt = base.edge_endpoint(eid, direction)
-            if nxt in comp and nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                if dist[nxt] > fdist:
-                    far, fdist = nxt, dist[nxt]
-                queue.append(nxt)
-    return far, fdist
+    # a tree: the sample farthest from any sample ends a longest path
+    far = comp[np.argmax(base.hops(comp[0], inside)[comp])]
+    return int(np.max(base.hops(far, inside)[comp])) + 1
 
 
 # -- evaluation on bundles --------------------------------------------------------

@@ -23,8 +23,8 @@ from . import _kernels, figures, monodromy, scenarios
 from .base import identity_selfmap, make_circle, make_graph, make_interval, make_torus2, sample_selfmap
 from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, is_admissible,
                      poly_from_exprs, poly_from_roots, pullback_polynomial)
-from .closedness import closedness_report, has_root
-from .extend import LiftProblem, decide_lift, decide_subalgebra
+from .closedness import closedness_report
+from .extend import LiftProblem, _cross_checks, decide_lift, decide_subalgebra
 from ._kernels import residuals
 
 SCHEMA = {
@@ -106,6 +106,10 @@ def validate_config(config: dict) -> None:
         raise ScenarioError("$.analyses: 'closedness' needs a graph base")
     if "torus_controls" in analyses and kind != "torus2":
         raise ScenarioError("$.analyses: 'torus_controls' needs a torus2 base")
+    # the schema admits no other polynomial keys
+    if "polynomial" in config and len(config["polynomial"]) != 1:
+        raise ScenarioError(
+            "$.polynomial: give exactly one of 'coefficients' and 'roots'")
     if any(a in analyses for a in ("cole", "ah", "cross_checks")):
         if "polynomial" not in config or "selfmap" not in config:
             raise ScenarioError(
@@ -290,8 +294,7 @@ def _analyze(config: dict, factor: int, override: int | None,
         if not report.admissible:
             raise ScenarioError("scenario polynomial is not admissible")
         bundle_a = build_bundle(poly, tol)
-        pt = pullback_polynomial(poly, smap)
-        bundle_b = build_bundle(pt, tol)
+        bundle_b = build_bundle(pullback_polynomial(poly, smap), tol)
         problem = LiftProblem(bundle_a, bundle_b, tol)
 
     if "bundle" in analyses and bundle_a is not None:
@@ -335,21 +338,18 @@ def _analyze(config: dict, factor: int, override: int | None,
         ah = decide_subalgebra(problem, tol)
         results["ah"] = _verdict_block(ah)
     if "cross_checks" in analyses and problem is not None:
-        if cole is None:
-            cole = decide_lift(problem)
-        if ah is None:
-            ah = decide_subalgebra(problem, tol)
-        root = has_root(pt, tol, require_admissible=False)
+        checks = _cross_checks(problem, tol, cole=cole, ah=ah)
+        implies, root = checks["ah_implies_cole"], checks["root_implies_ah"]
         results["cross_checks"] = {
             "ah_implies_cole": {
-                "ah": ah.answer,
-                "cole": cole.answer,
-                "consistent": not (ah.answer == "yes" and cole.answer == "no"),
+                "ah": implies["ah"].answer,
+                "cole": implies["cole"].answer,
+                "consistent": implies["consistent"],
             },
             "root_implies_ah": {
-                "pullback_has_root": root.answer,
-                "ah": ah.answer,
-                "consistent": not (root.answer == "yes" and ah.answer != "yes"),
+                "pullback_has_root": root["has_root"].answer,
+                "ah": root["ah"].answer,
+                "consistent": root["consistent"],
             },
         }
 

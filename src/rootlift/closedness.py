@@ -44,12 +44,16 @@ def has_root(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL,
         report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
         if not report.admissible:
             raise InadmissibleError("polynomial is not admissible")
-    B = build_bundle(p, tol)
-    problem = LiftProblem(trivial_bundle(p.base, tol), B, tol)
+    return _section_verdict(build_bundle(p, tol), tol)
+
+
+def _section_verdict(bundle: RootBundle, tol: Tolerances = DEFAULT_TOL) -> Verdict:
+    """:func:`has_root` on the already built root bundle of the polynomial."""
+    problem = LiftProblem(trivial_bundle(bundle.base, tol), bundle, tol)
     verdict = decide_lift(problem)
     if verdict.answer == "yes":
         root = verdict.witness.values[:, 0]
-        res = _kernels.residuals(p.coeff_values, root[:, None])
+        res = _kernels.residuals(bundle.poly.coeff_values, root[:, None])
         verdict.diagnostics["root_residual_max"] = float(np.max(res))
     return verdict
 
@@ -92,21 +96,13 @@ def winding_function(base: BaseSpace, loop) -> np.ndarray:
     samples = base.walk_samples(loop)[:-1]
     L = len(samples)
     values = np.zeros(base.n_samples, dtype=complex)
-    claimed = np.zeros(base.n_samples, dtype=bool)
     for k, s in enumerate(samples):
         values[s] = np.exp(2j * math.pi * k / L)
-        claimed[s] = True
-    queue = [s for s in samples]
-    while queue:
-        cur = queue.pop(0)
-        for eid, direction in base.incident(cur):
-            _, nxt = base.edge_endpoint(eid, direction)
-            if not claimed[nxt]:
-                values[nxt] = values[cur]
-                claimed[nxt] = True
-                queue.append(nxt)
-    if not np.all(claimed):
+    order, pred = base.bfs(samples)
+    if len(order) != base.n_samples:
         raise ExtendError("graph base is not connected")
+    for s in order[pred[order] >= 0].tolist():    # a claimer precedes what it claims
+        values[s] = values[pred[s]]
     return values
 
 

@@ -521,33 +521,19 @@ def ah_fit(bundle: RootBundle, values: np.ndarray,
         })
 
     # continuity across skipped branch runs: flank-to-flank jumps
-    skipped = np.flatnonzero(~fit_mask)
-    seen: set[int] = set()
-    for s in skipped:
-        s = int(s)
-        if s in seen:
-            continue
-        run = {s}
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            for eid, direction in base.incident(cur):
-                _, nxt = base.edge_endpoint(eid, direction)
-                if not fit_mask[nxt] and nxt not in run:
-                    run.add(nxt)
-                    stack.append(nxt)
-        seen |= run
-        flanks = sorted({base.edge_endpoint(eid, d)[1]
-                         for r in run for eid, d in base.incident(r)
-                         if fit_mask[base.edge_endpoint(eid, d)[1]]})
+    for run in base.components(~fit_mask):
+        inside = np.zeros(S, dtype=bool)
+        inside[run] = True
+        leaving = edges[inside[edges[:, 0]] != inside[edges[:, 1]]]   # edges out of the run
+        flanks = np.unique(leaving[~inside[leaving]]).tolist()        # their fitted ends
         for i in range(len(flanks)):
             for j in range(i + 1, len(flanks)):
                 jump = float(np.max(np.abs(coeffs[flanks[j]] - coeffs[flanks[i]])))
                 if jump > bound * (len(run) + 1):
                     return FitResult(False, coeffs, fit_mask, refusal={
                         "kind": "branch_flank_jump",
-                        "run_samples": sorted(int(r) for r in run),
-                        "flanks": [int(flanks[i]), int(flanks[j])],
+                        "run_samples": run.tolist(),
+                        "flanks": [flanks[i], flanks[j]],
                         "jump": jump,
                         "bound": bound * (len(run) + 1),
                     })
@@ -627,8 +613,6 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
             continue
         u = base.nearest_sample(base.coordinate_location(wrap(start)))
         slots = _transport_slots(A, sample, u, pair_slots)
-        if slots is None:
-            continue
         targets = witness.assignments[u][slots]
         if targets[0] == targets[1]:
             # both branches ride one target sheet: the quotient vanishes
@@ -700,30 +684,19 @@ def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap, tol) -> fl
     return y0
 
 
-def _transport_slots(bundle: RootBundle, src: int, dst: int, slots):
-    """Follow slots from sample src to sample dst along a sample path."""
+def _transport_slots(bundle: RootBundle, src: int, dst: int, slots) -> list[int]:
+    """Follow slots from sample src to sample dst along a shortest sample
+    path: the path from src in its BFS spanning tree."""
     base = bundle.base
-    if src == dst:
-        return list(slots)
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        cur = queue.pop(0)
-        if cur == dst:
-            break
-        for eid, direction in base.incident(cur):
-            _, nxt = base.edge_endpoint(eid, direction)
-            if nxt not in prev:
-                prev[nxt] = (cur, eid, direction)
-                queue.append(nxt)
-    if dst not in prev:
-        return None
+    tree, _ = base.spanning_tree(src)
+    parent = np.empty((base.n_samples, 2), dtype=np.intp)   # (edge, direction) into a sample
+    parent[tree[:, 0]] = tree[:, 1:]
     steps = []
     cur = dst
-    while prev[cur] is not None:
-        par, eid, direction = prev[cur]
+    while cur != src:
+        eid, direction = parent[cur].tolist()
         steps.append((eid, direction))
-        cur = par
+        cur = base.edge_endpoint(eid, direction)[0]
     out = list(slots)
     for eid, direction in reversed(steps):
         perm = bundle.step_perm(eid, direction)
@@ -823,20 +796,41 @@ def ah_implies_cole_check(p: MonicPolynomial, smap,
                           tol: Tolerances = DEFAULT_TOL) -> dict:
     """Consistency report: a polynomial-subalgebra extension forces a
     full-surface extension, never the other way."""
-    ah = ah_extendable(p, smap, tol)
-    cole = cole_extendable(p, smap, tol)
-    consistent = not (ah.answer == "yes" and cole.answer == "no")
-    return {"ah": ah, "cole": cole, "consistent": consistent}
+    return _cross_checks(lift_problem(p, smap, tol), tol,
+                         ("ah_implies_cole",))["ah_implies_cole"]
 
 
 def root_implies_extendable_check(p: MonicPolynomial, smap,
                                   tol: Tolerances = DEFAULT_TOL) -> dict:
     """If the pulled-back polynomial has a continuous root, the extension
     to the polynomial subalgebra must exist."""
-    from .closedness import has_root
+    return _cross_checks(lift_problem(p, smap, tol), tol,
+                         ("root_implies_ah",))["root_implies_ah"]
 
-    pt = pullback_polynomial(p, smap)
-    root = has_root(pt, tol=tol, require_admissible=False)
-    ah = ah_extendable(p, smap, tol)
-    consistent = not (root.answer == "yes" and ah.answer != "yes")
-    return {"has_root": root, "ah": ah, "consistent": consistent}
+
+def _cross_checks(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
+                  checks=("ah_implies_cole", "root_implies_ah"),
+                  cole: Verdict | None = None, ah: Verdict | None = None) -> dict:
+    """The named consistency checks on one lift problem, keyed by name.
+
+    ``ah_implies_cole`` holds the ``ah`` and ``cole`` verdicts,
+    ``root_implies_ah`` the ``has_root`` verdict of the pulled-back
+    polynomial (a section of the problem's target bundle) and ``ah``; each
+    also holds ``consistent``.  Every verdict is decided once, on the
+    problem's own bundles, unless it is passed in as ``cole`` or ``ah``.
+    """
+    from .closedness import _section_verdict
+
+    if ah is None:
+        ah = decide_subalgebra(problem, tol)
+    out = {}
+    if "ah_implies_cole" in checks:
+        if cole is None:
+            cole = decide_lift(problem)
+        out["ah_implies_cole"] = {"ah": ah, "cole": cole,
+                                  "consistent": not (ah.answer == "yes" and cole.answer == "no")}
+    if "root_implies_ah" in checks:
+        root = _section_verdict(problem.target, tol)
+        out["root_implies_ah"] = {"has_root": root, "ah": ah,
+                                  "consistent": not (root.answer == "yes" and ah.answer != "yes")}
+    return out

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIABLES = ("x", "theta", "theta1", "theta2")
+# each base kind with a coordinate chart, and the variable names it binds
+COORDINATES = {"interval": ("x",), "circle": ("theta",), "torus2": ("theta1", "theta2")}
+VARIABLES = tuple(name for names in COORDINATES.values() for name in names)
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
 
@@ -420,20 +422,27 @@ class SampledFunction:
             raise EvalError(f"non-finite value at sample {bad}")
 
 
-def _base_env(base, coords):
-    if base.kind == "interval":
-        return {"x": coords}
-    if base.kind == "circle":
-        return {"theta": coords}
-    if base.kind == "torus2":
-        return {"theta1": coords[..., 0], "theta2": coords[..., 1]}
-    raise EvalError(f"expressions take no variables on base kind {base.kind!r}; "
-                    "supply sampled values directly")
+def coordinate_env(kind: str, coords) -> dict:
+    """The variables of base kind ``kind`` bound to ``coords``.
+
+    ``coords`` is one point (a number, or a pair on torus2) or an array of
+    points, shape (K,) or, on torus2, (K, 2).  Raises :class:`EvalError`
+    for a kind without coordinates.
+    """
+    names = COORDINATES.get(kind)
+    if names is None:
+        raise EvalError(f"expressions take no variables on base kind {kind!r}; "
+                        "supply sampled values directly")
+    if len(names) == 1:
+        return {names[0]: coords}
+    if isinstance(coords, np.ndarray):
+        coords = np.moveaxis(coords, -1, 0)         # one array per coordinate
+    return dict(zip(names, coords))
 
 
 def evaluate(expr, base) -> SampledFunction:
     """Evaluate an expression at every sample of ``base``."""
-    env = _base_env(base, np.asarray(base.coords))
+    env = coordinate_env(base.kind, np.asarray(base.coords))
     values = np.broadcast_to(np.asarray(_eval(expr, env), dtype=complex),
                              (base.n_samples,)).copy()
     return SampledFunction(base, values)
@@ -446,12 +455,4 @@ def eval_at(expr, base, location) -> complex:
 
 
 def eval_at_coord(expr, kind: str, coord) -> complex:
-    if kind == "interval":
-        env = {"x": coord}
-    elif kind == "circle":
-        env = {"theta": coord}
-    elif kind == "torus2":
-        env = {"theta1": coord[0], "theta2": coord[1]}
-    else:
-        raise EvalError(f"expressions take no variables on base kind {kind!r}")
-    return eval_scalar(expr, env)
+    return eval_scalar(expr, coordinate_env(kind, coord))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseSpaceError
+from .base import BaseSpaceError, node_components
 from .bundle import RootBundle
 
 
@@ -128,29 +128,16 @@ def components(bundle: RootBundle) -> list[set[tuple[int, int]]]:
     branch-flagged sample are also connected there.
     """
     n = bundle.degree
-    S = bundle.base.n_samples
-    parent = list(range(S * n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for (a, b), perm in zip(bundle.base.edges.tolist(), bundle.edge_perms.tolist()):
-        for i in range(n):
-            union(a * n + i, b * n + perm[i])
-    for s in np.flatnonzero(bundle.branch_flags):
-        for cluster in bundle.merge_clusters(int(s)):
-            for i in cluster[1:]:
-                union(int(s) * n + cluster[0], int(s) * n + i)
-    groups: dict[int, set[tuple[int, int]]] = {}
-    for s in range(S):
-        for i in range(n):
-            groups.setdefault(find(s * n + i), set()).add((s, i))
-    return sorted(groups.values(), key=lambda g: min(g))
+    edges = bundle.base.edges
+    # bundle point (s, i) is node s * n + i
+    matched = np.column_stack([(edges[:, 0, None] * n + np.arange(n)).ravel(),
+                               (edges[:, 1, None] * n + bundle.edge_perms).ravel()])
+    merged = [(s * n + cluster[0], s * n + i)
+              for s in np.flatnonzero(bundle.branch_flags).tolist()
+              for cluster in bundle.merge_clusters(s) for i in cluster[1:]]
+    pairs = np.concatenate([matched, np.asarray(merged, dtype=np.intp).reshape(-1, 2)])
+    out = []
+    for g in node_components(bundle.base.n_samples * n, pairs):
+        samples, slots = divmod(g, n)
+        out.append(set(zip(samples.tolist(), slots.tolist())))
+    return out

@@ -186,3 +186,39 @@ def test_selfmap_spec_must_fit_base_kind(tmp_path, base, selfmap):
     cfg_path = tmp_path / "mismatch.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out2")]) == 1
+
+
+@pytest.mark.parametrize("polynomial", [
+    {},
+    {"coefficients": ["-4", "0"], "roots": ["2", "-2"]},
+], ids=["neither-key", "both-keys"])
+def test_polynomial_needs_exactly_one_key(tmp_path, polynomial):
+    cfg = {"name": "poly", "base": {"kind": "circle", "samples": 24},
+           "polynomial": polynomial, "selfmap": {"identity": True},
+           "analyses": ["cole"]}
+    with pytest.raises(ScenarioError, match=r"\$\.polynomial"):
+        run_scenario(cfg, str(tmp_path / "out"))
+    cfg_path = tmp_path / "poly.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out2")]) == 1
+
+
+@pytest.mark.parametrize("name, samples", [("example1", 301), ("example2", 240)])
+def test_cross_checks_build_each_bundle_once(tmp_path, monkeypatch, name, samples):
+    from rootlift import bundle, closedness, extend
+
+    built = []
+    original = bundle.build_bundle
+
+    def counting(p, *args, **kwargs):
+        built.append(p)
+        return original(p, *args, **kwargs)
+
+    for module in (bundle, extend, closedness, cli):
+        monkeypatch.setattr(module, "build_bundle", counting)
+    cfg = scenarios.builtin_scenario(name, samples=samples)
+    assert "cross_checks" in cfg["analyses"]
+    assert run_scenario(cfg, str(tmp_path)) == 0
+    assert len(built) == 2           # the polynomial and its pullback
+    doc = json.loads((tmp_path / "verdict.json").read_text())
+    assert doc["analyses"]["cross_checks"]["root_implies_ah"]["consistent"]

@@ -180,6 +180,25 @@ def test_root_implies_extendable():
     assert rep["consistent"]
 
 
+@pytest.mark.parametrize("check", [ah_implies_cole_check, root_implies_extendable_check])
+def test_cross_checks_build_each_bundle_once(monkeypatch, check):
+    from rootlift import bundle, closedness, extend
+
+    built = []
+    original = bundle.build_bundle
+
+    def counting(p, *args, **kwargs):
+        built.append(p)
+        return original(p, *args, **kwargs)
+
+    for module in (bundle, extend, closedness):
+        monkeypatch.setattr(module, "build_bundle", counting)
+    base = make_interval(201)
+    rep = check(interval_square_pair(base), flip_map(base))
+    assert rep["consistent"]
+    assert len(built) == 2           # the polynomial and its pullback
+
+
 def test_root_free_identity_still_extends():
     base = make_circle(48)
     p = poly_from_exprs(base, ["-exp(1i*theta)", "0"])

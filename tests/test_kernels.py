@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from rootlift import _kernels
-from rootlift._kernels import _pyroots
 
 
 def _poly_from_roots(roots):
@@ -12,13 +10,13 @@ def _poly_from_roots(roots):
 
 
 def test_numpy_backend_simple_quadratic():
-    roots = _pyroots.solve_fibers(np.array([[-1.0 + 0j, 0.0]]))
+    roots = _kernels.solve_fibers(np.array([[-1.0 + 0j, 0.0]]))
     assert np.allclose(roots, [[-1, 1]])
 
 
 def test_numpy_backend_canonical_order():
     coeffs = _poly_from_roots([3, -2, 1j])[None, :]
-    roots = _pyroots.solve_fibers(coeffs)
+    roots = _kernels.solve_fibers(coeffs)
     key = list(zip(roots[0].real, roots[0].imag))
     assert key == sorted(key)
 
@@ -26,37 +24,14 @@ def test_numpy_backend_canonical_order():
 def test_polish_reaches_residual_target():
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal((200, 5)) + 1j * rng.standard_normal((200, 5))
-    roots = _pyroots.solve_fibers(coeffs)
-    res = _pyroots.residuals(coeffs, roots)
+    roots = _kernels.solve_fibers(coeffs)
+    res = _kernels.residuals(coeffs, roots)
     assert np.max(res) < 1e-9 * max(1.0, np.max(np.abs(coeffs)))
 
 
 def test_multiple_root_handled():
-    roots = _pyroots.solve_fibers(np.array([[0.0 + 0j, 0.0]]))   # t^2
+    roots = _kernels.solve_fibers(np.array([[0.0 + 0j, 0.0]]))   # t^2
     assert np.max(np.abs(roots)) < 1e-7
-
-
-@pytest.mark.skipif(_kernels.solve_fibers_compiled is None,
-                    reason="compiled kernel unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 4, 5, 6):
-        coeffs = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
-        a = _kernels.solve_fibers_compiled(coeffs)
-        b = _kernels.solve_fibers_numpy(coeffs)
-        assert np.max(np.abs(a - b)) < 1e-10
-
-
-@pytest.mark.skipif(_kernels.solve_fibers_compiled is None,
-                    reason="compiled kernel unavailable")
-def test_compiled_residuals_match():
-    rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
-    roots = _kernels.solve_fibers_compiled(coeffs)
-    from rootlift._kernels import _fastroots
-    ra = _fastroots.residuals(coeffs, roots)
-    rb = _pyroots.residuals(coeffs, roots)
-    assert np.allclose(ra, rb, atol=1e-12)
 
 
 def test_known_roots_recovered():

@@ -1,0 +1,404 @@
+"""Graph walks on the CSR adjacency against the hand-written walks they replaced.
+
+Each ``_ref_*`` function below is a per-sample walk over ``incident()``
+(stack, FIFO queue or union-find) kept as the reference; every output
+that reaches a verdict must match it exactly, in content and in order.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from instancegen import random_admissible_poly, random_circle_selfmap
+from rootlift import (build_bundle, make_circle, make_graph, make_interval,
+                      make_torus2, poly_from_values, pullback)
+from rootlift.base import Location
+from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
+from rootlift.closedness import winding_function
+from rootlift.extend import _transport_slots, ah_fit
+from rootlift.monodromy import components, synthetic_strip_bundle
+
+# -- the reference walks --------------------------------------------------------
+
+
+def _neighbours(base, s):
+    return [base.edge_endpoint(eid, d)[1] for eid, d in base.incident(s)]
+
+
+def _ref_marked_component(base, marked, start):
+    comp = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for nxt in _neighbours(base, cur):
+            if marked[nxt] and nxt not in comp:
+                comp.add(nxt)
+                stack.append(nxt)
+    return comp
+
+
+def _ref_components(base, marked):
+    out, seen = [], set()
+    for s in range(base.n_samples):
+        if marked[s] and s not in seen:
+            comp = _ref_marked_component(base, marked, s)
+            seen |= comp
+            out.append(sorted(comp))
+    return out
+
+
+def _ref_bfs_far(base, comp, start):
+    dist = {start: 0}
+    queue = [start]
+    far, fdist = start, 0
+    while queue:
+        cur = queue.pop(0)
+        for nxt in _neighbours(base, cur):
+            if nxt in comp and nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                if dist[nxt] > fdist:
+                    far, fdist = nxt, dist[nxt]
+                queue.append(nxt)
+    return far, fdist
+
+
+def _ref_admissibility_runs(base, marked, window):
+    runs = []
+    for comp in _ref_components(base, marked):
+        comp = set(comp)
+        inside = np.zeros(base.n_samples, dtype=bool)
+        inside[list(comp)] = True
+        edges_inside = int(np.count_nonzero(inside[base.edges[:, 0]]
+                                            & inside[base.edges[:, 1]]))
+        if edges_inside >= len(comp):
+            span = base.n_samples + len(comp)
+        else:
+            far, _ = _ref_bfs_far(base, comp, next(iter(comp)))
+            span = _ref_bfs_far(base, comp, far)[1] + 1
+        if span >= window:
+            runs.append({"samples": sorted(comp)[:50], "size": len(comp),
+                         "path_span": span})
+    return runs
+
+
+def _ref_hop_distance(base, loc_a, loc_b):
+    src, dst = base.nearest_sample(loc_a), base.nearest_sample(loc_b)
+    if src == dst:
+        return abs(loc_a.t - 0.5) + abs(loc_b.t - 0.5)
+    dist = {src: 0}
+    dq = deque([src])
+    while dq:
+        cur = dq.popleft()
+        for nxt in _neighbours(base, cur):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                if nxt == dst:
+                    return float(dist[nxt]) + 1.0
+                dq.append(nxt)
+    return float("inf")
+
+
+def _ref_claims(base, sources, mask=None):
+    """FIFO multi-source BFS: claim order, claimer and hop count per sample."""
+    claimer, hops = {s: -1 for s in sources}, {s: 0 for s in sources}
+    order, queue = list(dict.fromkeys(sources)), deque(dict.fromkeys(sources))
+    while queue:
+        cur = queue.popleft()
+        for nxt in _neighbours(base, cur):
+            if nxt not in claimer and (mask is None or mask[nxt]):
+                claimer[nxt], hops[nxt] = cur, hops[cur] + 1
+                order.append(nxt)
+                queue.append(nxt)
+    return order, claimer, hops
+
+
+def _ref_winding_function(base, loop):
+    samples = base.walk_samples(loop)[:-1]
+    L = len(samples)
+    values = np.zeros(base.n_samples, dtype=complex)
+    claimed = np.zeros(base.n_samples, dtype=bool)
+    for k, s in enumerate(samples):
+        values[s] = np.exp(2j * np.pi * k / L)
+        claimed[s] = True
+    queue = list(samples)
+    while queue:
+        cur = queue.pop(0)
+        for nxt in _neighbours(base, cur):
+            if not claimed[nxt]:
+                values[nxt] = values[cur]
+                claimed[nxt] = True
+                queue.append(nxt)
+    return values
+
+
+def _ref_flank_refusal(base, fit_mask, coeffs, bound):
+    seen = set()
+    for s in np.flatnonzero(~fit_mask).tolist():
+        if s in seen:
+            continue
+        run = _ref_marked_component(base, ~fit_mask, s)
+        seen |= run
+        flanks = sorted({nxt for r in run for nxt in _neighbours(base, r) if fit_mask[nxt]})
+        for i in range(len(flanks)):
+            for j in range(i + 1, len(flanks)):
+                jump = float(np.max(np.abs(coeffs[flanks[j]] - coeffs[flanks[i]])))
+                if jump > bound * (len(run) + 1):
+                    return {"kind": "branch_flank_jump", "run_samples": sorted(run),
+                            "flanks": [flanks[i], flanks[j]], "jump": jump,
+                            "bound": bound * (len(run) + 1)}
+    return None
+
+
+def _ref_transport_slots(bundle, src, dst, slots):
+    base = bundle.base
+    if src == dst:
+        return list(slots)
+    prev = {src: None}
+    queue = [src]
+    while queue:
+        cur = queue.pop(0)
+        if cur == dst:
+            break
+        for eid, direction in base.incident(cur):
+            _, nxt = base.edge_endpoint(eid, direction)
+            if nxt not in prev:
+                prev[nxt] = (cur, eid, direction)
+                queue.append(nxt)
+    steps = []
+    cur = dst
+    while prev[cur] is not None:
+        par, eid, direction = prev[cur]
+        steps.append((eid, direction))
+        cur = par
+    out = list(slots)
+    for eid, direction in reversed(steps):
+        perm = bundle.step_perm(eid, direction)
+        out = [int(perm[i]) for i in out]
+    return out
+
+
+def _union_find(n):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+
+    return find, union
+
+
+def _ref_merge_clusters(bundle, sample):
+    n = bundle.degree
+    find, union = _union_find(n)
+    vals = bundle.fibers[sample]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) < bundle.tol.branch_tol:
+                union(i, j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [sorted(g) for g in sorted(groups.values())]
+
+
+def _ref_bundle_components(bundle):
+    n = bundle.degree
+    S = bundle.base.n_samples
+    find, union = _union_find(S * n)
+    for (a, b), perm in zip(bundle.base.edges.tolist(), bundle.edge_perms.tolist()):
+        for i in range(n):
+            union(a * n + i, b * n + perm[i])
+    for s in np.flatnonzero(bundle.branch_flags).tolist():
+        for cluster in _ref_merge_clusters(bundle, s):
+            for i in cluster[1:]:
+                union(s * n + cluster[0], s * n + i)
+    groups = {}
+    for s in range(S):
+        for i in range(n):
+            groups.setdefault(find(s * n + i), set()).add((s, i))
+    return sorted(groups.values(), key=min)
+
+
+# -- instances --------------------------------------------------------------------
+
+BASES = {
+    "interval9": make_interval(9),
+    "interval40": make_interval(40),
+    "circle12": make_circle(12),
+    "circle50": make_circle(50),
+    "torus6": make_torus2(6, 6),
+    "graph-parallel": make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 2),
+    "graph-branches": make_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 3),
+}
+
+
+def _masks(base, seed):
+    """Seeded masks of several densities, plus every third sample cleared."""
+    rng = np.random.default_rng(seed)
+    S = base.n_samples
+    masks = [rng.random(S) < density for density in (0.2, 0.45, 0.7, 0.9)]
+    masks.append(np.arange(S) % 3 != 0)
+    return masks
+
+
+def _instance_bundles():
+    """Root bundles of seeded random admissible polynomials and their pullbacks."""
+    rng = np.random.default_rng(17)
+    circle = make_circle(60)
+    p = random_admissible_poly(circle, 3, rng)
+    yield "random-circle", build_bundle(p)
+    yield "random-circle-pullback", pullback(p, random_circle_selfmap(circle, rng))
+    yield "random-interval", build_bundle(random_admissible_poly(make_interval(61), 2, rng))
+    yield "strips-2-3", synthetic_strip_bundle(make_circle(30), [2, 3])
+
+
+def _clustered_bundle(base, degree, seed):
+    """Random sheet permutations, and fibers built from a few values plus
+    offsets that chain slots within and just beyond the branch tolerance."""
+    rng = np.random.default_rng(seed)
+    S, E = base.n_samples, base.n_edges
+    step = DEFAULT_TOL.branch_tol * np.array([0.0, 0.6, 1.2, 3.0])
+    fibers = (rng.integers(0, 3, (S, degree)) + rng.choice(step, (S, degree))).astype(complex)
+    perms = np.array([rng.permutation(degree) for _ in range(E)], dtype=np.intp)
+    flags = rng.random(S) < 0.5
+    return RootBundle(base, degree, fibers, perms, flags)
+
+
+# -- base walks ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_components_match_reference_walk(name):
+    base = BASES[name]
+    several = 0
+    for mask in _masks(base, len(name)):
+        got = [c.tolist() for c in base.components(mask)]
+        assert got == _ref_components(base, mask)
+        several += len(got) > 1
+    assert several                   # some mask splits into several components
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_admissibility_runs_match_reference_walk(name):
+    base = BASES[name]
+    zeros = np.zeros(base.n_samples, dtype=complex)
+    for mask in _masks(base, 3 * len(name)):
+        g = np.where(mask, 0.0, 1.0 + np.arange(base.n_samples))
+        p = poly_from_values(base, [g, zeros])
+        marked = np.abs(discriminant(p, check=False).values) < DEFAULT_TOL.admissible_zero_tol
+        for window in (1, 2, 3, 5, None):
+            report = is_admissible(p, window=window)
+            assert report.runs == _ref_admissibility_runs(base, marked, report.window)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_bfs_matches_fifo_queue(name):
+    base = BASES[name]
+    S = base.n_samples
+    rng = np.random.default_rng(S)
+    for sources in ([0], [S - 1], rng.permutation(S)[:3].tolist(),
+                    base.walk_samples(base.loop_basis[0])[:-1] if base.loop_basis else [S // 2]):
+        order, pred = base.bfs(sources)
+        ref_order, claimer, _ = _ref_claims(base, sources)
+        assert order.tolist() == ref_order
+        assert pred.tolist() == [claimer.get(s, -1) for s in range(S)]
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_hops_match_reference_walk(name):
+    base = BASES[name]
+    S = base.n_samples
+    for mask in [None] + _masks(base, 5):
+        for source in sorted({0, S // 2, S - 1}):
+            if mask is not None and not mask[source]:
+                continue
+            _, _, ref = _ref_claims(base, [source], mask)
+            assert base.hops(source, mask).tolist() == [
+                float(ref.get(s, np.inf)) for s in range(S)]
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_hop_distance_matches_reference_walk(name):
+    base = BASES[name]
+    rng = np.random.default_rng(base.n_edges)
+    locs = [Location(int(e), float(t)) for e, t in
+            zip(rng.integers(0, base.n_edges, 24), rng.random(24))]
+    for a in locs:
+        for b in locs:
+            assert base._hop_distance(a, b) == _ref_hop_distance(base, a, b)
+
+
+@pytest.mark.parametrize("name", [n for n in BASES if BASES[n].loop_basis])
+def test_winding_function_matches_reference_walk(name):
+    base = BASES[name]
+    for loop in base.loop_basis:
+        assert np.array_equal(winding_function(base, loop), _ref_winding_function(base, loop))
+
+
+# -- bundle walks ------------------------------------------------------------------
+
+
+def _all_bundles():
+    yield from _instance_bundles()
+    for k, (name, base) in enumerate(BASES.items()):
+        yield f"clustered-{name}", _clustered_bundle(base, 3 + k % 4, k)
+
+
+@pytest.mark.parametrize("name, bundle", list(_all_bundles()))
+def test_merge_clusters_and_components_match_reference(name, bundle):
+    for s in range(bundle.base.n_samples):
+        assert bundle.merge_clusters(s) == _ref_merge_clusters(bundle, s)
+    assert components(bundle) == _ref_bundle_components(bundle)
+
+
+@pytest.mark.parametrize("name, bundle", list(_all_bundles()))
+def test_transport_slots_match_reference_walk(name, bundle):
+    S, n = bundle.base.n_samples, bundle.degree
+    rng = np.random.default_rng(S)
+    slots = rng.permutation(n)[:2].tolist()
+    for src in sorted({0, S // 3, S - 1} | set(rng.integers(0, S, 3).tolist())):
+        for dst in range(S):
+            assert (_transport_slots(bundle, src, dst, slots)
+                    == _ref_transport_slots(bundle, src, dst, slots))
+
+
+def _fit_cases():
+    """Bundles whose unfitted (branch-flagged) runs separate fitted regions
+    carrying different constant multiples of the root coordinate."""
+    two_sheets = {name: RootBundle(base, 2, np.tile(np.array([-1.0, 1.0], dtype=complex),
+                                                    (base.n_samples, 1)),
+                                   np.tile(np.arange(2), (base.n_edges, 1)),
+                                   np.zeros(base.n_samples, dtype=bool))
+                  for name, base in BASES.items()}
+    for name, bundle in [*two_sheets.items(), *_instance_bundles()]:
+        base = bundle.base
+        for k, mask in enumerate(_masks(base, 7 + len(name))):
+            flags = mask if k % 2 else ~mask
+            scale = np.ones(base.n_samples)
+            for c, comp in enumerate(_ref_components(base, ~flags)):
+                scale[comp] = 1.0 + c % 4
+            flagged = RootBundle(base, bundle.degree, bundle.fibers, bundle.edge_perms, flags)
+            yield f"{name}-{k}", flagged, bundle.fibers * scale[:, None]
+
+
+def test_flank_refusals_match_reference_walk():
+    refused = accepted = 0
+    for _, bundle, values in _fit_cases():
+        fit = ah_fit(bundle, values)
+        # ah_fit's jump bound for a bundle without a polynomial
+        size = float(np.max(np.abs(values)))
+        bound = DEFAULT_TOL.fit_jump_factor * size * 1e-3 * bundle.degree + 1e-8 * (1.0 + size)
+        ref = _ref_flank_refusal(bundle.base, fit.fitted_mask, fit.coeffs, bound)
+        assert fit.refusal == ref
+        assert fit.accepted == (ref is None)
+        refused += ref is not None
+        accepted += ref is None
+    assert refused and accepted
