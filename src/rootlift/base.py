@@ -356,18 +356,13 @@ def _expression_images(kind: str, exprs, coords: np.ndarray):
             f"({', '.join(names)}), got {len(exprs)}")
     env = funcspec.coordinate_env(kind, coords)
     shape = coords.shape[:1]
-
-    def not_finite(s):
-        at = {name: float(col[s]) for name, col in env.items()}
-        return funcspec.EvalError(f"expression is not finite at {at}")
-
     checks = []
     images = []
     with np.errstate(invalid="ignore"):
         for expr in exprs:
             v = np.broadcast_to(np.asarray(funcspec._eval(expr, env), dtype=complex), shape)
             x = v.real
-            checks.append((~(np.isfinite(v.real) & np.isfinite(v.imag)), not_finite))
+            checks.append((~np.isfinite(v), lambda s: funcspec.not_finite(env, s)))
             checks.append((np.abs(v.imag) > 1e-9, lambda s, v=v: BaseSpaceError(
                 f"self-map image {complex(v[s])} is not a real coordinate")))
             if kind == "interval":

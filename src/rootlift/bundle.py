@@ -3,10 +3,13 @@
 ``build_bundle`` solves the polynomial fiber at every sample, then glues
 adjacent fibers with minimum-total-squared-distance assignments.  An edge
 whose best assignment is not clearly separated from the runner-up is
-bisected adaptively (exact coefficient evaluation when the polynomial
-carries expressions, linear interpolation otherwise) until the matching
-is unambiguous or the fibers are inside the branch tolerance, where
-sheets genuinely merge and the minimal assignment is accepted.
+bisected adaptively until the matching is unambiguous or the fibers are
+inside the branch tolerance, where sheets genuinely merge and the minimal
+assignment is accepted; all such edges are bisected together, one depth
+at a time.  Off-sample coefficients come from the polynomial's source,
+which evaluates with the same array evaluator as its sampled values
+(exact for expressions, root curves and pullbacks), and are linear
+interpolants otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, funcspec
-from .base import BaseSpace, Location, SelfMap, node_components
+from .base import BaseSpace, SelfMap, node_components
 
 MAX_ENUM_DEGREE = 7            # exhaustive assignment enumeration above this uses LSAP
 
@@ -102,67 +105,41 @@ class MonicPolynomial:
         return [funcspec.SampledFunction(self.base, self.coeff_values[:, k])
                 for k in range(self.degree)]
 
-    def coeffs_at(self, loc: Location) -> np.ndarray:
-        """Coefficients at an off-sample location (exact when possible)."""
+    def coeffs_at(self, coords) -> np.ndarray:
+        """(K, n) coefficients at K coordinates, shape (K,) or (K, 2) on torus2.
+
+        A source evaluates them with the evaluator that produced
+        ``coeff_values``, so a sample's coordinate gives its row bit for
+        bit; without a source they interpolate along the edge holding each
+        coordinate.
+        """
+        coords = np.asarray(coords, dtype=float)
         if self.source is not None:
-            return self.source(self.base, loc)
-        a, b = self.base.edges[loc.edge]
-        return (1.0 - loc.t) * self.coeff_values[a] + loc.t * self.coeff_values[b]
-
-    def coeffs_at_coord(self, coord) -> np.ndarray:
-        if self.source is not None and self.base.kind == "torus2":
-            # torus coordinates have no single-chart Location; sources take them raw
-            return self.source.at_coords(self.base, np.asarray(coord)[None, :])[0]
-        return self.coeffs_at(self.base.coordinate_location(coord))
-
-    def coeff_values_at_coords(self, coords) -> np.ndarray:
-        """Vectorized coefficient evaluation at an array of coordinates."""
-        coords = np.asarray(coords)
-        if self.source is not None and hasattr(self.source, "at_coords"):
             return self.source.at_coords(self.base, coords)
-        out = np.empty((len(coords), self.degree), dtype=complex)
-        for i, c in enumerate(coords):
-            out[i] = self.coeffs_at(self.base.coordinate_location(c))
-        return out
+        return self.coeffs_at_locations(*self.base.coordinate_locations(coords))
+
+    def coeffs_at_locations(self, edges, params) -> np.ndarray:
+        """(K, n) coefficients at locations given as edge and parameter
+        arrays: the form a graph base, which has no coordinate chart, takes."""
+        if self.source is not None:
+            return self.coeffs_at(self.base.location_coordinates(edges, params))
+        ends = self.base.edges[np.asarray(edges, dtype=np.intp)]
+        t = np.asarray(params, dtype=float)[:, None]
+        return (1.0 - t) * self.coeff_values[ends[:, 0]] + t * self.coeff_values[ends[:, 1]]
 
 
 class ExprSource:
-    """Exact coefficients from one expression per lower coefficient."""
+    """Exact coefficients from expressions: one per lower coefficient or,
+    with ``roots``, one per root curve, expanded by :func:`_expand_monic`."""
 
-    def __init__(self, exprs):
+    def __init__(self, exprs, roots: bool = False):
         self.exprs = exprs
-
-    def __call__(self, base, loc):
-        coord = base.location_coordinate(loc)
-        return np.array([funcspec.eval_at_coord(e, base.kind, coord)
-                         for e in self.exprs])
+        self.roots = roots
 
     def at_coords(self, base, coords):
-        env = funcspec.coordinate_env(base.kind, np.asarray(coords))
-        n = len(coords)
-        cols = [np.broadcast_to(np.asarray(funcspec._eval(e, env), dtype=complex), (n,))
-                for e in self.exprs]
-        return np.column_stack(cols)
-
-
-class FactoredSource:
-    """Exact coefficients expanded from root-curve expressions."""
-
-    def __init__(self, root_exprs):
-        self.root_exprs = root_exprs
-
-    def __call__(self, base, loc):
-        coord = base.location_coordinate(loc)
-        roots = np.array([funcspec.eval_at_coord(e, base.kind, coord)
-                          for e in self.root_exprs])
-        return _expand_monic(roots[None, :])[0]
-
-    def at_coords(self, base, coords):
-        env = funcspec.coordinate_env(base.kind, np.asarray(coords))
-        n = len(coords)
-        cols = [np.broadcast_to(np.asarray(funcspec._eval(e, env), dtype=complex), (n,))
-                for e in self.root_exprs]
-        return _expand_monic(np.column_stack(cols))
+        env = funcspec.coordinate_env(base.kind, coords)
+        values = funcspec.eval_points(self.exprs, env, len(coords))
+        return _expand_monic(values) if self.roots else values
 
 
 class PullbackSource:
@@ -172,14 +149,8 @@ class PullbackSource:
         self.poly = poly
         self.smap = smap
 
-    def __call__(self, base, loc):
-        coord = base.location_coordinate(loc)
-        image = self.smap.image_coordinate(coord)
-        return self.poly.coeffs_at_coord(image)
-
     def at_coords(self, base, coords):
-        images = self.smap.image_coords_array(np.asarray(coords))
-        return self.poly.coeff_values_at_coords(images)
+        return self.poly.coeffs_at(self.smap.image_coords_array(coords))
 
 
 def _expand_monic(roots: np.ndarray) -> np.ndarray:
@@ -207,7 +178,7 @@ def poly_from_roots(base: BaseSpace, root_texts) -> MonicPolynomial:
     """Monic polynomial expanded from root-curve expressions (factored form)."""
     exprs = [funcspec.parse(t) if isinstance(t, str) else t for t in root_texts]
     roots = np.column_stack([funcspec.evaluate(e, base).values for e in exprs])
-    return MonicPolynomial(base, _expand_monic(roots), source=FactoredSource(exprs))
+    return MonicPolynomial(base, _expand_monic(roots), source=ExprSource(exprs, roots=True))
 
 
 def poly_from_values(base: BaseSpace, coeff_values) -> MonicPolynomial:
@@ -221,29 +192,33 @@ def pullback_polynomial(p: MonicPolynomial, smap: SelfMap) -> MonicPolynomial:
     """The polynomial with coefficients composed with the self-map."""
     if smap.base is not p.base:
         raise BundleError("self-map and polynomial live on different bases")
-    base = p.base
-    if base.kind == "graph":
-        # graph polynomials are sampled values: interpolate along image edges
-        ends = base.edges[smap.image_edges]
-        t = smap.image_params[:, None]
-        values = (1.0 - t) * p.coeff_values[ends[:, 0]] + t * p.coeff_values[ends[:, 1]]
-    else:
-        values = p.coeff_values_at_coords(smap.image_coords)
-    return MonicPolynomial(p.base, values, source=PullbackSource(p, smap))
+    if p.base.kind == "graph":
+        # no chart, so no source: sampled values, interpolated along image edges
+        return MonicPolynomial(p.base, p.coeffs_at_locations(smap.image_edges,
+                                                             smap.image_params))
+    return MonicPolynomial(p.base, p.coeffs_at(smap.image_coords),
+                           source=PullbackSource(p, smap))
 
 
 # -- fibers ---------------------------------------------------------------------
 
 
 def solve_fiber(coeffs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """All roots (with multiplicity) of one monic fiber, canonically ordered."""
-    coeffs = np.asarray(coeffs, dtype=complex)[None, :]
-    roots = _kernels.solve_fibers(coeffs)
-    res = _kernels.residuals(coeffs, roots)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(res) > tol.root_residual * scale:
-        raise BundleError(f"fiber solve residual {np.max(res):.3e} above tolerance")
-    return roots[0]
+    """All roots (with multiplicity) of a monic fiber, canonically ordered.
+
+    ``coeffs`` is one fiber (n,) or one fiber per row (K, n); the roots
+    have the same shape.  Each row's residual must stay within
+    ``tol.root_residual`` times its largest coefficient (at least 1).
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    rows = np.atleast_2d(coeffs)
+    roots = _kernels.solve_fibers(rows)
+    res = np.max(_kernels.residuals(rows, roots), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
+    bad = np.flatnonzero(res > tol.root_residual * scale)
+    if bad.size:
+        raise BundleError(f"fiber solve residual {res[bad[0]]:.3e} above tolerance")
+    return roots if coeffs.ndim == 2 else roots[0]
 
 
 def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
@@ -368,35 +343,66 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
     ambiguous = np.flatnonzero(~near_branch & (second < tol.match_margin * best))
 
     refinement: dict[int, list[float]] = {}
-    for eid in ambiguous:
-        midpoints: list[float] = []
-        perms[eid] = _refine_match(p, int(eid), 0.0, 1.0,
-                                   tails[eid], heads[eid], 0, tol, midpoints)
-        refinement[int(eid)] = midpoints
+    if ambiguous.size:
+        perms[ambiguous], refinement = _bisect(p, ambiguous, tails[ambiguous],
+                                               heads[ambiguous], tol)
 
     return RootBundle(base, p.degree, fibers, perms, flags,
                       refinement=refinement, poly=p, tol=tol)
 
 
-def _refine_match(p, eid, t0, t1, f0, f1, depth, tol, midpoints):
-    perm, best, second = _match_batch(f0[None, :], f1[None, :])
-    perm, best, second = perm[0], best[0], second[0]
-    gap0 = _min_fiber_gap(f0[None, :])[0]
-    gap1 = _min_fiber_gap(f1[None, :])[0]
-    if second >= tol.match_margin * best:
-        return perm
-    if gap0 < tol.branch_tol or gap1 < tol.branch_tol:
-        return perm                     # sheets genuinely merge; accept minimum
-    if depth >= tol.max_refine_depth:
-        raise AmbiguousMatchError(
-            f"edge {eid}: matching ambiguous at depth {depth} "
-            f"(best {best:.3e}, runner-up {second:.3e})")
-    tm = 0.5 * (t0 + t1)
-    midpoints.append(tm)
-    fm = solve_fiber(p.coeffs_at(Location(eid, tm)), tol)
-    left = _refine_match(p, eid, t0, tm, f0, fm, depth + 1, tol, midpoints)
-    right = _refine_match(p, eid, tm, t1, fm, f1, depth + 1, tol, midpoints)
-    return right[left]
+def _bisect(p, eids, f0, f1, tol):
+    """Sheet permutations of the ambiguous edges ``eids`` by bisection.
+
+    A span [t0, t1] of an edge is a leaf, with its minimal assignment, when
+    its end fibers ``f0 -> f1`` match unambiguously or either end has
+    merged sheets (a fiber gap below ``branch_tol``).  Any other span is
+    split at its midpoint, whose fiber is solved; past
+    ``max_refine_depth`` it raises :class:`AmbiguousMatchError`.  All spans
+    of one depth are matched, evaluated and solved together, so errors
+    come from the shallowest failing depth, edges in ascending order.  An
+    edge's permutation composes its leaves from left to right.
+
+    Returns the (len(eids), n) permutations and each edge's midpoints,
+    ascending.
+    """
+    n = p.degree
+    edge = eids
+    t0, t1 = np.zeros(len(eids)), np.ones(len(eids))
+    leaves, mids = [], []
+    for depth in itertools.count():
+        perm, best, second = _match_batch(f0, f1)
+        split = ~((second >= tol.match_margin * best)
+                  | (_min_fiber_gap(f0) < tol.branch_tol)
+                  | (_min_fiber_gap(f1) < tol.branch_tol))
+        leaves.append((edge[~split], t0[~split], perm[~split]))
+        if not split.any():
+            break
+        if depth >= tol.max_refine_depth:
+            k = int(np.argmax(split))
+            raise AmbiguousMatchError(
+                f"edge {edge[k]}: matching ambiguous at depth {depth} "
+                f"(best {best[k]:.3e}, runner-up {second[k]:.3e})")
+        edge, t0, t1, f0, f1 = edge[split], t0[split], t1[split], f0[split], f1[split]
+        tm = 0.5 * (t0 + t1)
+        fm = solve_fiber(p.coeffs_at_locations(edge, tm), tol)
+        mids.append((edge, tm))
+        # each span's two halves, left then right, in place of the span
+        edge = np.repeat(edge, 2)
+        t0, t1 = np.column_stack([t0, tm]).ravel(), np.column_stack([tm, t1]).ravel()
+        f0 = np.stack([f0, fm], axis=1).reshape(-1, n)
+        f1 = np.stack([fm, f1], axis=1).reshape(-1, n)
+
+    composed: dict[int, np.ndarray] = {}
+    edge, t0, perm = (np.concatenate(part) for part in zip(*leaves))
+    for k in np.lexsort((t0, edge)):
+        e = int(edge[k])
+        composed[e] = perm[k] if e not in composed else perm[k][composed[e]]
+    refinement: dict[int, list[float]] = {int(e): [] for e in eids}
+    edge, tm = (np.concatenate(part) for part in zip(*mids))
+    for k in np.lexsort((tm, edge)):
+        refinement[int(edge[k])].append(float(tm[k]))
+    return np.array([composed[int(e)] for e in eids]), refinement
 
 
 def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -> RootBundle:

@@ -24,7 +24,7 @@ from .base import identity_selfmap, make_circle, make_graph, make_interval, make
 from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, is_admissible,
                      poly_from_exprs, poly_from_roots, pullback_polynomial)
 from .closedness import closedness_report
-from .extend import LiftProblem, _cross_checks, decide_lift, decide_subalgebra
+from .extend import LiftProblem, _cross_checks, _jsonable, decide_lift, decide_subalgebra
 from ._kernels import residuals
 
 SCHEMA = {
@@ -183,49 +183,6 @@ def _build_selfmap(base, spec: dict):
     return sample_selfmap(base, spec["expr"], continuity_bound=bound)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _trim_certificate(cert):
-    if cert is None:
-        return None
-    cert = dict(cert)
-    if cert.get("kind") == "all_lifts_refused":
-        refusals = cert.get("refusals", [])
-        cert["refusal_count"] = len(refusals)
-        cert["refusals"] = refusals[:12]
-    return _jsonable(cert)
-
-
-def _verdict_block(verdict, witness_ref=None):
-    return {
-        "answer": verdict.answer,
-        "certificate_kind": None if verdict.certificate is None
-        else verdict.certificate.get("kind"),
-        "certificate_data": _trim_certificate(verdict.certificate),
-        "witness_ref": witness_ref,
-        "tolerances": verdict.diagnostics.get("tolerances"),
-        "resolution": verdict.diagnostics.get("resolution"),
-        "solution_count": verdict.diagnostics.get("solution_count"),
-    }
-
-
 def _coord_columns(base):
     if base.kind in ("interval", "circle"):
         return ["coord"]
@@ -333,10 +290,10 @@ def _analyze(config: dict, factor: int, override: int | None,
         if cole.witness is not None and out_dir:
             ref = "lift_f.csv"
             write_lift_csv(cole.witness, os.path.join(out_dir, ref))
-        results["cole"] = _verdict_block(cole, ref)
+        results["cole"] = cole.to_json(ref)
     if "ah" in analyses and problem is not None:
         ah = decide_subalgebra(problem, tol)
-        results["ah"] = _verdict_block(ah)
+        results["ah"] = ah.to_json()
     if "cross_checks" in analyses and problem is not None:
         checks = _cross_checks(problem, tol, cole=cole, ah=ah)
         implies, root = checks["ah_implies_cole"], checks["root_implies_ah"]
@@ -359,7 +316,7 @@ def _analyze(config: dict, factor: int, override: int | None,
                               build_bundle(pullback_polynomial(poly, ident), tol),
                               tol)
         results["torus_controls"] = {
-            "identity_cole": _verdict_block(decide_lift(prob_id)),
+            "identity_cole": decide_lift(prob_id).to_json(),
         }
 
     if "closedness" in analyses:

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import monodromy as monod
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
-                     build_bundle, is_admissible, pullback_polynomial,
-                     solve_fiber)
+                     _min_fiber_gap, build_bundle, is_admissible,
+                     pullback_polynomial, solve_fiber)
 
 
 class ExtendError(RuntimeError):
@@ -304,15 +304,48 @@ class Verdict:
     fit: object = None                # FitResult of the accepted lift, when relevant
 
     def to_json(self, witness_ref=None) -> dict:
+        """The verdict's block in ``verdict.json``."""
         return {
             "answer": self.answer,
             "certificate_kind": None if self.certificate is None
             else self.certificate.get("kind"),
-            "certificate_data": self.certificate,
+            "certificate_data": _trim_certificate(self.certificate),
             "witness_ref": witness_ref,
             "tolerances": self.diagnostics.get("tolerances"),
             "resolution": self.diagnostics.get("resolution"),
+            "solution_count": self.diagnostics.get("solution_count"),
         }
+
+
+def _jsonable(obj):
+    """``obj`` with numpy values (and complex numbers, as [re, im]) made JSON types."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.complexfloating, complex)):
+        z = complex(obj)
+        return [z.real, z.imag]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _trim_certificate(cert):
+    if cert is None:
+        return None
+    cert = dict(cert)
+    if cert.get("kind") == "all_lifts_refused":
+        refusals = cert.get("refusals", [])
+        cert["refusal_count"] = len(refusals)
+        cert["refusals"] = refusals[:12]
+    return _jsonable(cert)
 
 
 def _distinct_count(values: np.ndarray, tol: float) -> int:
@@ -595,8 +628,8 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
 
     def wrap(y):
         if base.kind == "circle":
-            return y % (2.0 * math.pi)
-        return min(max(y, 0.0), 1.0)
+            return np.mod(y, 2.0 * math.pi)
+        return np.clip(y, 0.0, 1.0)
 
     y0 = _locate_branch(problem, sample, h, wrap, tol)
 
@@ -622,19 +655,17 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
         a_pair = A.fibers[u][slots]
         b_pair = B.fibers[u][targets]
         qs: list[complex] = []
-        d = 2.0 * h
-        for _ in range(60):
-            y = wrap(y0 + side * d)
-            fibA = solve_fiber(A.poly.coeffs_at_coord(y), tol)
-            fibB = solve_fiber(B.poly.coeffs_at_coord(y), tol)
-            a_pair = _track_pair(fibA, a_pair)
-            b_pair = _track_pair(fibB, b_pair)
+        # the dyadic probe points, evaluated at once; solved until the pair coalesces
+        ys = wrap(y0 + side * (2.0 * h * 0.5 ** np.arange(60)))
+        coeffsA, coeffsB = A.poly.coeffs_at(ys), B.poly.coeffs_at(ys)
+        for cA, cB in zip(coeffsA, coeffsB):
+            a_pair = _track_pair(solve_fiber(cA, tol), a_pair)
+            b_pair = _track_pair(solve_fiber(cB, tol), b_pair)
             denom = a_pair[0] - a_pair[1]
             if abs(denom) < min_gap:
                 break
             numer = b_pair[0] - b_pair[1]
             qs.append(numer / denom if abs(numer) >= b_floor else 0.0)
-            d *= 0.5
         side_verdicts.append(_classify_quotients(qs, tol))
         quotients_all.extend(abs(q) for q in qs)
     if not side_verdicts:
@@ -659,15 +690,7 @@ def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap, tol) -> fl
         return cache[sample]
     A = problem.source
     base = problem.base
-    c_star = base.location_coordinate(base.sample_location(sample))
-
-    def gap_at(y):
-        fib = solve_fiber(A.poly.coeffs_at_coord(wrap(y)), tol)
-        m = np.inf
-        for i in range(len(fib)):
-            for j in range(i + 1, len(fib)):
-                m = min(m, abs(fib[i] - fib[j]))
-        return m
+    c_star = float(base.coords[sample])
 
     lo, hi = c_star - 1.5 * h, c_star + 1.5 * h
     if base.kind == "interval":
@@ -675,7 +698,9 @@ def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap, tol) -> fl
     for _ in range(70):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if gap_at(m1) <= gap_at(m2):
+        fibers = solve_fiber(A.poly.coeffs_at(wrap(np.array([m1, m2]))), tol)
+        gap1, gap2 = _min_fiber_gap(fibers)
+        if gap1 <= gap2:
             hi = m2
         else:
             lo = m1

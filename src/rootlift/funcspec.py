@@ -16,6 +16,14 @@ interval, ``theta`` on the circle and ``theta1``/``theta2`` on the
 torus.  Functions: sin, cos, exp, sqrt (principal branch), abs.
 Exponents must be nonnegative integer literals.  Evaluation is pure;
 the same AST and coordinate always give the bit-identical value.
+
+One evaluator, ``_eval`` on arrays of points, produces every value: the
+sampled values (:func:`evaluate`), the off-sample values that polynomial
+sources and self-maps compute (:func:`eval_points`), and the one-point
+wrappers :func:`eval_scalar`, :func:`eval_at_coord` and :func:`eval_at`.
+It is the reference: a point at a sample coordinate reproduces that
+sample's value bit for bit, and a non-finite value off the samples is an
+:class:`EvalError` that names the point.
 """
 
 from __future__ import annotations
@@ -343,8 +351,11 @@ def _fmt(x: float) -> str:
 
 
 def _eval(node, env):
+    """Value of ``node`` with each variable of ``env`` bound to an array of
+    points; the result is an array (or a numpy scalar, for a constant)
+    that broadcasts over them."""
     if isinstance(node, Num):
-        return node.value
+        return np.complex128(node.value)
     if isinstance(node, Var):
         if node.name not in env:
             raise EvalError(f"variable {node.name!r} is not defined on this base")
@@ -364,13 +375,12 @@ def _eval(node, env):
             return a / b
     if isinstance(node, Pow):
         base = _eval(node.base, env)
-        out = np.ones_like(base) if isinstance(base, np.ndarray) else 1.0 + 0.0j
+        out = np.ones_like(base)
         for _ in range(node.exponent):
             out = out * base
         return out
     if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        arg = np.asarray(arg, dtype=complex) if isinstance(arg, np.ndarray) else complex(arg)
+        arg = np.asarray(_eval(node.arg, env), dtype=complex)
         if node.func == "sin":
             return np.sin(arg)
         if node.func == "cos":
@@ -387,20 +397,33 @@ def _eval(node, env):
             raise EvalError(f"variable {node.var!r} is not defined on this base")
         v = np.real(env[node.var])
         cond = v <= node.threshold if node.rel == "<=" else v >= node.threshold
-        then = _eval(node.then, env)
-        other = _eval(node.other, env)
-        if isinstance(cond, np.ndarray):
-            return np.where(cond, then, other)
-        return then if cond else other
+        return np.where(cond, _eval(node.then, env), _eval(node.other, env))
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def not_finite(env: dict, k: int) -> EvalError:
+    """The error for a non-finite value at point ``k`` of ``env``, naming
+    the point by its variables."""
+    at = {name: values[k].item() for name, values in env.items()}
+    return EvalError(f"expression is not finite at {at}")
+
+
+def eval_points(exprs, env: dict, n: int) -> np.ndarray:
+    """(n, len(exprs)) values of each expression at the ``n`` points bound
+    in ``env`` (one array per variable); raises :class:`EvalError` naming
+    the first point where a value is not finite."""
+    values = np.column_stack([np.broadcast_to(np.asarray(_eval(e, env), dtype=complex), (n,))
+                              for e in exprs])
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise not_finite(env, int(np.argmax(bad)))
+    return values
+
+
 def eval_scalar(node, env: dict) -> complex:
-    """Evaluate at one coordinate; raises on non-finite results."""
-    out = complex(_eval(node, env))
-    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
-        raise EvalError(f"expression is not finite at {env}")
-    return out
+    """Evaluate at the one point ``env`` binds; raises on non-finite results."""
+    points = {name: np.atleast_1d(value) for name, value in env.items()}
+    return complex(eval_points([node], points, 1)[0, 0])
 
 
 # -- sampled functions ---------------------------------------------------------
@@ -450,9 +473,9 @@ def evaluate(expr, base) -> SampledFunction:
 
 def eval_at(expr, base, location) -> complex:
     """Exact evaluation at a location's coordinate (no value interpolation)."""
-    coord = base.location_coordinate(location)
-    return eval_at_coord(expr, base.kind, coord)
+    return eval_at_coord(expr, base.kind, base.location_coordinate(location))
 
 
 def eval_at_coord(expr, kind: str, coord) -> complex:
+    """Evaluation at one coordinate (a number, or a pair on torus2)."""
     return eval_scalar(expr, coordinate_env(kind, coord))

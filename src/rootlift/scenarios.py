@@ -105,11 +105,13 @@ def verify_crossing_configuration(grid: int = 4096) -> list[dict]:
     Raises AssertionError on the first violated constraint; returns the
     list of performed checks otherwise.
     """
-    texts = quintic_root_texts()
-    exprs = [funcspec.parse(t) for t in texts]
-
-    def at(k, theta):
-        return funcspec.eval_scalar(exprs[k], {"theta": theta})
+    exprs = [funcspec.parse(t) for t in quintic_root_texts()]
+    thetas = np.linspace(0.0, 2 * PI, grid)
+    points = [2 * PI, 0.0, PI - 0.5, PI + 0.5, PI]
+    # row k holds the five curves at points[k]; the grid angles follow
+    at = funcspec.eval_points(exprs, {"theta": np.concatenate([points, thetas])},
+                              len(points) + grid)
+    (end, start, left, right, touch), vals = at[:len(points)], at[len(points):]
 
     checks = []
 
@@ -120,20 +122,14 @@ def verify_crossing_configuration(grid: int = 4096) -> list[dict]:
 
     matchings = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]
     for i, j in matchings:
-        lhs = at(i, 2 * PI)
-        rhs = at(j, 0.0)
         check(f"endpoint curve{i + 1}(2pi)=curve{j + 1}(0)",
-              abs(lhs - rhs) < 1e-12, f"{lhs} vs {rhs}")
+              abs(end[i] - start[j]) < 1e-12, f"{end[i]} vs {start[j]}")
 
-    for theta in (PI - 0.5, PI + 0.5):
-        check("local parabola curve2", abs(at(1, theta) - (theta - PI) ** 2) < 1e-12)
-        check("local parabola curve5", abs(at(4, theta) + (theta - PI) ** 2) < 1e-12)
-    check("touch value", abs(at(1, PI)) < 1e-12 and abs(at(4, PI)) < 1e-12)
+    for theta, row in ((PI - 0.5, left), (PI + 0.5, right)):
+        check("local parabola curve2", abs(row[1] - (theta - PI) ** 2) < 1e-12)
+        check("local parabola curve5", abs(row[4] + (theta - PI) ** 2) < 1e-12)
+    check("touch value", abs(touch[1]) < 1e-12 and abs(touch[4]) < 1e-12)
 
-    thetas = np.linspace(0.0, 2 * PI, grid)
-    vals = np.column_stack([
-        np.asarray(funcspec._eval(e, {"theta": thetas}), dtype=complex)
-        for e in exprs])
     for i in range(5):
         for j in range(i + 1, 5):
             d = np.abs(vals[:, i] - vals[:, j])

@@ -221,7 +221,7 @@ def test_verdict_json_shape():
     v = cole_extendable(p, identity_selfmap(base))
     doc = v.to_json(witness_ref="lift_f.csv")
     assert set(doc) == {"answer", "certificate_kind", "certificate_data",
-                        "witness_ref", "tolerances", "resolution"}
+                        "witness_ref", "tolerances", "resolution", "solution_count"}
     assert doc["answer"] == "yes"
     assert doc["resolution"] == 36
 

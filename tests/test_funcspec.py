@@ -93,6 +93,22 @@ def test_division_by_zero_raises():
         evaluate(parse("1/(x-x)"), base)
 
 
+def test_off_sample_pole_on_circle_is_an_eval_error():
+    with pytest.raises(EvalError, match=r"expression is not finite at \{'theta': 0\.5\}"):
+        funcspec.eval_at_coord(parse("1/(theta-theta)"), "circle", 0.5)
+
+
+def test_off_sample_pole_on_torus_is_an_eval_error():
+    with pytest.raises(EvalError,
+                       match=r"expression is not finite at \{'theta1': 0\.5, 'theta2': 1\.0\}"):
+        funcspec.eval_at_coord(parse("1/(theta1-0.5)"), "torus2", (0.5, 1.0))
+
+
+def test_constant_pole_is_an_eval_error():
+    with pytest.raises(EvalError, match="expression is not finite"):
+        funcspec.eval_scalar(parse("1/0"), {"x": 0.25})
+
+
 def test_variable_base_mismatch():
     base = make_circle(5)
     with pytest.raises(EvalError):
