@@ -298,11 +298,6 @@ class SelfMap:
         self.image_coords = self.base.location_coordinates(self.image_edges,
                                                            self.image_params)
 
-    def image_coordinate(self, coord):
-        """Exact image coordinate of one point (see :meth:`image_coords_array`)."""
-        c = self.image_coords_array(np.asarray([coord], dtype=float))[0]
-        return float(c) if c.ndim == 0 else tuple(c.tolist())
-
     def image_coords_array(self, coords: np.ndarray) -> np.ndarray:
         """Image coordinates at a coordinate array: exact for expression
         maps, interpolated between sample images otherwise."""

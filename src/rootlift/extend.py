@@ -178,11 +178,10 @@ class LiftProblem:
 
     # -- enumeration ------------------------------------------------------------
 
-    def enumerate(self, max_count: int | None = None) -> list["LiftWitness"]:
-        """All lifts in deterministic (lexicographic basepoint map) order."""
+    def _solutions(self):
+        """Basepoint maps g0 of all lifts, lazily, in lexicographic order."""
         nA, nB = self.source.degree, self.target.degree
         g0 = np.full(nA, -1, dtype=np.intp)
-        out: list[LiftWitness] = []
 
         def assign(slot, value, trail):
             stack = [(slot, value)]
@@ -204,27 +203,55 @@ class LiftProblem:
             return True
 
         def search(pos):
-            if max_count is not None and len(out) >= max_count:
-                return
             while pos < nA and g0[pos] >= 0:
                 pos += 1
             if pos == nA:
-                out.append(LiftWitness(self, tuple(int(v) for v in g0)))
+                yield tuple(int(v) for v in g0)
                 return
             for v in range(nB):
                 trail: list[int] = []
                 if assign(pos, v, trail):
-                    search(pos + 1)
+                    yield from search(pos + 1)
                 for s in trail:
                     g0[s] = -1
-                if max_count is not None and len(out) >= max_count:
-                    return
 
-        search(0)
-        return out
+        return search(0)
+
+    def enumerate(self, max_count: int | None = None) -> list["LiftWitness"]:
+        """All lifts (at most ``max_count``) in lexicographic basepoint-map order."""
+        return [LiftWitness(self, g0)
+                for g0 in itertools.islice(self._solutions(), max_count)]
 
     def solution_count(self) -> int:
-        return len(self.enumerate())
+        """The number of lifts, counted without building them.
+
+        Loop constraints tie a slot only to the slots of its orbit under the
+        source loop permutations, so without merge constraints the count is
+        the product over orbits of the target slots y such that g0[x] = y,
+        for the orbit's first slot x, propagates consistently through the
+        orbit.  With merge constraints every lift is searched for.
+        """
+        if self.merge_pairs:
+            return sum(1 for _ in self._solutions())
+        nA, nB = self.source.degree, self.target.degree
+        images = np.full((nA, nB), -1, dtype=np.intp)   # g0 of a slot, per choice of y
+        count = 1
+        for x in range(nA):
+            if images[x, 0] >= 0:
+                continue
+            images[x] = np.arange(nB)
+            consistent = np.ones(nB, dtype=bool)
+            orbit = [x]
+            for s in orbit:                              # grows while it is walked
+                for rhoA, rhoB in self.loop_pairs:
+                    t, image = int(rhoA[s]), rhoB[images[s]]
+                    if images[t, 0] >= 0:
+                        consistent &= images[t] == image
+                    else:
+                        images[t] = image
+                        orbit.append(t)
+            count *= int(np.count_nonzero(consistent))
+        return count
 
     def assignments_for(self, g0) -> np.ndarray:
         """Per-sample sheet maps G with G[x, i] the target slot of source slot i."""
@@ -349,7 +376,8 @@ def _trim_certificate(cert):
 
 
 def _distinct_count(values: np.ndarray, tol: float) -> int:
-    """Count value clusters under the coincidence tolerance."""
+    """Count value clusters under the coincidence tolerance, greedily in
+    order: each value joins the first earlier cluster opener within ``tol``."""
     vals = list(values)
     reps: list[complex] = []
     for v in vals:
@@ -359,6 +387,15 @@ def _distinct_count(values: np.ndarray, tol: float) -> int:
         else:
             reps.append(v)
     return len(reps)
+
+
+def _distinct_counts(values: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`_distinct_count` of every row of ``values``, one column at a time."""
+    opens = np.zeros(values.shape, dtype=bool)      # value j opened a cluster of its row
+    for j in range(values.shape[1]):
+        near = np.abs(values[:, j:j + 1] - values[:, :j]) < tol
+        opens[:, j] = ~np.any(near & opens[:, :j], axis=1)
+    return np.count_nonzero(opens, axis=1)
 
 
 def _strip_obstruction(problem: LiftProblem):
@@ -389,24 +426,22 @@ def _strip_obstruction(problem: LiftProblem):
     required_slots = sorted({slot for targets in pairing
                              for slot in cyclesB[targets[0]]})
     tolv = problem.tol.branch_tol
-    A, B = problem.source, problem.target
-    for s in range(problem.base.n_samples):
-        srcv = A.fibers[s]
-        reqv = B.fibers[s][problem.TB[s][required_slots]]
-        n_src = _distinct_count(srcv, tolv)
-        n_req = _distinct_count(reqv, tolv)
-        if n_src < n_req:
-            return {
-                "kind": "fiber_count",
-                "sample": int(s),
-                "coordinate": problem.base.location_coordinate(
-                    problem.base.sample_location(s)),
-                "source_distinct": n_src,
-                "target_distinct": n_req,
-                "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]
-                            for i, t in enumerate(pairing)],
-            }
-    return None
+    rows = np.arange(problem.base.n_samples)[:, None]
+    n_src = _distinct_counts(problem.source.fibers, tolv)
+    n_req = _distinct_counts(problem.target.fibers[rows, problem.TB[:, required_slots]], tolv)
+    short = np.flatnonzero(n_src < n_req)
+    if not short.size:
+        return None
+    s = int(short[0])
+    return {
+        "kind": "fiber_count",
+        "sample": s,
+        "coordinate": problem.base.location_coordinate(problem.base.sample_location(s)),
+        "source_distinct": int(n_src[s]),
+        "target_distinct": int(n_req[s]),
+        "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]
+                    for i, t in enumerate(pairing)],
+    }
 
 
 def recheck_certificate(problem: LiftProblem, certificate: dict) -> bool:
@@ -423,7 +458,7 @@ def recheck_certificate(problem: LiftProblem, certificate: dict) -> bool:
         return n_src == certificate["source_distinct"] and (
             n_src < certificate["target_distinct"])
     if certificate["kind"] == "csp_exhaustion":
-        return problem.solution_count() == 0
+        return not problem.enumerate(max_count=1)
     return False
 
 
@@ -435,8 +470,9 @@ def _base_diagnostics(problem: LiftProblem, tol: Tolerances) -> dict:
     }
 
 
-def decide_lift(problem: LiftProblem, count_solutions: bool = True) -> Verdict:
-    """Existence decision with fast-path certificates and full enumeration."""
+def decide_lift(problem: LiftProblem) -> Verdict:
+    """Existence decision: fast-path certificates, then the first lift as
+    witness and the exact lift count."""
     tol = problem.tol
     cert = _strip_obstruction(problem)
     if cert is not None:
@@ -445,17 +481,14 @@ def decide_lift(problem: LiftProblem, count_solutions: bool = True) -> Verdict:
         verdict = Verdict("no", certificate=cert,
                           diagnostics=_base_diagnostics(problem, tol))
         return verdict
-    if count_solutions:
-        lifts = problem.enumerate()
-    else:
-        lifts = problem.enumerate(max_count=1)
+    lifts = problem.enumerate(max_count=1)
     if lifts:
         witness = lifts[0]
         report = validate_witness(problem, witness)
         if not report["valid"]:
             raise ExtendError(f"witness failed independent validation: {report}")
         diag = _base_diagnostics(problem, tol)
-        diag["solution_count"] = len(lifts) if count_solutions else None
+        diag["solution_count"] = problem.solution_count()
         diag["validator"] = report
         return Verdict("yes", witness=witness, diagnostics=diag)
     cert = {

@@ -226,6 +226,41 @@ def test_lsap_matching_agrees_with_enumeration():
     assert np.allclose(se, sl)
 
 
+def _ref_match_batch(tails, heads):
+    """Exhaustive matching by a stable sort of all permutation costs."""
+    from rootlift.bundle import _perms
+    m, n = tails.shape
+    perms = _perms(n)
+    dist = np.abs(tails[:, :, None] - heads[:, None, :]) ** 2
+    costs = np.zeros((m, len(perms)))
+    for i in range(n):
+        costs += dist[:, i, perms[:, i]]
+    order = np.argsort(costs, axis=1, kind="stable")
+    best_idx = order[:, 0]
+    best = costs[np.arange(m), best_idx]
+    second = costs[np.arange(m), order[:, 1]] if len(perms) > 1 else np.full(m, np.inf)
+    return perms[best_idx], best, second
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_exhaustive_matching_equals_the_sorted_reference(n):
+    from rootlift.bundle import _match_batch
+    rng = np.random.default_rng(40 + n)
+    m = 60                                   # several blocks of rows at degree 7
+    tails = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    heads = tails + 0.05 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    # tied costs: repeated roots, a whole row of one value, integer lattices
+    tails[::4, 1] = tails[::4, 0]
+    heads[::4] = tails[::4]
+    tails[1::7] = heads[1::7] = 0.5
+    tails[2::9] = rng.integers(0, 2, size=tails[2::9].shape)
+    heads[2::9] = rng.integers(0, 2, size=heads[2::9].shape)
+    got, want = _match_batch(tails, heads), _ref_match_batch(tails, heads)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.any(got[1] == got[2])          # some rows do tie
+
+
 def test_large_degree_bundle_uses_lsap():
     # degree 8 exceeds the enumeration cap; the assignment fallback must
     # still produce a coherent bundle
