@@ -3,8 +3,8 @@ procedures for extending endomorphisms to the surface algebra and to the
 polynomial (Arens-Hoffman) subalgebra."""
 
 from ._kernels import BACKEND as kernel_backend
-from .base import (BaseSpace, Location, SelfMap, identity_selfmap, make_circle,
-                   make_graph, make_interval, make_torus2, sample_selfmap)
+from .base import (BaseSpace, SelfMap, identity_selfmap, make_circle, make_graph,
+                   make_interval, make_torus2, sample_selfmap)
 from .bundle import (MonicPolynomial, RootBundle, Tolerances, build_bundle,
                      discriminant, evaluate_poly_on_bundle, is_admissible,
                      poly_from_exprs, poly_from_roots, poly_from_values,
@@ -12,17 +12,15 @@ from .bundle import (MonicPolynomial, RootBundle, Tolerances, build_bundle,
 from .closedness import (GraphReport, closedness_report, contains_circle,
                          has_root, trivial_bundle)
 from .extend import (FitResult, LiftProblem, LiftWitness, Verdict, ah_extendable,
-                     ah_fit, ah_implies_cole_check, cole_extendable,
-                     divided_quotient_test, enumerate_lifts,
-                     root_implies_extendable_check, validate_witness)
-from .funcspec import SampledFunction, eval_at, evaluate, parse
+                     ah_fit, cole_extendable, divided_quotient_test, validate_witness)
+from .funcspec import SampledFunction, evaluate, parse
 from .monodromy import (Monodromy, StripDecomposition, components,
                         loop_monodromy, strips)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseSpace", "Location", "SelfMap", "identity_selfmap", "make_circle",
+    "BaseSpace", "SelfMap", "identity_selfmap", "make_circle",
     "make_graph", "make_interval", "make_torus2", "sample_selfmap",
     "MonicPolynomial", "RootBundle", "Tolerances", "build_bundle",
     "discriminant", "evaluate_poly_on_bundle", "is_admissible",
@@ -31,10 +29,8 @@ __all__ = [
     "GraphReport", "closedness_report", "contains_circle", "has_root",
     "trivial_bundle",
     "FitResult", "LiftProblem", "LiftWitness", "Verdict", "ah_extendable",
-    "ah_fit", "ah_implies_cole_check", "cole_extendable",
-    "divided_quotient_test", "enumerate_lifts",
-    "root_implies_extendable_check", "validate_witness",
-    "SampledFunction", "eval_at", "evaluate", "parse",
+    "ah_fit", "cole_extendable", "divided_quotient_test", "validate_witness",
+    "SampledFunction", "evaluate", "parse",
     "Monodromy", "StripDecomposition", "components", "loop_monodromy",
     "strips",
     "kernel_backend",

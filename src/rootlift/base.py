@@ -26,14 +26,6 @@ class BaseSpaceError(ValueError):
     """Invalid construction parameters or continuity violations."""
 
 
-@dataclass(frozen=True)
-class Location:
-    """A point of the base: parameter ``t`` in [0, 1] along an oriented edge."""
-
-    edge: int
-    t: float
-
-
 @dataclass
 class BaseSpace:
     """A sampled 1-complex.
@@ -200,11 +192,6 @@ class BaseSpace:
         has_out = first_out < E
         return np.where(has_out, first_out, first_in), np.where(has_out, 0.0, 1.0)
 
-    def sample_location(self, sample: int) -> Location:
-        """Canonical location of one sample (see :meth:`sample_locations`)."""
-        edges, params = self.sample_locations()
-        return Location(int(edges[sample]), float(params[sample]))
-
     def location_coordinates(self, edges, params) -> np.ndarray:
         """Exact coordinates of locations given as edge and parameter arrays.
 
@@ -226,11 +213,6 @@ class BaseSpace:
             inner = (ca + t * ((cb - ca) % TWO_PI)) % TWO_PI
         return np.where(t == 0.0, ca, np.where(t == 1.0, cb, inner))
 
-    def location_coordinate(self, loc: Location):
-        """Exact coordinate of one location (a float, or a pair on torus2/graph)."""
-        c = self.location_coordinates([loc.edge], [loc.t])[0]
-        return float(c) if c.ndim == 0 else tuple(c.tolist())
-
     def coordinate_locations(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of :meth:`location_coordinates` for coordinate-charted kinds."""
         coords = np.asarray(coords, dtype=float)
@@ -245,20 +227,11 @@ class BaseSpace:
             raise BaseSpaceError(f"no global chart for base kind {self.kind!r}")
         return e, pos - e
 
-    def coordinate_location(self, coord) -> Location:
-        e, t = self.coordinate_locations(np.asarray([coord], dtype=float))
-        return Location(int(e[0]), float(t[0]))
-
-    def nearest_sample(self, loc: Location) -> int:
-        a, b = self.edges[loc.edge].tolist()
-        return a if loc.t < 0.5 else b
-
-    def _hop_distance(self, loc_a: Location, loc_b: Location) -> float:
-        """Graph distance in edge lengths: hop count between nearest samples."""
-        src, dst = self.nearest_sample(loc_a), self.nearest_sample(loc_b)
-        if src == dst:
-            return abs(loc_a.t - 0.5) + abs(loc_b.t - 0.5)
-        return float(self.hops(src)[dst]) + 1.0
+    def nearest_samples(self, edges, params) -> np.ndarray:
+        """The sample nearest each location: the edge's tail where the
+        parameter is below 0.5, its head otherwise."""
+        ends = self.edges[np.asarray(edges, dtype=np.intp)]
+        return np.where(np.asarray(params) < 0.5, ends[..., 0], ends[..., 1])
 
 
 def node_components(n: int, pairs) -> list[np.ndarray]:
@@ -482,8 +455,9 @@ def sample_selfmap(base: BaseSpace, spec, continuity_bound: float = 2.0) -> Self
     """Sample a self-map given as coordinate expression(s) or a location table.
 
     ``spec`` may be an expression string (interval/circle), a pair of
-    expression strings (torus2), or an explicit list of Locations /
-    coordinates.  Expressions are evaluated once over all samples; every
+    expression strings (torus2), a tuple of arrays ``(image_edges,
+    image_params)``, or a list of image coordinates (interval/circle).
+    Expressions are evaluated once over all samples; every
     image must be finite and real, inside [0, 1] on the interval, and on
     the sample grid lines on the torus.  Images of adjacent samples must
     stay within ``continuity_bound`` edge lengths of each other.
@@ -505,11 +479,10 @@ def sample_selfmap(base: BaseSpace, spec, continuity_bound: float = 2.0) -> Self
             edges, params = base.coordinate_locations(images)
         smap = SelfMap(base, edges, params, exprs)
     else:
-        locs = [item if isinstance(item, Location) else base.coordinate_location(item)
-                for item in spec]
-        if len(locs) != base.n_samples:
+        edges, params = spec if isinstance(spec, tuple) else base.coordinate_locations(spec)
+        if len(edges) != base.n_samples:
             raise BaseSpaceError("self-map table length differs from sample count")
-        smap = SelfMap(base, [loc.edge for loc in locs], [loc.t for loc in locs])
+        smap = SelfMap(base, edges, params)
     _check_discrete_continuity(smap, continuity_bound)
     return smap
 
@@ -545,10 +518,9 @@ def _check_discrete_continuity(smap: SelfMap, bound: float):
     """Adjacent samples' images must be within ``bound`` edge lengths."""
     base = smap.base
     if base.kind == "graph":
-        locs = [Location(e, t) for e, t in zip(smap.image_edges.tolist(),
-                                               smap.image_params.tolist())]
-        dist = np.array([base._hop_distance(locs[x], locs[y])
-                         for x, y in base.edges.tolist()])
+        x, y = base.edges.T
+        dist = _hop_distances(base, smap.image_edges[x], smap.image_params[x],
+                              smap.image_edges[y], smap.image_params[y])
     else:
         c = smap.image_coords
         diff = np.abs(c[base.edges[:, 0]] - c[base.edges[:, 1]])
@@ -569,6 +541,20 @@ def _check_discrete_continuity(smap: SelfMap, bound: float):
             f"self-map violates discrete continuity on edge {eid}: "
             f"image distance {dist[eid]:.3f} edges exceeds bound {bound}"
         )
+
+
+def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b) -> np.ndarray:
+    """Graph distance in edge lengths between locations a[k] and b[k]: the
+    hop count between their nearest samples plus one, or, where both have
+    the same nearest sample, each parameter's distance from 0.5, summed."""
+    src = base.nearest_samples(edges_a, params_a)
+    dst = base.nearest_samples(edges_b, params_b)
+    dist = np.abs(params_a - 0.5) + np.abs(params_b - 0.5)
+    apart = src != dst
+    for s in np.unique(src[apart]).tolist():        # one search per source sample
+        pick = apart & (src == s)
+        dist[pick] = base.hops(s)[dst[pick]] + 1.0
+    return dist
 
 
 def identity_selfmap(base: BaseSpace) -> SelfMap:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,17 +54,7 @@ class Tolerances:
     admissible_zero_tol: float = 1e-9
 
     def as_dict(self):
-        return {
-            "root_residual": self.root_residual,
-            "branch_tol": self.branch_tol,
-            "match_margin": self.match_margin,
-            "max_refine_depth": self.max_refine_depth,
-            "merge_scale": self.merge_scale,
-            "fit_jump_factor": self.fit_jump_factor,
-            "quotient_divergence": self.quotient_divergence,
-            "quotient_cauchy": self.quotient_cauchy,
-            "admissible_zero_tol": self.admissible_zero_tol,
-        }
+        return asdict(self)
 
 
 DEFAULT_TOL = Tolerances()
@@ -103,11 +93,6 @@ class MonicPolynomial:
         """(S, n) canonically ordered roots per sample, solved once and
         shared by :func:`discriminant` and :func:`build_bundle`."""
         return _kernels.solve_fibers(self.coeff_values)
-
-    @property
-    def coeffs(self) -> list[funcspec.SampledFunction]:
-        return [funcspec.SampledFunction(self.base, self.coeff_values[:, k])
-                for k in range(self.degree)]
 
     def coeffs_at(self, coords) -> np.ndarray:
         """(K, n) coefficients at K coordinates, shape (K,) or (K, 2) on torus2.

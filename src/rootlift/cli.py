@@ -21,10 +21,11 @@ import numpy as np
 
 from . import _kernels, figures, monodromy, scenarios
 from .base import identity_selfmap, make_circle, make_graph, make_interval, make_torus2, sample_selfmap
-from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, is_admissible,
-                     poly_from_exprs, poly_from_roots, pullback_polynomial)
+from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, poly_from_exprs,
+                     poly_from_roots, pullback_polynomial)
 from .closedness import closedness_report
-from .extend import LiftProblem, _cross_checks, _jsonable, decide_lift, decide_subalgebra
+from .extend import (InadmissibleError, LiftProblem, _jsonable, cross_checks, decide_lift,
+                     decide_subalgebra, lift_problem)
 from ._kernels import residuals
 
 SCHEMA = {
@@ -246,13 +247,12 @@ def _analyze(config: dict, factor: int, override: int | None,
     bundle_a = bundle_b = None
     if poly is not None and smap is not None and any(
             a in analyses for a in ("bundle", "strips", "cole", "ah", "cross_checks")):
-        report = is_admissible(poly, zero_tol=tol.admissible_zero_tol)
-        results["admissible"] = report.admissible
-        if not report.admissible:
-            raise ScenarioError("scenario polynomial is not admissible")
-        bundle_a = build_bundle(poly, tol)
-        bundle_b = build_bundle(pullback_polynomial(poly, smap), tol)
-        problem = LiftProblem(bundle_a, bundle_b, tol)
+        try:
+            problem = lift_problem(poly, smap, tol)
+        except InadmissibleError:
+            raise ScenarioError("scenario polynomial is not admissible") from None
+        results["admissible"] = True
+        bundle_a, bundle_b = problem.source, problem.target
 
     if "bundle" in analyses and bundle_a is not None:
         res_a = float(np.max(residuals(poly.coeff_values, bundle_a.fibers)))
@@ -295,7 +295,7 @@ def _analyze(config: dict, factor: int, override: int | None,
         ah = decide_subalgebra(problem, tol)
         results["ah"] = ah.to_json()
     if "cross_checks" in analyses and problem is not None:
-        checks = _cross_checks(problem, tol, cole=cole, ah=ah)
+        checks = cross_checks(problem, tol, cole=cole, ah=ah)
         implies, root = checks["ah_implies_cole"], checks["root_implies_ah"]
         results["cross_checks"] = {
             "ah_implies_cole": {
@@ -394,22 +394,6 @@ def run_scenario(config: dict, out_dir: str, samples: int | None = None,
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return code
-
-
-def run_torus_scenario(samples: int = 64, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Quadratic with first-coordinate constant term over the torus grid:
-    the coordinate-swap endomorphism admits no full-surface extension,
-    while the identity control does."""
-    base = make_torus2(samples, samples)
-    poly = poly_from_exprs(base, ["-exp(1i*theta1)", "0"])
-    swap = sample_selfmap(base, ("theta2", "theta1"))
-    ident = identity_selfmap(base)
-    A = build_bundle(poly, tol)
-    swap_verdict = decide_lift(LiftProblem(
-        A, build_bundle(pullback_polynomial(poly, swap), tol), tol))
-    id_verdict = decide_lift(LiftProblem(
-        A, build_bundle(pullback_polynomial(poly, ident), tol), tol))
-    return {"swap": swap_verdict, "identity": id_verdict}
 
 
 def main(argv=None) -> int:

@@ -32,18 +32,16 @@ def trivial_bundle(base: BaseSpace, tol: Tolerances = DEFAULT_TOL) -> RootBundle
                       np.zeros(S, dtype=bool), poly=None, tol=tol)
 
 
-def has_root(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL,
-             require_admissible: bool = True) -> Verdict:
+def has_root(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     """Does ``p`` have a continuous root function on its base?
 
     Decided as a section search: a lift from the one-sheet bundle into the
     root surface.  A yes-verdict carries the sampled root function and its
     worst residual.
     """
-    if require_admissible:
-        report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
-        if not report.admissible:
-            raise InadmissibleError("polynomial is not admissible")
+    report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
+    if not report.admissible:
+        raise InadmissibleError("polynomial is not admissible")
     return _section_verdict(build_bundle(p, tol), tol)
 
 
@@ -146,8 +144,7 @@ def transplanted_rotation_failure(cycle_length: int,
 
 
 def closedness_report(base: BaseSpace, trials: int = 20, seed: int = 0,
-                      tol: Tolerances = DEFAULT_TOL,
-                      transplant: bool = True) -> GraphReport:
+                      tol: Tolerances = DEFAULT_TOL) -> GraphReport:
     """Algebraic-closedness verdict for a graph base.
 
     Cyclic graphs are certified not closed: every basis loop yields a
@@ -162,11 +159,9 @@ def closedness_report(base: BaseSpace, trials: int = 20, seed: int = 0,
             witness = cycle_witness_quadratic(base, loop, tol)
             report.cycle_witnesses.append(witness)
             if k == 0:
-                report.witness_polynomial = witness
-                if transplant:
-                    report.witness_polynomial = dict(witness)
-                    report.witness_polynomial["transplanted_rotation"] = (
-                        transplanted_rotation_failure(len(loop), tol))
+                report.witness_polynomial = dict(witness)
+                report.witness_polynomial["transplanted_rotation"] = (
+                    transplanted_rotation_failure(len(loop), tol))
         report.algebraically_closed_verdict = False
         return report
     rng = np.random.default_rng(seed)

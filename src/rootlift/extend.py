@@ -436,7 +436,7 @@ def _strip_obstruction(problem: LiftProblem):
     return {
         "kind": "fiber_count",
         "sample": s,
-        "coordinate": problem.base.location_coordinate(problem.base.sample_location(s)),
+        "coordinate": float(problem.base.coords[s]),
         "source_distinct": int(n_src[s]),
         "target_distinct": int(n_req[s]),
         "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]
@@ -503,14 +503,15 @@ def decide_lift(problem: LiftProblem) -> Verdict:
                    diagnostics=_base_diagnostics(problem, tol))
 
 
-def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL,
-                 require_admissible: bool = True) -> LiftProblem:
-    if require_admissible:
-        report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
-        if not report.admissible:
-            raise InadmissibleError(
-                f"polynomial is not admissible: {len(report.runs)} flat "
-                f"discriminant run(s)")
+def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> LiftProblem:
+    """The lift problem between the root bundles of ``p`` and of its
+    pullback by ``smap``; raises :class:`InadmissibleError` first when
+    ``p`` is not admissible."""
+    report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
+    if not report.admissible:
+        raise InadmissibleError(
+            f"polynomial is not admissible: {len(report.runs)} flat "
+            f"discriminant run(s)")
     A = build_bundle(p, tol)
     B = build_bundle(pullback_polynomial(p, smap), tol)
     return LiftProblem(A, B, tol)
@@ -521,12 +522,6 @@ def cole_extendable(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> 
     the root surface?  Decided by lift existence."""
     problem = lift_problem(p, smap, tol)
     return decide_lift(problem)
-
-
-def enumerate_lifts(p: MonicPolynomial, smap, max_count: int | None = None,
-                    tol: Tolerances = DEFAULT_TOL) -> list[LiftWitness]:
-    problem = lift_problem(p, smap, tol)
-    return problem.enumerate(max_count=max_count)
 
 
 # -- polynomial-subalgebra membership ----------------------------------------------
@@ -677,7 +672,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
         start = y0 + side * 2.0 * h
         if base.kind == "interval" and not (0.0 <= start <= 1.0):
             continue
-        u = base.nearest_sample(base.coordinate_location(wrap(start)))
+        u = int(base.nearest_samples(*base.coordinate_locations([wrap(start)]))[0])
         slots = _transport_slots(A, sample, u, pair_slots)
         targets = witness.assignments[u][slots]
         if targets[0] == targets[1]:
@@ -850,45 +845,28 @@ def decide_subalgebra(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
 # -- cross-checks -------------------------------------------------------------------
 
 
-def ah_implies_cole_check(p: MonicPolynomial, smap,
-                          tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Consistency report: a polynomial-subalgebra extension forces a
-    full-surface extension, never the other way."""
-    return _cross_checks(lift_problem(p, smap, tol), tol,
-                         ("ah_implies_cole",))["ah_implies_cole"]
+def cross_checks(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
+                 cole: Verdict | None = None, ah: Verdict | None = None) -> dict:
+    """The two consistency checks on one lift problem, keyed by name.
 
-
-def root_implies_extendable_check(p: MonicPolynomial, smap,
-                                  tol: Tolerances = DEFAULT_TOL) -> dict:
-    """If the pulled-back polynomial has a continuous root, the extension
-    to the polynomial subalgebra must exist."""
-    return _cross_checks(lift_problem(p, smap, tol), tol,
-                         ("root_implies_ah",))["root_implies_ah"]
-
-
-def _cross_checks(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
-                  checks=("ah_implies_cole", "root_implies_ah"),
-                  cole: Verdict | None = None, ah: Verdict | None = None) -> dict:
-    """The named consistency checks on one lift problem, keyed by name.
-
-    ``ah_implies_cole`` holds the ``ah`` and ``cole`` verdicts,
-    ``root_implies_ah`` the ``has_root`` verdict of the pulled-back
-    polynomial (a section of the problem's target bundle) and ``ah``; each
-    also holds ``consistent``.  Every verdict is decided once, on the
-    problem's own bundles, unless it is passed in as ``cole`` or ``ah``.
+    ``ah_implies_cole``: a polynomial-subalgebra extension forces a
+    full-surface extension; it holds the ``ah`` and ``cole`` verdicts.
+    ``root_implies_ah``: a continuous root of the pulled-back polynomial (a
+    section of the problem's target bundle) forces the subalgebra
+    extension; it holds the ``has_root`` and ``ah`` verdicts.  Each also
+    holds ``consistent``.  Every verdict is decided once, on the problem's
+    own bundles, unless it is passed in as ``cole`` or ``ah``.
     """
     from .closedness import _section_verdict
 
     if ah is None:
         ah = decide_subalgebra(problem, tol)
-    out = {}
-    if "ah_implies_cole" in checks:
-        if cole is None:
-            cole = decide_lift(problem)
-        out["ah_implies_cole"] = {"ah": ah, "cole": cole,
-                                  "consistent": not (ah.answer == "yes" and cole.answer == "no")}
-    if "root_implies_ah" in checks:
-        root = _section_verdict(problem.target, tol)
-        out["root_implies_ah"] = {"has_root": root, "ah": ah,
-                                  "consistent": not (root.answer == "yes" and ah.answer != "yes")}
-    return out
+    if cole is None:
+        cole = decide_lift(problem)
+    root = _section_verdict(problem.target, tol)
+    return {
+        "ah_implies_cole": {"ah": ah, "cole": cole,
+                            "consistent": not (ah.answer == "yes" and cole.answer == "no")},
+        "root_implies_ah": {"has_root": root, "ah": ah,
+                            "consistent": not (root.answer == "yes" and ah.answer != "yes")},
+    }

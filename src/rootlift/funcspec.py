@@ -20,10 +20,9 @@ the same AST and coordinate always give the bit-identical value.
 One evaluator, ``_eval`` on arrays of points, produces every value: the
 sampled values (:func:`evaluate`), the off-sample values that polynomial
 sources and self-maps compute (:func:`eval_points`), and the one-point
-wrappers :func:`eval_scalar`, :func:`eval_at_coord` and :func:`eval_at`.
-It is the reference: a point at a sample coordinate reproduces that
-sample's value bit for bit, and a non-finite value off the samples is an
-:class:`EvalError` that names the point.
+wrapper :func:`eval_scalar`.  It is the reference: a point at a sample
+coordinate reproduces that sample's value bit for bit, and a non-finite
+value off the samples is an :class:`EvalError` that names the point.
 """
 
 from __future__ import annotations
@@ -446,11 +445,9 @@ class SampledFunction:
 
 
 def coordinate_env(kind: str, coords) -> dict:
-    """The variables of base kind ``kind`` bound to ``coords``.
-
-    ``coords`` is one point (a number, or a pair on torus2) or an array of
-    points, shape (K,) or, on torus2, (K, 2).  Raises :class:`EvalError`
-    for a kind without coordinates.
+    """The variables of base kind ``kind`` bound to an array of points,
+    shape (K,) or, on torus2, (K, 2).  Raises :class:`EvalError` for a
+    kind without coordinates.
     """
     names = COORDINATES.get(kind)
     if names is None:
@@ -458,9 +455,7 @@ def coordinate_env(kind: str, coords) -> dict:
                         "supply sampled values directly")
     if len(names) == 1:
         return {names[0]: coords}
-    if isinstance(coords, np.ndarray):
-        coords = np.moveaxis(coords, -1, 0)         # one array per coordinate
-    return dict(zip(names, coords))
+    return dict(zip(names, np.moveaxis(coords, -1, 0)))   # one array per coordinate
 
 
 def evaluate(expr, base) -> SampledFunction:
@@ -469,13 +464,3 @@ def evaluate(expr, base) -> SampledFunction:
     values = np.broadcast_to(np.asarray(_eval(expr, env), dtype=complex),
                              (base.n_samples,)).copy()
     return SampledFunction(base, values)
-
-
-def eval_at(expr, base, location) -> complex:
-    """Exact evaluation at a location's coordinate (no value interpolation)."""
-    return eval_at_coord(expr, base.kind, base.location_coordinate(location))
-
-
-def eval_at_coord(expr, kind: str, coord) -> complex:
-    """Evaluation at one coordinate (a number, or a pair on torus2)."""
-    return eval_scalar(expr, coordinate_env(kind, coord))

@@ -18,7 +18,7 @@ from rootlift import (build_bundle, discriminant, identity_selfmap,
                       make_circle, make_graph, make_interval, pullback)
 from rootlift._kernels import residuals
 from rootlift.bundle import resultant_discriminant
-from rootlift.cli import run_scenario, run_torus_scenario
+from rootlift.cli import run_scenario
 from rootlift.closedness import closedness_report, has_root, random_tree
 from rootlift.extend import (LiftProblem, ah_fit, decide_lift,
                              decide_subalgebra, divided_quotient_test,
@@ -114,11 +114,12 @@ def test_criterion_3_circle_rotation_reproduction():
           f"at theta~pi; {elapsed:.2f}s)")
 
 
-def test_criterion_4_torus_scenario():
+def test_criterion_4_torus_scenario(tmp_path):
     start = time.perf_counter()
-    report = run_torus_scenario(64)
-    assert report["swap"].answer == "no"
-    assert report["identity"].answer == "yes"
+    run_scenario(builtin_scenario("torus", 64), str(tmp_path))
+    analyses = json.loads((tmp_path / "verdict.json").read_text())["analyses"]
+    assert analyses["cole"]["answer"] == "no"
+    assert analyses["torus_controls"]["identity_cole"]["answer"] == "yes"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 4: PASS (torus 64x64: swap=no, identity=yes; "
@@ -242,7 +243,7 @@ def test_criterion_9_closedness_suite():
         assert tree_rep.algebraically_closed_verdict
         assert all(x["has_root"] == "yes" for x in tree_rep.trials)
     eight = make_graph(1, [(0, 0), (0, 0)], 12)
-    eight_rep = closedness_report(eight, trials=3, seed=7, transplant=False)
+    eight_rep = closedness_report(eight, trials=3, seed=7)
     assert len(eight_rep.cycle_witnesses) == 2
     assert all(w["has_root"] == "no" for w in eight_rep.cycle_witnesses)
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rootlift import funcspec
-from rootlift.base import (BaseSpaceError, Location, identity_selfmap,
+from rootlift.base import (BaseSpaceError, identity_selfmap,
                            make_circle, make_graph, make_interval,
                            make_torus2, sample_selfmap)
 from rootlift.funcspec import EvalError
@@ -101,9 +101,10 @@ def test_loop_basis_walks_are_closed():
 def test_identity_selfmap_snaps_to_samples():
     base = make_interval(9)
     smap = identity_selfmap(base)
-    for s, (edge, t) in enumerate(zip(smap.image_edges, smap.image_params)):
+    nearest = base.nearest_samples(smap.image_edges, smap.image_params)
+    for s, t in enumerate(smap.image_params):
         assert t in (0.0, 1.0)
-        assert base.nearest_sample(Location(int(edge), float(t))) == s
+        assert nearest[s] == s
     assert np.array_equal(smap.image_coords, base.coords)
 
 
@@ -144,9 +145,10 @@ def test_selfmap_rejects_image_outside_base():
 
 def test_location_roundtrip():
     base = make_circle(12)
-    for theta in (0.0, 1.0, 3.5, 6.2):
-        loc = base.coordinate_location(theta)
-        assert base.location_coordinate(loc) == pytest.approx(theta)
+    thetas = [0.0, 1.0, 3.5, 6.2]
+    back = base.location_coordinates(*base.coordinate_locations(thetas))
+    for theta, coord in zip(thetas, back):
+        assert coord == pytest.approx(theta)
 
 
 def test_torus_swap_map_images():
@@ -240,13 +242,25 @@ def test_torus_selfmap_on_grid_lines_between_samples(axis):
 
 def test_torus_selfmap_rejects_discontinuous_table():
     base = make_torus2(6, 6)
-    table = [Location(2 * s, 0.0) for s in range(36)]
-    table[14] = Location(2 * 33, 0.0)          # sample (2,2) jumps to (5,3)
+    table = (2 * np.arange(36), np.zeros(36))
+    table[0][14] = 2 * 33                      # sample (2,2) jumps to (5,3)
     with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(base, table)
     # the first violating edge is 16, from (1,2) into (2,2)
     assert str(err.value) == ("self-map violates discrete continuity on edge 16: "
                               "image distance 3.000 edges exceeds bound 2.0")
+
+
+def test_graph_selfmap_rejects_jumping_table():
+    base = make_graph(3, [(0, 1), (1, 2), (2, 0)], 4)
+    sample_selfmap(base, base.sample_locations())         # the identity table passes
+    edges, params = base.sample_locations()
+    edges[4], params[4] = 7, 0.75              # sample 4 jumps next to vertex 2
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(base, (edges, params))
+    # edge 1 runs from sample 3 into sample 4; sample 3 is 5 hops from vertex 2
+    assert str(err.value) == ("self-map violates discrete continuity on edge 1: "
+                              "image distance 6.000 edges exceeds bound 2.0")
 
 
 def test_selfmap_spec_must_fit_base_kind():

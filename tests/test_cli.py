@@ -222,3 +222,20 @@ def test_cross_checks_build_each_bundle_once(tmp_path, monkeypatch, name, sample
     assert len(built) == 2           # the polynomial and its pullback
     doc = json.loads((tmp_path / "verdict.json").read_text())
     assert doc["analyses"]["cross_checks"]["root_implies_ah"]["consistent"]
+
+
+def test_inadmissible_polynomial_exits_one(tmp_path, capsys):
+    cfg = {"name": "flat", "base": {"kind": "circle", "samples": 24},
+           "polynomial": {"coefficients": ["0", "0"]}, "selfmap": {"identity": True},
+           "analyses": ["cole"]}
+    cfg_path = tmp_path / "flat.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: scenario polynomial is not admissible\n"
+
+
+def test_package_exports_resolve():
+    import rootlift
+
+    for name in rootlift.__all__:
+        assert getattr(rootlift, name, None) is not None, name

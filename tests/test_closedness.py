@@ -134,7 +134,7 @@ def test_closedness_tree_all_roots():
 
 def test_closedness_figure_eight_two_witnesses():
     base = make_graph(1, [(0, 0), (0, 0)], 10)
-    rep = closedness_report(base, trials=3, seed=5, transplant=False)
+    rep = closedness_report(base, trials=3, seed=5)
     assert not rep.algebraically_closed_verdict
     assert len(rep.cycle_witnesses) == 2
     assert all(w["has_root"] == "no" for w in rep.cycle_witnesses)

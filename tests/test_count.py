@@ -200,8 +200,8 @@ def _ref_strip_obstruction(problem):
             return {
                 "kind": "fiber_count",
                 "sample": int(s),
-                "coordinate": problem.base.location_coordinate(
-                    problem.base.sample_location(s)),
+                # a circle sample's canonical location: parameter 0 on edge s
+                "coordinate": float(problem.base.coords[problem.base.edges[s][0]]),
                 "source_distinct": n_src,
                 "target_distinct": n_req,
                 "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]

@@ -8,10 +8,9 @@ from rootlift import (build_bundle, identity_selfmap, make_circle,
                       make_interval, make_torus2, poly_from_exprs,
                       poly_from_values, pullback, sample_selfmap)
 from rootlift.extend import (InadmissibleError, LiftProblem, ah_fit,
-                             ah_implies_cole_check, cole_extendable,
+                             cole_extendable, cross_checks,
                              decide_lift, decide_subalgebra,
-                             divided_quotient_test, enumerate_lifts,
-                             lift_problem, root_implies_extendable_check,
+                             divided_quotient_test, lift_problem,
                              validate_witness)
 from rootlift.monodromy import synthetic_strip_bundle
 from rootlift.scenarios import (crossing_quintic, flip_map, half_turn_map,
@@ -37,7 +36,7 @@ def test_identity_map_yes_with_projection_witness():
     p = poly_from_exprs(base, ["-exp(1i*theta)", "0.2+0.1i", "0"])
     verdict = cole_extendable(p, identity_selfmap(base))
     assert verdict.answer == "yes"
-    lifts = enumerate_lifts(p, identity_selfmap(base))
+    lifts = lift_problem(p, identity_selfmap(base)).enumerate()
     assert any(np.array_equal(w.values, build_bundle(p).fibers) for w in lifts)
 
 
@@ -166,7 +165,7 @@ def test_ah_verdicts_on_the_three_scenarios():
 def test_ah_implies_cole_on_examples():
     base = make_interval(301)
     p = interval_square_pair(base)
-    rep = ah_implies_cole_check(p, flip_map(base))
+    rep = cross_checks(lift_problem(p, flip_map(base)))["ah_implies_cole"]
     assert rep["consistent"]
     assert rep["ah"].answer == "yes" and rep["cole"].answer == "yes"
 
@@ -174,13 +173,14 @@ def test_ah_implies_cole_on_examples():
 def test_root_implies_extendable():
     base = make_interval(201)
     p = interval_square_pair(base)
-    rep = root_implies_extendable_check(p, flip_map(base))
+    rep = cross_checks(lift_problem(p, flip_map(base)))["root_implies_ah"]
     assert rep["has_root"].answer == "yes"
     assert rep["ah"].answer == "yes"
     assert rep["consistent"]
 
 
-@pytest.mark.parametrize("check", [ah_implies_cole_check, root_implies_extendable_check])
+@pytest.mark.parametrize("check", ["ah_implies_cole", "root_implies_ah"],
+                         ids=["ah_implies_cole_check", "root_implies_extendable_check"])
 def test_cross_checks_build_each_bundle_once(monkeypatch, check):
     from rootlift import bundle, closedness, extend
 
@@ -194,7 +194,7 @@ def test_cross_checks_build_each_bundle_once(monkeypatch, check):
     for module in (bundle, extend, closedness):
         monkeypatch.setattr(module, "build_bundle", counting)
     base = make_interval(201)
-    rep = check(interval_square_pair(base), flip_map(base))
+    rep = cross_checks(lift_problem(interval_square_pair(base), flip_map(base)))[check]
     assert rep["consistent"]
     assert len(built) == 2           # the polynomial and its pullback
 
@@ -202,7 +202,7 @@ def test_cross_checks_build_each_bundle_once(monkeypatch, check):
 def test_root_free_identity_still_extends():
     base = make_circle(48)
     p = poly_from_exprs(base, ["-exp(1i*theta)", "0"])
-    rep = root_implies_extendable_check(p, identity_selfmap(base))
+    rep = cross_checks(lift_problem(p, identity_selfmap(base)))["root_implies_ah"]
     assert rep["has_root"].answer == "no"        # square root winds
     assert rep["ah"].answer == "yes"             # projection lift always fits
     assert rep["consistent"]
@@ -229,7 +229,7 @@ def test_verdict_json_shape():
 def test_enumerate_lifts_on_half_turn_is_empty():
     base = make_circle(200)
     p = crossing_quintic(base)
-    assert enumerate_lifts(p, half_turn_map(base)) == []
+    assert lift_problem(p, half_turn_map(base)).enumerate() == []
 
 
 def test_mixed_strip_verdicts_match_enumeration_and_oracle():

@@ -6,12 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootlift import funcspec
-from rootlift.base import Location, make_circle, make_interval, make_torus2
+from rootlift.base import make_circle, make_interval, make_torus2
 from rootlift.funcspec import EvalError, ParseError, evaluate, parse, to_text
 
 
 # r(x) = (3x-1)(3x-2)^2
 R_TEXT = "(3*x-1)*(3*x-2)^2"
+
+
+def _eval_at_points(expr, kind, coords):
+    """``expr`` at each point of ``coords``, through the array evaluator."""
+    coords = np.asarray(coords, dtype=float)
+    env = funcspec.coordinate_env(kind, coords)
+    return funcspec.eval_points([expr], env, len(coords))[:, 0]
+
+
+def _eval_at_locations(expr, base, edges, params):
+    return _eval_at_points(expr, base.kind, base.location_coordinates(edges, params))
 
 
 def test_parse_and_eval_cubic_contact_at_zero():
@@ -70,20 +81,20 @@ def test_evaluate_roots_of_unity():
 
 def test_eval_at_midpoint():
     base = make_interval(5)           # edge 1 spans [0.25, 0.5]
-    val = funcspec.eval_at(parse("x"), base, Location(1, 0.5))
+    val = _eval_at_locations(parse("x"), base, [1], [0.5])[0]
     assert val == pytest.approx(0.375)
 
 
 def test_eval_at_cubic_contact_double_zero():
     base = make_interval(4)
-    val = funcspec.eval_at(parse(R_TEXT), base, Location(1, 1.0))  # x = 2/3
+    val = _eval_at_locations(parse(R_TEXT), base, [1], [1.0])[0]  # x = 2/3
     assert abs(val) < 1e-12
 
 
 def test_eval_at_exp_at_pi():
     base = make_circle(8)
-    loc = base.coordinate_location(math.pi)
-    val = funcspec.eval_at(parse("exp(1i*theta)"), base, loc)
+    edges, params = base.coordinate_locations([math.pi])
+    val = _eval_at_locations(parse("exp(1i*theta)"), base, edges, params)[0]
     assert val == pytest.approx(-1.0)
 
 
@@ -95,13 +106,13 @@ def test_division_by_zero_raises():
 
 def test_off_sample_pole_on_circle_is_an_eval_error():
     with pytest.raises(EvalError, match=r"expression is not finite at \{'theta': 0\.5\}"):
-        funcspec.eval_at_coord(parse("1/(theta-theta)"), "circle", 0.5)
+        _eval_at_points(parse("1/(theta-theta)"), "circle", [0.5])
 
 
 def test_off_sample_pole_on_torus_is_an_eval_error():
     with pytest.raises(EvalError,
                        match=r"expression is not finite at \{'theta1': 0\.5, 'theta2': 1\.0\}"):
-        funcspec.eval_at_coord(parse("1/(theta1-0.5)"), "torus2", (0.5, 1.0))
+        _eval_at_points(parse("1/(theta1-0.5)"), "torus2", [(0.5, 1.0)])
 
 
 def test_constant_pole_is_an_eval_error():
@@ -131,9 +142,9 @@ def test_evaluate_agrees_with_eval_at_on_samples():
     base = make_circle(17)
     expr = parse("sin(theta)+0.5i*cos(2*theta)")
     sampled = evaluate(expr, base).values
+    values = _eval_at_locations(expr, base, *base.sample_locations())
     for s in range(base.n_samples):
-        loc = base.sample_location(s)
-        assert funcspec.eval_at(expr, base, loc) == sampled[s]
+        assert values[s] == sampled[s]
 
 
 # -- grammar round-trip property ----------------------------------------------

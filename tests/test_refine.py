@@ -272,7 +272,12 @@ def _ref_probe(problem, witness, sample, tol=DEFAULT_TOL):
         start = y0 + side * 2.0 * h
         if base.kind == "interval" and not (0.0 <= start <= 1.0):
             continue
-        u = base.nearest_sample(base.coordinate_location(wrap(start)))
+        # the edge holding the start point and the parameter along it,
+        # then the nearer end of that edge
+        n = base.n_samples
+        pos = wrap(start) / (2.0 * math.pi) * n if base.kind == "circle" else wrap(start) * (n - 1)
+        e = min(int(pos), n - 1 if base.kind == "circle" else n - 2)
+        u = int(base.edges[e][0] if pos - e < 0.5 else base.edges[e][1])
         slots = _transport_slots(A, sample, u, pair_slots)
         targets = witness.assignments[u][slots]
         if targets[0] == targets[1]:

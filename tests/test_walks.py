@@ -13,7 +13,7 @@ import pytest
 from instancegen import random_admissible_poly, random_circle_selfmap
 from rootlift import (build_bundle, make_circle, make_graph, make_interval,
                       make_torus2, poly_from_values, pullback)
-from rootlift.base import Location
+from rootlift.base import _hop_distances
 from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
 from rootlift.closedness import winding_function
 from rootlift.extend import _transport_slots, ah_fit
@@ -83,9 +83,13 @@ def _ref_admissibility_runs(base, marked, window):
 
 
 def _ref_hop_distance(base, loc_a, loc_b):
-    src, dst = base.nearest_sample(loc_a), base.nearest_sample(loc_b)
+    """Distance between two ``(edge, t)`` locations, from their nearest
+    samples: an edge's tail where ``t < 0.5``, its head otherwise."""
+    (edge_a, t_a), (edge_b, t_b) = loc_a, loc_b
+    src = base.edge_endpoint(edge_a, 1)[0 if t_a < 0.5 else 1]
+    dst = base.edge_endpoint(edge_b, 1)[0 if t_b < 0.5 else 1]
     if src == dst:
-        return abs(loc_a.t - 0.5) + abs(loc_b.t - 0.5)
+        return abs(t_a - 0.5) + abs(t_b - 0.5)
     dist = {src: 0}
     dq = deque([src])
     while dq:
@@ -329,11 +333,14 @@ def test_hops_match_reference_walk(name):
 def test_hop_distance_matches_reference_walk(name):
     base = BASES[name]
     rng = np.random.default_rng(base.n_edges)
-    locs = [Location(int(e), float(t)) for e, t in
+    locs = [(int(e), float(t)) for e, t in
             zip(rng.integers(0, base.n_edges, 24), rng.random(24))]
-    for a in locs:
-        for b in locs:
-            assert base._hop_distance(a, b) == _ref_hop_distance(base, a, b)
+    edges, params = np.array(locs).T
+    a, b = np.divmod(np.arange(len(locs) ** 2), len(locs))     # every ordered pair
+    dist = _hop_distances(base, edges[a].astype(int), params[a],
+                          edges[b].astype(int), params[b])
+    for x, y, d in zip(a, b, dist):
+        assert d == _ref_hop_distance(base, locs[x], locs[y])
 
 
 @pytest.mark.parametrize("name", [n for n in BASES if BASES[n].loop_basis])
