@@ -129,17 +129,18 @@ class BaseSpace:
         pred[(pred < 0) | (pred == S)] = -1
         return order[1:].astype(np.intp), pred
 
-    def hops(self, source: int, mask=None) -> np.ndarray:
+    def hops(self, source, mask=None, limit: float = np.inf) -> np.ndarray:
         """Edge count of a shortest path from ``source`` to every sample,
-        ``inf`` where there is none; with ``mask``, paths stay on the
-        samples where it is True."""
+        ``inf`` where there is none or it is longer than ``limit``, one row
+        per source when ``source`` is an array; with ``mask``, paths stay on
+        the samples where it is True."""
         adj = self.adjacency
         if mask is not None:
             rows = np.repeat(np.arange(self.n_samples), np.diff(adj.indptr))
             keep = mask[rows] & mask[adj.indices]
             adj = csr_matrix((adj.data[keep], (rows[keep], adj.indices[keep])),
                              shape=adj.shape)
-        return dijkstra(adj, directed=True, indices=source, unweighted=True)
+        return dijkstra(adj, directed=True, indices=source, unweighted=True, limit=limit)
 
     def components(self, mask) -> list[np.ndarray]:
         """Connected components of the samples where ``mask`` is True,
@@ -519,8 +520,9 @@ def _check_discrete_continuity(smap: SelfMap, bound: float):
     base = smap.base
     if base.kind == "graph":
         x, y = base.edges.T
-        dist = _hop_distances(base, smap.image_edges[x], smap.image_params[x],
-                              smap.image_edges[y], smap.image_params[y])
+        ends = (smap.image_edges[x], smap.image_params[x],
+                smap.image_edges[y], smap.image_params[y])
+        dist = _hop_distances(base, *ends, limit=bound)
     else:
         c = smap.image_coords
         diff = np.abs(c[base.edges[:, 0]] - c[base.edges[:, 1]])
@@ -537,23 +539,31 @@ def _check_discrete_continuity(smap: SelfMap, bound: float):
     bad = np.flatnonzero(dist > bound + 1e-9)
     if bad.size:
         eid = int(bad[0])
+        if base.kind == "graph":      # the exact distance, for the message
+            dist[eid] = _hop_distances(base, *(a[eid:eid + 1] for a in ends))[0]
         raise BaseSpaceError(
             f"self-map violates discrete continuity on edge {eid}: "
             f"image distance {dist[eid]:.3f} edges exceeds bound {bound}"
         )
 
 
-def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b) -> np.ndarray:
+def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b,
+                   limit: float = np.inf) -> np.ndarray:
     """Graph distance in edge lengths between locations a[k] and b[k]: the
     hop count between their nearest samples plus one, or, where both have
-    the same nearest sample, each parameter's distance from 0.5, summed."""
+    the same nearest sample, each parameter's distance from 0.5, summed.
+    Hop counts above ``limit`` are ``inf``: each distinct source sample's
+    search stops there, and the searches run in blocks of ~2^20 distances."""
     src = base.nearest_samples(edges_a, params_a)
     dst = base.nearest_samples(edges_b, params_b)
     dist = np.abs(params_a - 0.5) + np.abs(params_b - 0.5)
-    apart = src != dst
-    for s in np.unique(src[apart]).tolist():        # one search per source sample
-        pick = apart & (src == s)
-        dist[pick] = base.hops(s)[dst[pick]] + 1.0
+    apart = np.flatnonzero(src != dst)
+    sources, row = np.unique(src[apart], return_inverse=True)
+    block = max(1, (1 << 20) // base.n_samples)
+    for lo in range(0, len(sources), block):
+        hops = base.hops(sources[lo:lo + block], limit=limit)
+        pick = (row >= lo) & (row < lo + block)
+        dist[apart[pick]] = hops[row[pick] - lo, dst[apart[pick]]] + 1.0
     return dist
 
 

@@ -196,18 +196,25 @@ def solve_fiber(coeffs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """All roots (with multiplicity) of a monic fiber, canonically ordered.
 
     ``coeffs`` is one fiber (n,) or one fiber per row (K, n); the roots
-    have the same shape.  Each row's residual must stay within
-    ``tol.root_residual`` times its largest coefficient (at least 1).
+    have the same shape and pass :func:`_check_residuals`.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     rows = np.atleast_2d(coeffs)
     roots = _kernels.solve_fibers(rows)
-    res = np.max(_kernels.residuals(rows, roots), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
+    _check_residuals(rows, roots, tol)
+    return roots if coeffs.ndim == 2 else roots[0]
+
+
+def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
+    """Each row's residual must stay within ``tol.root_residual`` times that
+    row's largest coefficient (at least 1); a :class:`BundleError` names the
+    first row that does not, which is a sample when the rows are a base's."""
+    res = np.max(_kernels.residuals(coeffs, roots), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
     bad = np.flatnonzero(res > tol.root_residual * scale)
     if bad.size:
-        raise BundleError(f"fiber solve residual {res[bad[0]]:.3e} above tolerance")
-    return roots if coeffs.ndim == 2 else roots[0]
+        s = int(bad[0])
+        raise BundleError(f"fiber residual {res[s]:.3e} above tolerance at sample {s}")
 
 
 def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
@@ -326,12 +333,7 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
     """Solve and glue all fibers of ``p`` into a :class:`RootBundle`."""
     base = p.base
     fibers = p.fibers
-    res = _kernels.residuals(p.coeff_values, fibers)
-    scale = max(1.0, float(np.max(np.abs(p.coeff_values))))
-    if np.max(res) > tol.root_residual * scale:
-        worst = int(np.argmax(np.max(res, axis=1)))
-        raise BundleError(
-            f"fiber residual {np.max(res):.3e} above tolerance at sample {worst}")
+    _check_residuals(p.coeff_values, fibers, tol)
     flags = _min_fiber_gap(fibers) < tol.branch_tol
 
     edges = base.edges

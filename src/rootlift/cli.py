@@ -131,23 +131,15 @@ def validate_config(config: dict) -> None:
 def _scaled_base(spec: dict, factor: int, override: int | None):
     kind = spec["kind"]
     if kind == "interval":
-        n = override or spec.get("samples", 201)
-        n = (n - 1) * factor + 1
-        return make_interval(n), n
+        return make_interval(((override or spec.get("samples", 201)) - 1) * factor + 1)
     if kind == "circle":
-        n = override or spec.get("samples", 240)
-        n = n * factor
-        return make_circle(n), n
+        return make_circle((override or spec.get("samples", 240)) * factor)
     if kind == "torus2":
         shape = spec.get("shape", [16, 16])
-        n = (override or shape[0]) * factor
-        m = (override or shape[1]) * factor
-        return make_torus2(n, m), n * m
+        return make_torus2((override or shape[0]) * factor, (override or shape[1]) * factor)
     if kind == "graph":
         k = (override or spec.get("samples_per_edge", 8)) * factor
-        edges = [tuple(e) for e in spec.get("edges", [])]
-        base = make_graph(spec.get("vertices", 1), edges, k)
-        return base, base.n_samples
+        return make_graph(spec.get("vertices", 1), [tuple(e) for e in spec.get("edges", [])], k)
     raise ScenarioError(f"unknown base kind {kind!r}")
 
 
@@ -209,22 +201,19 @@ def write_bundle_csv(bundle, path):
 
 
 def write_lift_csv(witness, path):
-    values = witness.values
-    assigns = witness.assignments
+    # Python scalars from tolist(): repr gives "-2.0", never "np.float64(-2.0)"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("sample_index,sheet_index,target_sheet,f_re,f_im\n")
-        S, n = values.shape
-        for s in range(S):
-            for i in range(n):
-                z = values[s, i]
-                fh.write(f"{s},{i},{int(assigns[s, i])},"
-                         f"{z.real!r},{z.imag!r}\n")
+        rows = zip(witness.values.tolist(), witness.assignments.tolist())
+        for s, (values, targets) in enumerate(rows):
+            for i, (z, t) in enumerate(zip(values, targets)):
+                fh.write(f"{s},{i},{t},{z.real!r},{z.imag!r}\n")
 
 
 def _analyze(config: dict, factor: int, override: int | None,
              out_dir: str | None, svg: bool, tol: Tolerances):
     """One resolution pass; artifacts are written only when out_dir is set."""
-    base, _ = _scaled_base(config["base"], factor, override)
+    base = _scaled_base(config["base"], factor, override)
     results: dict = {"resolution": base.n_samples}
     analyses = config.get("analyses", [])
 
@@ -292,10 +281,10 @@ def _analyze(config: dict, factor: int, override: int | None,
             write_lift_csv(cole.witness, os.path.join(out_dir, ref))
         results["cole"] = cole.to_json(ref)
     if "ah" in analyses and problem is not None:
-        ah = decide_subalgebra(problem, tol)
+        ah = decide_subalgebra(problem)
         results["ah"] = ah.to_json()
     if "cross_checks" in analyses and problem is not None:
-        checks = cross_checks(problem, tol, cole=cole, ah=ah)
+        checks = cross_checks(problem, cole=cole, ah=ah)
         implies, root = checks["ah_implies_cole"], checks["root_implies_ah"]
         results["cross_checks"] = {
             "ah_implies_cole": {
@@ -313,8 +302,7 @@ def _analyze(config: dict, factor: int, override: int | None,
     if "torus_controls" in analyses and poly is not None:
         ident = identity_selfmap(base)
         prob_id = LiftProblem(bundle_a or build_bundle(poly, tol),
-                              build_bundle(pullback_polynomial(poly, ident), tol),
-                              tol)
+                              build_bundle(pullback_polynomial(poly, ident), tol))
         results["torus_controls"] = {
             "identity_cole": decide_lift(prob_id).to_json(),
         }

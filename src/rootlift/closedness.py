@@ -42,12 +42,13 @@ def has_root(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
     if not report.admissible:
         raise InadmissibleError("polynomial is not admissible")
-    return _section_verdict(build_bundle(p, tol), tol)
+    return _section_verdict(build_bundle(p, tol))
 
 
-def _section_verdict(bundle: RootBundle, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    """:func:`has_root` on the already built root bundle of the polynomial."""
-    problem = LiftProblem(trivial_bundle(bundle.base, tol), bundle, tol)
+def _section_verdict(bundle: RootBundle) -> Verdict:
+    """:func:`has_root` on the already built root bundle of the polynomial,
+    under the bundle's tolerances."""
+    problem = LiftProblem(trivial_bundle(bundle.base, bundle.tol), bundle)
     verdict = decide_lift(problem)
     if verdict.answer == "yes":
         root = verdict.witness.values[:, 0]

@@ -27,6 +27,8 @@ from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
                      _min_fiber_gap, build_bundle, is_admissible,
                      pullback_polynomial, solve_fiber)
 
+MAX_LIFTS = 4096         # lifts decide_subalgebra probes before it answers "inconclusive"
+
 
 class ExtendError(RuntimeError):
     pass
@@ -75,15 +77,17 @@ def _tree_transports(bundles, root: int, nodes, tree_edges, dirs, pred) -> list[
 
 
 class LiftProblem:
-    """Fiber-assignment constraints between two bundles over one base."""
+    """Fiber-assignment constraints between two bundles over one base, and
+    the tolerances both were built with."""
 
-    def __init__(self, source: RootBundle, target: RootBundle,
-                 tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, source: RootBundle, target: RootBundle):
         if source.base is not target.base:
             raise ExtendError("source and target bundles live on different bases")
+        if source.tol != target.tol:
+            raise ExtendError("source and target bundles were built with different tolerances")
         self.source = source
         self.target = target
-        self.tol = tol
+        self.tol = source.tol
         self.base = source.base
         self.basepoint = self._pick_basepoint()
         self._build_transports()
@@ -222,17 +226,18 @@ class LiftProblem:
         return [LiftWitness(self, g0)
                 for g0 in itertools.islice(self._solutions(), max_count)]
 
-    def solution_count(self) -> int:
-        """The number of lifts, counted without building them.
+    def solution_count(self, cap: int | None = None) -> int:
+        """The number of lifts (``cap`` when there are more), counted
+        without building them.
 
         Loop constraints tie a slot only to the slots of its orbit under the
         source loop permutations, so without merge constraints the count is
         the product over orbits of the target slots y such that g0[x] = y,
         for the orbit's first slot x, propagates consistently through the
-        orbit.  With merge constraints every lift is searched for.
+        orbit.  With merge constraints lifts are searched for, up to ``cap``.
         """
         if self.merge_pairs:
-            return sum(1 for _ in self._solutions())
+            return sum(1 for _ in itertools.islice(self._solutions(), cap))
         nA, nB = self.source.degree, self.target.degree
         images = np.full((nA, nB), -1, dtype=np.intp)   # g0 of a slot, per choice of y
         count = 1
@@ -251,7 +256,7 @@ class LiftProblem:
                         images[t] = image
                         orbit.append(t)
             count *= int(np.count_nonzero(consistent))
-        return count
+        return count if cap is None else min(count, cap)
 
     def assignments_for(self, g0) -> np.ndarray:
         """Per-sample sheet maps G with G[x, i] the target slot of source slot i."""
@@ -462,10 +467,10 @@ def recheck_certificate(problem: LiftProblem, certificate: dict) -> bool:
     return False
 
 
-def _base_diagnostics(problem: LiftProblem, tol: Tolerances) -> dict:
+def _base_diagnostics(problem: LiftProblem) -> dict:
     return {
         "resolution": problem.base.n_samples,
-        "tolerances": tol.as_dict(),
+        "tolerances": problem.tol.as_dict(),
         "basepoint": problem.basepoint,
     }
 
@@ -473,21 +478,18 @@ def _base_diagnostics(problem: LiftProblem, tol: Tolerances) -> dict:
 def decide_lift(problem: LiftProblem) -> Verdict:
     """Existence decision: fast-path certificates, then the first lift as
     witness and the exact lift count."""
-    tol = problem.tol
     cert = _strip_obstruction(problem)
     if cert is not None:
         if not recheck_certificate(problem, cert):
             raise ExtendError("fast-path certificate failed its recheck")
-        verdict = Verdict("no", certificate=cert,
-                          diagnostics=_base_diagnostics(problem, tol))
-        return verdict
+        return Verdict("no", certificate=cert, diagnostics=_base_diagnostics(problem))
     lifts = problem.enumerate(max_count=1)
     if lifts:
         witness = lifts[0]
         report = validate_witness(problem, witness)
         if not report["valid"]:
             raise ExtendError(f"witness failed independent validation: {report}")
-        diag = _base_diagnostics(problem, tol)
+        diag = _base_diagnostics(problem)
         diag["solution_count"] = problem.solution_count()
         diag["validator"] = report
         return Verdict("yes", witness=witness, diagnostics=diag)
@@ -499,8 +501,7 @@ def decide_lift(problem: LiftProblem) -> Verdict:
         "loop_constraints": len(problem.cotree),
         "merge_samples": [int(s) for s in problem.merge_samples],
     }
-    return Verdict("no", certificate=cert,
-                   diagnostics=_base_diagnostics(problem, tol))
+    return Verdict("no", certificate=cert, diagnostics=_base_diagnostics(problem))
 
 
 def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> LiftProblem:
@@ -514,7 +515,7 @@ def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> Lif
             f"discriminant run(s)")
     A = build_bundle(p, tol)
     B = build_bundle(pullback_polynomial(p, smap), tol)
-    return LiftProblem(A, B, tol)
+    return LiftProblem(A, B)
 
 
 def cole_extendable(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> Verdict:
@@ -535,8 +536,7 @@ class FitResult:
     refusal: dict | None = None
 
 
-def ah_fit(bundle: RootBundle, values: np.ndarray,
-           tol: Tolerances = DEFAULT_TOL) -> FitResult:
+def ah_fit(bundle: RootBundle, values: np.ndarray) -> FitResult:
     """Fit f as a degree < n polynomial in the root coordinate.
 
     Solves the per-sample Vandermonde system at samples with pairwise
@@ -547,6 +547,7 @@ def ah_fit(bundle: RootBundle, values: np.ndarray,
     base = bundle.base
     n = bundle.degree
     S = base.n_samples
+    tol = bundle.tol
     fit_mask = ~bundle.branch_flags
     fibers = bundle.fibers[fit_mask]
     V = fibers[:, :, None] ** np.arange(n)[None, None, :]
@@ -627,7 +628,7 @@ def _track_pair(fiber: np.ndarray, prev_pair: np.ndarray) -> np.ndarray:
 
 
 def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
-                          sample: int, tol: Tolerances = DEFAULT_TOL) -> QuotientReport:
+                          sample: int) -> QuotientReport:
     """Finiteness probe for the two-sheet divided quotient at a branch.
 
     Follows the coalescing sheet pair (and its image pair) on a dyadic
@@ -639,7 +640,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     if base.kind not in ("interval", "circle"):
         return QuotientReport("inconclusive", sample, None, [],
                               "quotient probing needs an interval or circle base")
-    A, B = problem.source, problem.target
+    A, B, tol = problem.source, problem.target, problem.tol
     if A.poly is None or B.poly is None:
         return QuotientReport("inconclusive", sample, None, [],
                               "no exact coefficient source available")
@@ -659,7 +660,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
             return np.mod(y, 2.0 * math.pi)
         return np.clip(y, 0.0, 1.0)
 
-    y0 = _locate_branch(problem, sample, h, wrap, tol)
+    y0 = _locate_branch(problem, sample, h, wrap)
 
     root_scale = 1.0 + float(np.max(np.abs(A.fibers[sample])))
     min_gap = 32.0 * np.finfo(float).eps * root_scale
@@ -708,7 +709,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     return QuotientReport(verdict, sample, y0, quotients_all)
 
 
-def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap, tol) -> float:
+def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap) -> float:
     """Ternary search for the true coalescence coordinate near a flagged
     sample; cached per (problem, sample)."""
     cache = getattr(problem, "_branch_coords", None)
@@ -726,7 +727,7 @@ def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap, tol) -> fl
     for _ in range(70):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        fibers = solve_fiber(A.poly.coeffs_at(wrap(np.array([m1, m2]))), tol)
+        fibers = solve_fiber(A.poly.coeffs_at(wrap(np.array([m1, m2]))), problem.tol)
         gap1, gap2 = _min_fiber_gap(fibers)
         if gap1 <= gap2:
             hi = m2
@@ -771,24 +772,22 @@ def _classify_quotients(qs, tol: Tolerances) -> str:
     return "inconclusive"
 
 
-def ah_extendable(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL,
-                  max_lifts: int = 4096) -> Verdict:
+def ah_extendable(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     """Does the induced endomorphism extend to the polynomial subalgebra?
 
     Yes iff some lift both fits as a polynomial in the root coordinate and
     has finite divided quotients at every two-sheet branch point.
     """
-    return decide_subalgebra(lift_problem(p, smap, tol), tol, max_lifts)
+    return decide_subalgebra(lift_problem(p, smap, tol))
 
 
-def decide_subalgebra(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
-                      max_lifts: int = 4096) -> Verdict:
-    lifts = problem.enumerate(max_count=max_lifts + 1)
-    truncated = len(lifts) > max_lifts
-    lifts = lifts[:max_lifts]
-    diag = _base_diagnostics(problem, tol)
-    diag["lift_count"] = len(lifts)
-    if not lifts:
+def decide_subalgebra(problem: LiftProblem) -> Verdict:
+    """Polynomial-subalgebra membership: the first accepted of at most
+    ``MAX_LIFTS`` lifts, drawn from the search one at a time."""
+    count = problem.solution_count(cap=MAX_LIFTS + 1)
+    diag = _base_diagnostics(problem)
+    diag["lift_count"] = min(count, MAX_LIFTS)
+    if not count:
         cole = decide_lift(problem)
         return Verdict("no", certificate={
             "kind": "no_lift",
@@ -798,8 +797,9 @@ def decide_subalgebra(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
     branch_samples = [int(s) for s in np.flatnonzero(problem.source.branch_flags)
                       if any(len(c) > 1 for c in problem.source.merge_clusters(int(s)))]
     refusals = []
-    any_inconclusive = truncated
-    for k, lift in enumerate(lifts):
+    any_inconclusive = count > MAX_LIFTS
+    for k, g0 in enumerate(itertools.islice(problem._solutions(), MAX_LIFTS)):
+        lift = LiftWitness(problem, g0)
         # the divided-quotient finiteness condition is necessary; probe it first
         reports = []
         failed = False
@@ -811,7 +811,7 @@ def decide_subalgebra(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
                 reports.append({"sample": s, "verdict": "inconclusive",
                                 "detail": "branch is not two-sheeted"})
                 continue
-            rep = divided_quotient_test(problem, lift, s, tol)
+            rep = divided_quotient_test(problem, lift, s)
             reports.append({"sample": s, "verdict": rep.verdict,
                             "branch_coordinate": rep.branch_coordinate})
             if rep.verdict == "divergent":
@@ -823,7 +823,7 @@ def decide_subalgebra(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
             refusals.append({"lift": k, "stage": "divided_quotient",
                              "reports": reports})
             continue
-        fit = ah_fit(problem.source, lift.values, tol)
+        fit = ah_fit(problem.source, lift.values)
         if not fit.accepted:
             refusals.append({"lift": k, "stage": "fit", "refusal": fit.refusal})
             continue
@@ -845,8 +845,8 @@ def decide_subalgebra(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
 # -- cross-checks -------------------------------------------------------------------
 
 
-def cross_checks(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
-                 cole: Verdict | None = None, ah: Verdict | None = None) -> dict:
+def cross_checks(problem: LiftProblem, cole: Verdict | None = None,
+                 ah: Verdict | None = None) -> dict:
     """The two consistency checks on one lift problem, keyed by name.
 
     ``ah_implies_cole``: a polynomial-subalgebra extension forces a
@@ -855,15 +855,16 @@ def cross_checks(problem: LiftProblem, tol: Tolerances = DEFAULT_TOL,
     section of the problem's target bundle) forces the subalgebra
     extension; it holds the ``has_root`` and ``ah`` verdicts.  Each also
     holds ``consistent``.  Every verdict is decided once, on the problem's
-    own bundles, unless it is passed in as ``cole`` or ``ah``.
+    own bundles and under their tolerances, unless it is passed in as
+    ``cole`` or ``ah``.
     """
     from .closedness import _section_verdict
 
     if ah is None:
-        ah = decide_subalgebra(problem, tol)
+        ah = decide_subalgebra(problem)
     if cole is None:
         cole = decide_lift(problem)
-    root = _section_verdict(problem.target, tol)
+    root = _section_verdict(problem.target)
     return {
         "ah_implies_cole": {"ah": ah, "cole": cole,
                             "consistent": not (ah.answer == "yes" and cole.answer == "no")},

@@ -105,6 +105,3 @@ def emit_bundle_svg(bundle: RootBundle, path, title: str = "") -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-emit_figures = emit_bundle_svg

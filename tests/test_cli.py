@@ -239,3 +239,17 @@ def test_package_exports_resolve():
 
     for name in rootlift.__all__:
         assert getattr(rootlift, name, None) is not None, name
+
+
+def test_csv_fields_are_plain_numbers(tmp_path):
+    # every field is an int or a float literal, whatever numpy's scalar repr
+    assert main(["builtin", "example1", "--out", str(tmp_path)]) == 0
+    for name in ("bundle_p.csv", "bundle_pT.csv", "lift_f.csv"):
+        _, *rows = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert rows, name
+        for row in rows:
+            for field in row.split(","):
+                try:
+                    int(field)
+                except ValueError:
+                    float(field)

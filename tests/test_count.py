@@ -8,6 +8,7 @@ the per-sample loop it replaced.
 """
 
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -222,7 +223,9 @@ def test_fiber_count_certificate_matches_the_loop_on_example3(n):
     warp = LiftProblem(problem.source, pullback(p, time_warp_map(base)))
     assert _strip_obstruction(warp) is _ref_strip_obstruction(warp) is None
     # a wider coincidence tolerance falls short on a run of samples: the first one counts
-    wide = LiftProblem(problem.source, problem.target, Tolerances(branch_tol=1e-2))
+    wide_tol = Tolerances(branch_tol=1e-2)
+    wide = LiftProblem(dataclasses.replace(problem.source, tol=wide_tol),
+                       dataclasses.replace(problem.target, tol=wide_tol))
     cert = _strip_obstruction(wide)
     assert cert == _ref_strip_obstruction(wide)
     assert cert["sample"] < problem.base.n_samples // 2 - 10

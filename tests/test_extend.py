@@ -1,13 +1,19 @@
 import copy
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from instancegen import (random_admissible_poly, random_circle_selfmap,
+                         random_interval_selfmap)
 from rootlift import (build_bundle, identity_selfmap, make_circle,
                       make_interval, make_torus2, poly_from_exprs,
-                      poly_from_values, pullback, sample_selfmap)
-from rootlift.extend import (InadmissibleError, LiftProblem, ah_fit,
+                      poly_from_roots, poly_from_values, pullback, sample_selfmap)
+from rootlift import bundle, cli, closedness, extend, figures, monodromy
+from rootlift.bundle import Tolerances
+from rootlift.extend import (ExtendError, InadmissibleError, LiftProblem,
+                             LiftWitness, Verdict, ah_extendable, ah_fit,
                              cole_extendable, cross_checks,
                              decide_lift, decide_subalgebra,
                              divided_quotient_test, lift_problem,
@@ -387,3 +393,181 @@ def test_lift_problem_matches_reference_on_torus_swap():
     assert verdict.certificate["kind"] == "csp_exhaustion"
     assert verdict.certificate["loop_constraints"] == 4097
     assert decide_lift(ident).answer == "yes"
+
+
+# -- one source of tolerances: the bundles ------------------------------------------
+
+
+def test_deciders_use_the_tolerances_of_the_problems_bundles():
+    # a fit bound this tight refuses both lifts of the flip problem, which
+    # the default tolerances accept
+    base = make_interval(401)
+    p = interval_square_pair(base)
+    tol = Tolerances(fit_jump_factor=1e-9)
+    problem = lift_problem(p, flip_map(base), tol)
+    ah = decide_subalgebra(problem)
+    checks = cross_checks(problem)
+    direct = ah_extendable(p, flip_map(base), tol)
+    assert ah.answer == checks["ah_implies_cole"]["ah"].answer == direct.answer == "no"
+    for verdict in (ah, direct, checks["ah_implies_cole"]["cole"],
+                    checks["root_implies_ah"]["has_root"]):
+        assert verdict.diagnostics["tolerances"] == tol.as_dict()
+    assert decide_subalgebra(lift_problem(p, flip_map(base))).answer == "yes"
+
+
+def test_lift_problem_refuses_bundles_built_with_different_tolerances():
+    base = make_interval(101)
+    p = interval_square_pair(base)
+    with pytest.raises(ExtendError, match="different tolerances"):
+        LiftProblem(build_bundle(p), pullback(p, flip_map(base), Tolerances(branch_tol=1e-7)))
+
+
+def test_no_function_takes_a_tolerance_beside_a_problem_or_bundle():
+    for module in (bundle, cli, closedness, extend, figures, monodromy):
+        functions = [f for _, f in inspect.getmembers(module, inspect.isfunction)]
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            functions += [f for f in vars(cls).values() if inspect.isfunction(f)]
+        for fn in functions:
+            if fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if any(str(q.annotation) in ("LiftProblem", "RootBundle") for q in params):
+                assert not {"tol", "max_lifts"} & {q.name for q in params}, fn.__qualname__
+
+
+# -- decide_subalgebra draws lifts one at a time ------------------------------------
+
+
+def _eager_decide_subalgebra(problem, max_lifts):
+    """The decision with every lift, up to ``max_lifts + 1``, built before
+    the first one is probed."""
+    lifts = problem.enumerate(max_count=max_lifts + 1)
+    truncated = len(lifts) > max_lifts
+    lifts = lifts[:max_lifts]
+    diag = extend._base_diagnostics(problem)
+    diag["lift_count"] = len(lifts)
+    if not lifts:
+        cole = decide_lift(problem)
+        return Verdict("no", certificate={"kind": "no_lift",
+                                          "lift_certificate": cole.certificate},
+                       diagnostics=diag)
+    branch_samples = [int(s) for s in np.flatnonzero(problem.source.branch_flags)
+                      if any(len(c) > 1 for c in problem.source.merge_clusters(int(s)))]
+    refusals = []
+    any_inconclusive = truncated
+    for k, lift in enumerate(lifts):
+        reports = []
+        failed = inconclusive = False
+        for s in branch_samples:
+            clusters = [c for c in problem.source.merge_clusters(s) if len(c) > 1]
+            if len(clusters) != 1 or len(clusters[0]) != 2:
+                inconclusive = True
+                reports.append({"sample": s, "verdict": "inconclusive",
+                                "detail": "branch is not two-sheeted"})
+                continue
+            rep = divided_quotient_test(problem, lift, s)
+            reports.append({"sample": s, "verdict": rep.verdict,
+                            "branch_coordinate": rep.branch_coordinate})
+            if rep.verdict == "divergent":
+                failed = True
+                break
+            if rep.verdict == "inconclusive":
+                inconclusive = True
+        if failed:
+            refusals.append({"lift": k, "stage": "divided_quotient", "reports": reports})
+            continue
+        fit = ah_fit(problem.source, lift.values)
+        if not fit.accepted:
+            refusals.append({"lift": k, "stage": "fit", "refusal": fit.refusal})
+            continue
+        if inconclusive:
+            any_inconclusive = True
+            refusals.append({"lift": k, "stage": "divided_quotient", "reports": reports})
+            continue
+        diag["accepted_lift"] = k
+        diag["quotient_reports"] = reports
+        return Verdict("yes", witness=lift, diagnostics=diag, fit=fit)
+    return Verdict("inconclusive" if any_inconclusive else "no",
+                   certificate={"kind": "all_lifts_refused", "refusals": refusals},
+                   diagnostics=diag)
+
+
+def _cycle_poly(base, d, rng):
+    """(t - c)^d - exp(i(theta + phase)): one strip of winding d."""
+    c = complex(*rng.uniform(-0.3, 0.3, size=2))
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    coeffs = [repr(math.comb(d, k) * (-c) ** (d - k)) for k in range(d)]
+    coeffs[0] = f"{coeffs[0]}-exp(1i*(theta+{phase!r}))"
+    return poly_from_exprs(base, [z.replace("j", "i") for z in coeffs])
+
+
+def _trivial_poly(base, d, rng):
+    """d separated unit circles of roots: trivial monodromy, d^d lifts."""
+    roots = [f"({3.0 * k + rng.uniform(-0.25, 0.25)!r})+exp(1i*(theta+{rng.uniform(0, 6):.6f}))"
+             for k in range(d)]
+    return poly_from_roots(base, roots)
+
+
+def _streaming_instances():
+    rng = np.random.default_rng(7)
+    circle = make_circle(120)
+    for d in range(2, 6):
+        yield f"cycle{d}", lift_problem(_cycle_poly(circle, d, rng), half_turn_map(circle))
+    small = make_circle(24)
+    for d in range(2, 5):
+        p = _trivial_poly(small, d, rng)
+        yield f"trivial{d}", lift_problem(p, half_turn_map(small))
+        # a fit bound this tight refuses every lift
+        yield f"trivial{d}-refused", lift_problem(p, half_turn_map(small),
+                                                  Tolerances(fit_jump_factor=1e-9))
+    interval = make_interval(101)
+    for k in range(4):
+        p = random_admissible_poly(interval, 2 + k % 3, rng)
+        yield f"random-interval{k}", lift_problem(p, random_interval_selfmap(interval, rng))
+    circle = make_circle(100)
+    for k in range(4):
+        p = random_admissible_poly(circle, 2 + k % 3, rng)
+        yield f"random-circle{k}", lift_problem(p, random_circle_selfmap(circle, rng))
+    # merge constraints: a double and a triple root at x = 1/2
+    for coeffs in (["-(x-0.5)^2", "0"], ["-(x-0.5)^2", "0", "0"]):
+        p = poly_from_exprs(interval, coeffs)
+        yield f"merge{len(coeffs)}", lift_problem(p, flip_map(interval))
+    quintic = make_circle(200)
+    yield "no-lift", lift_problem(crossing_quintic(quintic), half_turn_map(quintic))
+
+
+@pytest.mark.parametrize("cap", [extend.MAX_LIFTS, 3])
+def test_streamed_lifts_decide_as_the_eager_list(monkeypatch, cap):
+    monkeypatch.setattr(extend, "MAX_LIFTS", cap)
+    seen = set()
+    for name, problem in _streaming_instances():
+        want = _eager_decide_subalgebra(problem, cap)
+        got = decide_subalgebra(problem)
+        assert got.answer == want.answer, name
+        assert got.certificate == want.certificate, name
+        assert got.diagnostics == want.diagnostics, name
+        assert (got.witness is None) == (want.witness is None), name
+        if got.witness is not None:
+            assert got.witness.g0 == want.witness.g0, name
+        kind = got.certificate and got.certificate["kind"]
+        seen.add((got.answer, kind, bool(problem.merge_pairs)))
+    # every path: accepted with and without merges, no lift, all refused
+    # ("inconclusive" past the cap, which every refused instance passes at 3)
+    assert {("yes", None, False), ("yes", None, True)} <= seen
+    assert ("no", "no_lift") in {(answer, kind) for answer, kind, _ in seen}
+    refused = {answer for answer, kind, _ in seen if kind == "all_lifts_refused"}
+    assert refused == ({"no", "inconclusive"} if cap > 3 else {"inconclusive"})
+
+
+def test_streamed_lifts_stop_at_the_accepted_one(monkeypatch):
+    drawn = []
+    solutions = LiftProblem._solutions
+    monkeypatch.setattr(LiftProblem, "_solutions",
+                        lambda self: (drawn.append(g0) or g0 for g0 in solutions(self)))
+    base = make_circle(24)
+    problem = lift_problem(_trivial_poly(base, 5, np.random.default_rng(1)),
+                           half_turn_map(base))
+    verdict = decide_subalgebra(problem)
+    assert verdict.answer == "yes"
+    assert len(drawn) == verdict.diagnostics["accepted_lift"] + 1
+    assert verdict.diagnostics["lift_count"] == 5 ** 5

@@ -12,8 +12,8 @@ import pytest
 
 from instancegen import random_admissible_poly, random_circle_selfmap
 from rootlift import (build_bundle, make_circle, make_graph, make_interval,
-                      make_torus2, poly_from_values, pullback)
-from rootlift.base import _hop_distances
+                      make_torus2, poly_from_values, pullback, sample_selfmap)
+from rootlift.base import BaseSpaceError, _hop_distances
 from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
 from rootlift.closedness import winding_function
 from rootlift.extend import _transport_slots, ah_fit
@@ -341,6 +341,29 @@ def test_hop_distance_matches_reference_walk(name):
                           edges[b].astype(int), params[b])
     for x, y, d in zip(a, b, dist):
         assert d == _ref_hop_distance(base, locs[x], locs[y])
+
+
+@pytest.mark.parametrize("name", [n for n in BASES if BASES[n].kind == "graph"])
+def test_bounded_hop_distances_match_unbounded(name):
+    # random location tables: hop counts up to the limit are exact, the rest inf
+    base = BASES[name]
+    rng = np.random.default_rng(base.n_samples)
+    edges_a, edges_b = rng.integers(0, base.n_edges, (2, 300))
+    params_a, params_b = rng.random((2, 300))
+    full = _hop_distances(base, edges_a, params_a, edges_b, params_b)
+    assert np.isfinite(full).all()
+    for limit in (0.0, 1.0, 2.0, 2.5, 4.0, float(base.n_samples)):
+        bounded = _hop_distances(base, edges_a, params_a, edges_b, params_b, limit=limit)
+        assert np.array_equal(bounded, np.where(full > limit + 1.0, np.inf, full))
+    # a random table is rejected on its first jumping edge, at its exact distance
+    table = rng.integers(0, base.n_edges, base.n_samples), rng.random(base.n_samples)
+    x, y = base.edges.T
+    dist = _hop_distances(base, table[0][x], table[1][x], table[0][y], table[1][y])
+    eid = int(np.argmax(dist > 2.0 + 1e-9))
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(base, table)
+    assert str(err.value) == (f"self-map violates discrete continuity on edge {eid}: "
+                              f"image distance {dist[eid]:.3f} edges exceeds bound 2.0")
 
 
 @pytest.mark.parametrize("name", [n for n in BASES if BASES[n].loop_basis])
