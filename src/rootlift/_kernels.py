@@ -1,9 +1,11 @@
 """Batched fiber root solver.
 
-Roots come from batched companion-matrix eigenvalues, then a few guarded
-Newton polishing sweeps push residuals to solver tolerance.  Fibers are
-returned in canonical order (lexicographic by real part, then imaginary
-part), which numpy's complex sort implements directly.
+Quadratic fibers are solved in closed form by the cancellation-free
+quadratic formula, fibers of degree 3 and above by batched companion-matrix
+eigenvalues.  Either way a few guarded Newton polishing sweeps then push
+residuals to solver tolerance.  Fibers are returned in canonical order
+(lexicographic by real part, then imaginary part), which numpy's complex
+sort implements directly.
 """
 
 from __future__ import annotations
@@ -48,11 +50,27 @@ def solve_fibers(coeffs: np.ndarray) -> np.ndarray:
         return np.empty((m, 0), dtype=complex)
     if n == 1:
         return -coeffs.copy()
-    comp = np.zeros((m, n, n), dtype=complex)
-    idx = np.arange(1, n)
-    comp[:, idx, idx - 1] = 1.0
-    comp[:, :, n - 1] = -coeffs
-    roots = np.linalg.eigvals(comp)
+    if n == 2:
+        # t^2 + b t + c0: q = -(b + s d)/2 with d = sqrt(b^2 - 4 c0) and the sign s
+        # that makes |b + s d| largest, so q loses no digits to cancellation; the
+        # other root is c0 / q (both are 0 where q is 0, i.e. b = c0 = 0)
+        c0, b = coeffs[:, 0], coeffs[:, 1]
+        d = np.sqrt(b * b - 4.0 * c0)
+        roots = np.empty((m, 2), dtype=complex)
+        q = roots[:, 0]
+        np.multiply(np.where((b * d.conj()).real >= 0, b + d, b - d), -0.5, out=q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(c0, q, out=roots[:, 1])
+        roots[q == 0] = 0.0
+        # the division can leave -0.0 where eigenvalues give +0.0; adding +0.0
+        # keeps every other value and makes those zeros positive
+        roots += 0.0
+    else:
+        comp = np.zeros((m, n, n), dtype=complex)
+        idx = np.arange(1, n)
+        comp[:, idx, idx - 1] = 1.0
+        comp[:, :, n - 1] = -coeffs
+        roots = np.linalg.eigvals(comp)
     roots = polish(coeffs, roots)
     return np.sort(roots, axis=1)
 

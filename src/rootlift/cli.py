@@ -183,21 +183,20 @@ def _coord_columns(base):
 
 
 def write_bundle_csv(bundle, path):
+    # Python scalars from tolist(), one write per sample
     base = bundle.base
     cols = _coord_columns(base)
+    rows = zip(base.coords.reshape(base.n_samples, -1).tolist(),
+               bundle.fibers.tolist(), bundle.branch_flags.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["sample_index", *cols,
                            "sheet_index", "root_re", "root_im", "branch_flag"])
                  + "\n")
-        for s in range(base.n_samples):
-            coord = np.atleast_1d(base.coords[s])
-            cvals = [repr(float(c)) for c in coord[: len(cols)]]
-            flag = int(bool(bundle.branch_flags[s]))
-            for i in range(bundle.degree):
-                z = bundle.fibers[s, i]
-                fh.write(",".join([str(s), *cvals, str(i),
-                                   repr(float(z.real)), repr(float(z.imag)),
-                                   str(flag)]) + "\n")
+        for s, (coord, fiber, flag) in enumerate(rows):
+            head = ",".join([str(s), *map(repr, coord)]) + ","
+            tail = f",{int(flag)}\n"
+            fh.write("".join([f"{head}{i},{z.real!r},{z.imag!r}{tail}"
+                              for i, z in enumerate(fiber)]))
 
 
 def write_lift_csv(witness, path):
@@ -206,8 +205,8 @@ def write_lift_csv(witness, path):
         fh.write("sample_index,sheet_index,target_sheet,f_re,f_im\n")
         rows = zip(witness.values.tolist(), witness.assignments.tolist())
         for s, (values, targets) in enumerate(rows):
-            for i, (z, t) in enumerate(zip(values, targets)):
-                fh.write(f"{s},{i},{t},{z.real!r},{z.imag!r}\n")
+            fh.write("".join([f"{s},{i},{t},{z.real!r},{z.imag!r}\n"
+                              for i, (z, t) in enumerate(zip(values, targets))]))
 
 
 def _analyze(config: dict, factor: int, override: int | None,

@@ -30,21 +30,23 @@ def _sheet_chains(bundle: RootBundle):
     index order along the coordinate.
     """
     base = bundle.base
-    S, n = base.n_samples, bundle.degree
-    chains = []
+    S = base.n_samples
+    xs = base.coords.tolist()
+    fibers = bundle.fibers.tolist()
+    perms = bundle.edge_perms.tolist()
     closed = base.kind == "circle"
-    for start in range(n):
+    if closed:
+        xs.append(2.0 * np.pi)
+    chains = []
+    for start in range(bundle.degree):
         slot = start
-        xs = [float(np.atleast_1d(base.coords[0])[0])]
-        ys = [bundle.fibers[0, slot]]
+        ys = [fibers[0][slot]]
         for e in range(S - 1):
-            slot = int(bundle.edge_perms[e][slot])
-            xs.append(float(np.atleast_1d(base.coords[e + 1])[0]))
-            ys.append(bundle.fibers[e + 1, slot])
+            slot = perms[e][slot]
+            ys.append(fibers[e + 1][slot])
         if closed:
-            slot = int(bundle.edge_perms[S - 1][slot])
-            xs.append(2.0 * np.pi)
-            ys.append(bundle.fibers[0, slot])
+            slot = perms[S - 1][slot]
+            ys.append(fibers[0][slot])
         chains.append((xs, np.array(ys)))
     return chains
 
@@ -93,7 +95,7 @@ def emit_bundle_svg(bundle: RootBundle, path, title: str = "") -> None:
                 f'y2="{_fmt(y0)}" stroke="#ddd"/>')
         for k, ((xs, _), vals) in enumerate(zip(chains, values)):
             pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(v))}"
-                           for x, v in zip(xs, vals))
+                           for x, v in zip(xs, vals.tolist()))
             color = PALETTE[k % len(PALETTE)]
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from rootlift import _kernels
+from rootlift.bundle import DEFAULT_TOL, _check_residuals
 
 
 def _poly_from_roots(roots):
@@ -41,3 +43,79 @@ def test_known_roots_recovered():
     assert np.allclose(sorted(got, key=lambda z: (z.real, z.imag)),
                        sorted(wanted, key=lambda z: (z.real, z.imag)),
                        atol=1e-9)
+
+
+# -- closed form for degree 2 ------------------------------------------------
+
+def _companion_roots(coeffs):
+    """Eigenvalues of each row's companion matrix: the solve for degree >= 3."""
+    comp = np.zeros((len(coeffs), 2, 2), dtype=complex)
+    comp[:, 1, 0] = 1.0
+    comp[:, :, 1] = -coeffs
+    return np.linalg.eigvals(comp)
+
+
+def _assert_canonical(roots):
+    for row in roots:
+        key = list(zip(row.real, row.imag))
+        assert key == sorted(key)
+
+
+def test_quadratic_closed_form_matches_companion_eigenvalues():
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(2000, 1))
+    coeffs = scale * (rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2)))
+    got = _kernels.solve_fibers(coeffs)
+    want = _companion_roots(coeffs)
+    # as multisets: the better of the two pairings per row
+    err = np.minimum(np.abs(got - want).max(axis=1),
+                     np.abs(got - want[:, ::-1]).max(axis=1))
+    assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+    _check_residuals(coeffs, got, DEFAULT_TOL)
+    _assert_canonical(got)
+
+
+def test_quadratic_closed_form_edge_rows():
+    coeffs = np.array([
+        [-3 - 4j, 2 - 4j],        # c0 = b^2/4: double root -b/2 = -1 + 2j
+        [-2.25 + 0j, 0],          # b = 0: roots -1.5, 1.5
+        [0, 1.5 - 2j],            # c0 = 0: roots 0 and -b
+        [0, 0],                   # b = c0 = 0: roots 0, 0
+    ], dtype=complex)
+    roots = _kernels.solve_fibers(coeffs)
+    _check_residuals(coeffs, roots, DEFAULT_TOL)
+    _assert_canonical(roots)
+    assert np.array_equal(roots[0], [-1 + 2j, -1 + 2j])
+    assert np.array_equal(roots[1], [-1.5, 1.5])
+    assert np.array_equal(roots[2], np.sort([0, -coeffs[2, 1]]))
+    assert np.array_equal(roots[3], [0, 0])
+
+
+@pytest.mark.parametrize("b_angle", [0.3, 2.5, -1.9])
+def test_quadratic_closed_form_has_no_cancellation(b_angle):
+    # |b| = 1e8, |c0| = 1: the textbook formula loses every digit of the small
+    # root -c0/b - c0^2/b^3 - ...; the closed form keeps it to 1e-12, whichever
+    # half-plane b lies in
+    c0, b = np.exp(1.1j), 1e8 * np.exp(1j * b_angle)
+    coeffs = np.array([[c0, b]])
+    roots = _kernels.solve_fibers(coeffs)
+    _assert_canonical(roots)
+    small, large = sorted(roots[0], key=abs)
+    exact = -c0 / b - c0 ** 2 / b ** 3
+    assert abs(small - exact) <= 1e-12 * abs(exact)
+    assert abs(large - (-b + c0 / b)) <= 1e-12 * abs(b)
+    _check_residuals(coeffs, np.array([[small]]), DEFAULT_TOL)
+    # the large root's residual is the rounding of z^2 ~ 1e16, above the guard's
+    # 1e-9 * max|c_k| = 0.1 for any solver (companion eigenvalues give 0.70
+    # too), so it is held to that rounding floor instead
+    assert _kernels.residuals(coeffs, np.array([[large]]))[0, 0] <= 8e-16 * abs(large) ** 2
+
+
+def test_quadratic_closed_form_gives_positive_zeros_for_real_roots():
+    # t^2 - f^2 with real f, as example 1 builds it: the imaginary parts are
+    # +0.0, as the companion eigenvalues give them, so CSVs never print -0.0
+    f = np.linspace(-4.0, 4.0, 81)
+    coeffs = np.stack([-(f ** 2) + 0j, np.zeros_like(f, dtype=complex)], axis=1)
+    roots = _kernels.solve_fibers(coeffs)
+    assert not np.any(np.signbit(roots.imag))
+    assert np.array_equal(roots.real, np.stack([-np.abs(f), np.abs(f)], axis=1))
