@@ -288,3 +288,130 @@ def test_pullback_polynomial_exact_composition():
     for s in (0, 10, 25, 50):
         want = funcspec.eval_scalar(expr, {"x": 1.0 - base.coords[s]})
         assert pt.coeff_values[s, 0] == pytest.approx(want, abs=1e-12)
+
+
+def _threshold_row(n, margin, rng):
+    """One edge on the exact search's decision boundary: heads slide from
+    one clear matching towards another, bisected to the last step the search
+    still calls unambiguous with the first permutation, and the step after."""
+    from rootlift.bundle import _match_batch
+    tails = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    start = tails + noise
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]
+    end = tails[swap] + noise
+
+    def heads_at(s):
+        return ((1.0 - s) * start + s * end)[None, :]
+
+    def clear(s):
+        perm, best, second = _match_batch(tails[None, :], heads_at(s))
+        return np.array_equal(perm[0], np.arange(n)) and second[0] >= margin * best[0]
+
+    lo, hi = 0.0, 1.0
+    assert clear(lo) and not clear(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if clear(mid) else (lo, mid)
+    heads = np.concatenate([heads_at(lo), heads_at(hi)])
+    tails = np.stack([tails, tails])
+    _, best, second = _match_batch(tails, heads)
+    # above margin 1 the boundary is the margin test, at or below it the switch
+    # to the other permutation, where the runner-up ties the best
+    target = max(margin, 1.0) * best
+    assert np.min(np.abs(second - target) / target) <= 1e-12
+    return tails, heads
+
+
+@pytest.mark.parametrize("margin", [0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_screened_matching_equals_the_search(n, margin):
+    from rootlift.bundle import _match_batch, _match_edges
+    rng = np.random.default_rng(100 * n + int(10 * margin))
+    m = 48
+    tails = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    heads = (tails[:, rng.permutation(n)]
+             + 0.02 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))))
+    tails[::4, 1] = tails[::4, 0]                        # repeated roots
+    tails[1::7] = heads[1::7] = 0.5                      # constant rows: best = 0
+    heads[3::11] = tails[3::11]                          # best = 0, distinct roots
+    tails[2::9] = rng.integers(0, 2, size=tails[2::9].shape)     # 0/1 lattices:
+    heads[2::9] = rng.integers(0, 2, size=heads[2::9].shape)     # tied nearest heads
+    rows = [(tails, heads)] + [_threshold_row(n, margin, rng) for _ in range(3)]
+    tails = np.concatenate([t for t, _ in rows])
+    heads = np.concatenate([h for _, h in rows])
+
+    want_perm, want_best, want_second = _match_batch(tails, heads)
+    perm, best, second = _match_edges(tails, heads, margin)
+    assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
+    assert np.array_equal(second < margin * best, want_second < margin * want_best)
+    assert np.allclose(best, want_best, rtol=1e-12, atol=0.0)
+    assert np.all(second <= want_second * (1.0 + 1e-12))  # a lower bound at most
+
+
+def test_screen_leaves_non_finite_rows_to_the_search():
+    from rootlift.bundle import _match_batch, _match_edges
+    rng = np.random.default_rng(5)
+    tails = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    heads = tails + 0.01
+    tails[0, 2] = tails[1, 3] = np.nan
+    heads[2, 4] = heads[3, 0] = np.nan
+    tails[4, 1] = heads[5, 5] = np.inf
+    tails[6, 0] = heads[6, 0] = np.inf
+    with np.errstate(invalid="ignore"):                  # inf - inf
+        want = _match_batch(tails, heads)
+        got = _match_edges(tails, heads, 2.0)
+    assert np.array_equal(got[0], want[0])
+    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0, equal_nan=True)
+    assert np.array_equal(got[2][:7], want[2][:7], equal_nan=True)
+    assert got[2][7] <= want[2][7] * (1.0 + 1e-12)       # the finite row
+
+
+def _count_rows(monkeypatch, name):
+    """The number of rows of each later call of the matcher ``bundle.<name>``."""
+    from rootlift import bundle
+    rows, matcher = [], getattr(bundle, name)
+
+    def counting(tails, heads):
+        rows.append(len(tails))
+        return matcher(tails, heads)
+
+    monkeypatch.setattr(bundle, name, counting)
+    return rows
+
+
+def test_screen_settles_a_smooth_degree7_bundle(monkeypatch):
+    from rootlift import poly_from_roots
+    searched = _count_rows(monkeypatch, "_match_batch")
+    base = make_circle(400)
+    texts = [f"({0.3 * k}+{0.1 * k}i)+0.1*exp(1i*(theta+{k}))" for k in range(7)]
+    b = build_bundle(poly_from_roots(base, texts))
+    assert b.degree == 7 and not b.refinement
+    assert sum(searched) <= 0.05 * len(base.edges)
+
+
+def test_large_degree_bundle_falls_back_to_lsap_where_the_screen_fails(monkeypatch):
+    # two of eight roots pass within 0.008 of each other while moving 0.08
+    # per sample, so both tail slots of a crossing edge are nearest to one
+    # head: the screen cannot settle those edges, the assignment search
+    # (degree 8) takes them, and bisection resolves them
+    from rootlift import bundle, poly_from_roots
+    base = make_circle(24)
+    texts = [f"({0.2 * k}+{0.1 * k}i)+0.05*exp(1i*theta)" for k in range(2, 8)]
+    texts += ["-0.5+0.3*cos(theta)+0.004i", "-0.5-0.3*cos(theta)-0.004i"]
+    p = poly_from_roots(base, texts)
+    searched = _count_rows(monkeypatch, "_match_batch_lsap")
+    b = build_bundle(p)
+    assert b.degree == 8 and not np.any(b.branch_flags)
+    assert searched and searched[0] < len(base.edges)    # the screen settled the rest
+    assert b.refinement
+
+    # the same bundle with every edge and span matched by exhaustive search
+    monkeypatch.setattr(bundle, "_match_edges",
+                        lambda tails, heads, margin: _ref_match_batch(tails, heads))
+    ref = build_bundle(p)
+    assert np.array_equal(b.edge_perms, ref.edge_perms)
+    assert b.refinement == ref.refinement

@@ -119,3 +119,17 @@ def test_quadratic_closed_form_gives_positive_zeros_for_real_roots():
     roots = _kernels.solve_fibers(coeffs)
     assert not np.any(np.signbit(roots.imag))
     assert np.array_equal(roots.real, np.stack([-np.abs(f), np.abs(f)], axis=1))
+
+
+def test_residual_guard_scales_with_a_large_root():
+    # t^2 + 1e8 e^{0.3i} t + e^{1.1i}: the large root's residual 0.70 is the
+    # rounding of Horner's scheme at |z| ~ 1e8, inside 1e-9 times Horner's
+    # error bound |z|^2 + |b||z| + |c0| ~ 2e16; the same root 1e-6 off is not
+    from rootlift.bundle import BundleError, solve_fiber
+    coeffs = np.array([np.exp(1.1j), 1e8 * np.exp(0.3j)])
+    roots = solve_fiber(coeffs)
+    large = roots[np.argmax(np.abs(roots))]
+    assert abs(large + coeffs[1]) <= 1e-12 * abs(coeffs[1])
+    assert _kernels.residuals(coeffs[None, :], large[None, None])[0, 0] > 1e-9 * 1e8
+    with pytest.raises(BundleError, match="above tolerance at sample 0"):
+        _check_residuals(coeffs[None, :], np.array([[large * (1 + 1e-6)]]), DEFAULT_TOL)
