@@ -219,11 +219,12 @@ def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
     own scale; a :class:`BundleError` names the first row that fails, which
     is a sample when the rows are a base's, and its worst failing residual."""
     res = _kernels.residuals(coeffs, roots)
-    bad = res > tol.root_residual * np.maximum(1.0, np.max(np.abs(coeffs), axis=1))[:, None]
+    # written as ~(res <= allowance) so that a NaN residual fails
+    bad = ~(res <= tol.root_residual * np.maximum(1.0, np.max(np.abs(coeffs), axis=1))[:, None])
     rows = np.flatnonzero(bad.any(axis=1))
     if rows.size:               # the Horner bound, only where the coefficient scale fails
         horner_bound, _ = _kernels.horner(np.abs(coeffs[rows]), np.abs(roots[rows]))
-        bad[rows] &= res[rows] > tol.root_residual * horner_bound
+        bad[rows] &= ~(res[rows] <= tol.root_residual * horner_bound)
         rows = rows[bad[rows].any(axis=1)]
     if rows.size:
         s = int(rows[0])
@@ -368,10 +369,12 @@ class RootBundle:
         return self.edge_perms[edge_id] if direction > 0 else self.inverse_perm(edge_id)
 
     def merge_clusters(self, sample: int) -> list[list[int]]:
-        """Slots whose root values coincide within branch tolerance."""
+        """The merged sheets at ``sample``: the groups of two or more slots
+        that root values within branch tolerance connect."""
         vals = self.fibers[sample]
         close = np.abs(vals[:, None] - vals[None, :]) < self.tol.branch_tol
-        return [g.tolist() for g in node_components(self.degree, np.argwhere(close))]
+        return [g.tolist() for g in node_components(self.degree, np.argwhere(close))
+                if len(g) > 1]
 
     def local_motion(self, sample: int) -> float:
         """Largest sheet movement along edges incident to ``sample``."""

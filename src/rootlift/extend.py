@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import monodromy as monod
+from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
                      _min_fiber_gap, build_bundle, is_admissible,
                      pullback_polynomial, solve_fiber)
@@ -149,22 +150,25 @@ class LiftProblem:
         self.loop_pairs: list[tuple[np.ndarray, np.ndarray]] = [
             (rhoA[k], rhoB[k]) for k in keep]
 
-    def merge_tolerance(self, sample: int) -> float:
-        return self.tol.branch_tol + self.tol.merge_scale * self.target.local_motion(sample)
+    def values_agree(self, sample: int, values: np.ndarray) -> np.ndarray:
+        """Which pairs of target values at ``sample`` merged source sheets may
+        take: those within ``branch_tol`` plus ``merge_scale`` local target
+        sheet movements.  Every merge check applies this one rule."""
+        tol = self.tol.branch_tol + self.tol.merge_scale * self.target.local_motion(sample)
+        return np.abs(values[:, None] - values[None, :]) <= tol
 
     def _build_merge_constraints(self):
         """Branch merges, pulled back to basepoint slots as allowed-value matrices."""
-        nB = self.target.degree
         combined: dict[tuple[int, int], np.ndarray] = {}
         self.merge_samples: list[int] = []
         for s in np.flatnonzero(self.source.branch_flags):
             s = int(s)
-            clusters = [c for c in self.source.merge_clusters(s) if len(c) > 1]
+            clusters = self.source.merge_clusters(s)
             if not clusters:
                 continue
             self.merge_samples.append(s)
-            vals = self.target.fibers[s][self.TB[s]]   # value of basepoint slot v at s
-            allowed = np.abs(vals[:, None] - vals[None, :]) <= self.merge_tolerance(s)
+            # values of the basepoint slots at s
+            allowed = self.values_agree(s, self.target.fibers[s][self.TB[s]])
             for cluster in clusters:
                 slots = [int(self.invTA[s][i]) for i in cluster]
                 for x, y in itertools.combinations(slots, 2):
@@ -301,17 +305,12 @@ def validate_witness(problem: LiftProblem, witness: LiftWitness) -> dict:
     edge_ok = bool(np.array_equal(lhs, rhs))
     merge_ok = True
     worst_spread = 0.0
-    for s in np.flatnonzero(A.branch_flags):
-        s = int(s)
-        tol = problem.merge_tolerance(s)
+    for s in np.flatnonzero(A.branch_flags).tolist():
         for cluster in A.merge_clusters(s):
-            if len(cluster) < 2:
-                continue
             vals = B.fibers[s][G[s][cluster]]
             spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
             worst_spread = max(worst_spread, spread)
-            if spread > tol:
-                merge_ok = False
+            merge_ok &= bool(problem.values_agree(s, vals).all())
     fiber_ok = bool(np.array_equal(
         witness.values,
         B.fibers[np.arange(problem.base.n_samples)[:, None], G]))
@@ -380,77 +379,68 @@ def _trim_certificate(cert):
     return _jsonable(cert)
 
 
-def _distinct_count(values: np.ndarray, tol: float) -> int:
-    """Count value clusters under the coincidence tolerance, greedily in
-    order: each value joins the first earlier cluster opener within ``tol``."""
-    vals = list(values)
-    reps: list[complex] = []
-    for v in vals:
-        for r in reps:
-            if abs(v - r) < tol:
-                break
-        else:
-            reps.append(v)
-    return len(reps)
+def _strip_pairing(problem: LiftProblem):
+    """The cycles of the first loop's source and target permutations, and
+    per source cycle the target cycles an equivariant basepoint map can
+    send it onto: those whose length divides its own."""
+    rhoA, rhoB = problem.loop_pairs[0]
+    cyclesA = monod.permutation_cycles(rhoA)
+    cyclesB = monod.permutation_cycles(rhoB)
+    pairing = [[k for k, c in enumerate(cyclesB) if len(a) % len(c) == 0] for a in cyclesA]
+    return cyclesA, cyclesB, pairing
 
 
-def _distinct_counts(values: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`_distinct_count` of every row of ``values``, one column at a time."""
-    opens = np.zeros(values.shape, dtype=bool)      # value j opened a cluster of its row
-    for j in range(values.shape[1]):
-        near = np.abs(values[:, j:j + 1] - values[:, :j]) < tol
-        opens[:, j] = ~np.any(near & opens[:, :j], axis=1)
-    return np.count_nonzero(opens, axis=1)
+def _fiber_counts(problem: LiftProblem, sample: int, cyclesB, pairing) -> tuple[int, int]:
+    """Under a forced pairing, the source's sheets at ``sample`` with each
+    merged group counted once, and the groups that the values of the paired
+    target slots connect under :meth:`LiftProblem.values_agree`.  A lift
+    sends each merged group into one such group and reaches every paired
+    slot, so it needs the first count at least the second."""
+    A = problem.source
+    n_src = A.degree - sum(len(c) - 1 for c in A.merge_clusters(sample))
+    required = sorted({slot for t in pairing for slot in cyclesB[t[0]]})
+    vals = problem.target.fibers[sample][problem.TB[sample][required]]
+    groups = node_components(len(vals), np.argwhere(problem.values_agree(sample, vals)))
+    return n_src, len(groups)
 
 
 def _strip_obstruction(problem: LiftProblem):
     """Circle fast paths: winding divisibility, then forced-pairing counting.
 
     Returns a certificate dict when a sound obstruction is found, else None.
-    Both arguments are consequences of the loop-equivariance constraint, so
-    they are valid with or without branch merges.
+    Both arguments are consequences of the loop-equivariance constraint;
+    the count, taken at the merge samples with the lift search's own merge
+    rules, can only say "no" where the search would.
     """
     if problem.base.kind != "circle" or not problem.loop_pairs:
         return None
-    rhoA, rhoB = problem.loop_pairs[0]
-    cyclesA = monod.permutation_cycles(rhoA)
-    cyclesB = monod.permutation_cycles(rhoB)
-    lensB = [len(c) for c in cyclesB]
-    pairing = []
-    for cyc in cyclesA:
-        targets = [k for k, c in enumerate(cyclesB) if len(cyc) % len(c) == 0]
+    cyclesA, cyclesB, pairing = _strip_pairing(problem)
+    for cyc, targets in zip(cyclesA, pairing):
         if not targets:
             return {
                 "kind": "strip_divisibility",
                 "source_winding": len(cyc),
-                "target_windings": sorted(lensB),
+                "target_windings": sorted(len(c) for c in cyclesB),
             }
-        pairing.append(targets)
     if any(len(t) != 1 for t in pairing):
         return None                    # pairing not forced; leave it to the search
-    required_slots = sorted({slot for targets in pairing
-                             for slot in cyclesB[targets[0]]})
-    tolv = problem.tol.branch_tol
-    rows = np.arange(problem.base.n_samples)[:, None]
-    n_src = _distinct_counts(problem.source.fibers, tolv)
-    n_req = _distinct_counts(problem.target.fibers[rows, problem.TB[:, required_slots]], tolv)
-    short = np.flatnonzero(n_src < n_req)
-    if not short.size:
-        return None
-    s = int(short[0])
-    return {
-        "kind": "fiber_count",
-        "sample": s,
-        "coordinate": float(problem.base.coords[s]),
-        "source_distinct": int(n_src[s]),
-        "target_distinct": int(n_req[s]),
-        "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]
-                    for i, t in enumerate(pairing)],
-    }
+    for s in problem.merge_samples:
+        n_src, n_req = _fiber_counts(problem, s, cyclesB, pairing)
+        if n_src < n_req:
+            return {
+                "kind": "fiber_count",
+                "sample": s,
+                "coordinate": float(problem.base.coords[s]),
+                "source_distinct": n_src,
+                "target_distinct": n_req,
+                "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]
+                            for i, t in enumerate(pairing)],
+            }
+    return None
 
 
 def recheck_certificate(problem: LiftProblem, certificate: dict) -> bool:
-    """Independent re-derivation of a negative certificate."""
+    """Re-derive a negative certificate from the problem: True when it holds."""
     if certificate["kind"] == "strip_divisibility":
         sA = monod.strips(problem.source).windings
         sB = monod.strips(problem.target).windings
@@ -458,10 +448,12 @@ def recheck_certificate(problem: LiftProblem, certificate: dict) -> bool:
         return a in sA and all(a % b != 0 for b in sB)
     if certificate["kind"] == "fiber_count":
         s = certificate["sample"]
-        strict = 0.5 * problem.tol.branch_tol
-        n_src = _distinct_count(problem.source.fibers[s], strict)
-        return n_src == certificate["source_distinct"] and (
-            n_src < certificate["target_distinct"])
+        _, cyclesB, pairing = _strip_pairing(problem)
+        if s not in problem.merge_samples or any(len(t) != 1 for t in pairing):
+            return False
+        n_src, n_req = _fiber_counts(problem, s, cyclesB, pairing)
+        return n_src < n_req and [n_src, n_req] == [certificate["source_distinct"],
+                                                    certificate["target_distinct"]]
     if certificate["kind"] == "csp_exhaustion":
         return not problem.enumerate(max_count=1)
     return False
@@ -644,7 +636,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     if A.poly is None or B.poly is None:
         return QuotientReport("inconclusive", sample, None, [],
                               "no exact coefficient source available")
-    clusters = [c for c in A.merge_clusters(sample) if len(c) > 1]
+    clusters = A.merge_clusters(sample)
     if len(clusters) != 1 or len(clusters[0]) != 2:
         raise ExtendError(
             f"branch structure at sample {sample} is not two-sheeted")
@@ -794,8 +786,6 @@ def decide_subalgebra(problem: LiftProblem) -> Verdict:
             "lift_certificate": cole.certificate,
         }, diagnostics=diag)
 
-    branch_samples = [int(s) for s in np.flatnonzero(problem.source.branch_flags)
-                      if any(len(c) > 1 for c in problem.source.merge_clusters(int(s)))]
     refusals = []
     any_inconclusive = count > MAX_LIFTS
     for k, g0 in enumerate(itertools.islice(problem._solutions(), MAX_LIFTS)):
@@ -804,8 +794,8 @@ def decide_subalgebra(problem: LiftProblem) -> Verdict:
         reports = []
         failed = False
         inconclusive = False
-        for s in branch_samples:
-            clusters = [c for c in problem.source.merge_clusters(s) if len(c) > 1]
+        for s in problem.merge_samples:
+            clusters = problem.source.merge_clusters(s)
             if len(clusters) != 1 or len(clusters[0]) != 2:
                 inconclusive = True
                 reports.append({"sample": s, "verdict": "inconclusive",

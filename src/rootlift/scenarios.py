@@ -81,9 +81,11 @@ def half_turn_text() -> str:
 
 
 def time_warp_bound(n: int) -> int:
-    """Discrete-continuity bound: the warp has square-root steepness, so
-    adjacent images can be ~sqrt(h) apart."""
-    return math.ceil(math.sqrt(n / (2 * PI))) + 2
+    """Discrete-continuity bound: the warp has square-root steepness at pi.
+    With h = 2 pi / n, the edge ending at pi (even n) maps its ends sqrt(h),
+    or sqrt(n / 2 pi) edges, apart; the edge straddling pi (odd n) maps them
+    2 sqrt(h / 2), or sqrt(n / pi) edges, apart."""
+    return math.ceil(math.sqrt(n / (PI if n % 2 else 2 * PI))) + 2
 
 
 def crossing_quintic(circle: BaseSpace) -> MonicPolynomial:

@@ -9,7 +9,7 @@ from rootlift.base import (BaseSpaceError, identity_selfmap,
                            make_circle, make_graph, make_interval,
                            make_torus2, sample_selfmap)
 from rootlift.funcspec import EvalError
-from rootlift.scenarios import time_warp_map
+from rootlift.scenarios import time_warp_bound, time_warp_map, time_warp_text
 
 
 def test_interval_smallest():
@@ -128,6 +128,17 @@ def test_selfmap_half_turn_on_circle():
     base = make_circle(4)
     smap = sample_selfmap(base, f"theta+{math.pi}")
     assert smap.image_coords[0] == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("n", [2000, 2001, 8000, 8001])
+def test_time_warp_bound_is_tight_at_even_and_odd_n(n):
+    # even n: the edge ending at pi maps its ends sqrt(n / 2 pi) edges apart;
+    # odd n: the edge straddling pi maps them sqrt(n / pi) edges apart
+    base = make_circle(n)
+    bound = time_warp_bound(n)
+    sample_selfmap(base, time_warp_text(), continuity_bound=bound)
+    with pytest.raises(BaseSpaceError, match="exceeds bound"):
+        sample_selfmap(base, time_warp_text(), continuity_bound=bound - 3)
 
 
 def test_selfmap_rejects_discontinuous_table():

@@ -133,3 +133,13 @@ def test_residual_guard_scales_with_a_large_root():
     assert _kernels.residuals(coeffs[None, :], large[None, None])[0, 0] > 1e-9 * 1e8
     with pytest.raises(BundleError, match="above tolerance at sample 0"):
         _check_residuals(coeffs[None, :], np.array([[large * (1 + 1e-6)]]), DEFAULT_TOL)
+
+
+def test_residual_guard_rejects_nan_roots():
+    # t^2 + 1e200 t + 1: b^2 overflows in the closed form, so the roots are NaN
+    from rootlift.bundle import BundleError, solve_fiber
+    message = "above tolerance at sample 0"
+    with np.errstate(all="ignore"), pytest.raises(BundleError, match=message):
+        solve_fiber([1, 1e200])
+    with pytest.raises(BundleError, match=message):
+        _check_residuals(np.array([[1.0, 0.0]]), np.array([[np.nan, 1j]]), DEFAULT_TOL)

@@ -210,7 +210,7 @@ def _ref_merge_clusters(bundle, sample):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in sorted(groups.values())]
+    return [sorted(g) for g in sorted(groups.values()) if len(g) > 1]
 
 
 def _ref_bundle_components(bundle):
