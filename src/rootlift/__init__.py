@@ -14,8 +14,7 @@ from .closedness import (GraphReport, closedness_report, contains_circle,
 from .extend import (FitResult, LiftProblem, LiftWitness, Verdict, ah_extendable,
                      ah_fit, cole_extendable, divided_quotient_test, validate_witness)
 from .funcspec import SampledFunction, evaluate, parse
-from .monodromy import (Monodromy, StripDecomposition, components,
-                        loop_monodromy, strips)
+from .monodromy import StripDecomposition, components, loop_monodromy, strips
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "FitResult", "LiftProblem", "LiftWitness", "Verdict", "ah_extendable",
     "ah_fit", "cole_extendable", "divided_quotient_test", "validate_witness",
     "SampledFunction", "evaluate", "parse",
-    "Monodromy", "StripDecomposition", "components", "loop_monodromy",
-    "strips",
+    "StripDecomposition", "components", "loop_monodromy", "strips",
     "kernel_backend",
 ]

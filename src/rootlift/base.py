@@ -86,15 +86,6 @@ class BaseSpace:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def incident(self, sample: int) -> list[tuple[int, int]]:
-        """Edges at ``sample`` as (edge_id, direction); +1 when it is the tail."""
-        lo, hi = self.adjacency.indptr[sample], self.adjacency.indptr[sample + 1]
-        return list(zip(self.adj_edge[lo:hi].tolist(), self.adj_dir[lo:hi].tolist()))
-
-    def edge_endpoint(self, edge_id: int, direction: int) -> tuple[int, int]:
-        a, b = self.edges[edge_id].tolist()
-        return (a, b) if direction > 0 else (b, a)
-
     def walk_samples(self, walk: list[tuple[int, int]]) -> list[int]:
         """Sample sequence visited by a walk of (edge_id, direction) steps."""
         steps = np.asarray(walk, dtype=np.intp).reshape(-1, 2)
@@ -433,14 +424,14 @@ def _fundamental_cycle(base, parent, eid, a, b):
     while s in parent:
         peid, pdir = parent[s]
         chain_a.append((peid, pdir))
-        s = base.edge_endpoint(peid, pdir)[0]
+        s = int(base.edges[peid, int(pdir < 0)])     # the tree parent of s
         ancestors[s] = len(chain_a)
     chain_b = []                                 # tree edges from b up to the LCA
     s = b
     while s not in ancestors:
         peid, pdir = parent[s]
         chain_b.append((peid, pdir))
-        s = base.edge_endpoint(peid, pdir)[0]
+        s = int(base.edges[peid, int(pdir < 0)])
     walk = [(eid, +1)]
     for peid, pdir in chain_b:                   # descend from b to the LCA
         walk.append((peid, -pdir))

@@ -347,6 +347,13 @@ def _match_batch_lsap(tails, heads):
     return perms, best, second
 
 
+def _inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """Row-wise inverse permutations."""
+    inv = np.empty_like(perms)
+    inv[np.arange(len(perms))[:, None], perms] = np.arange(perms.shape[1])
+    return inv
+
+
 @dataclass
 class RootBundle:
     """The discretized root surface of a monic polynomial."""
@@ -360,13 +367,14 @@ class RootBundle:
     poly: MonicPolynomial | None = None
     tol: Tolerances = DEFAULT_TOL
 
-    def inverse_perm(self, edge_id: int) -> np.ndarray:
-        inv = np.empty(self.degree, dtype=np.intp)
-        inv[self.edge_perms[edge_id]] = np.arange(self.degree)
-        return inv
-
-    def step_perm(self, edge_id: int, direction: int) -> np.ndarray:
-        return self.edge_perms[edge_id] if direction > 0 else self.inverse_perm(edge_id)
+    def directed_perms(self, edge_ids, directions) -> np.ndarray:
+        """(K, n) sheet permutations along K traversed edges: the rows of
+        ``edge_perms``, inverted where the direction is -1, so that slot i at
+        the start of a step continues to slot ``row[i]`` at its end."""
+        perms = self.edge_perms[np.asarray(edge_ids, dtype=np.intp)]
+        back = np.asarray(directions) < 0
+        perms[back] = _inverse_rows(perms[back])
+        return perms
 
     def merge_clusters(self, sample: int) -> list[list[int]]:
         """The merged sheets at ``sample``: the groups of two or more slots
@@ -376,15 +384,16 @@ class RootBundle:
         return [g.tolist() for g in node_components(self.degree, np.argwhere(close))
                 if len(g) > 1]
 
-    def local_motion(self, sample: int) -> float:
-        """Largest sheet movement along edges incident to ``sample``."""
-        worst = 0.0
-        for eid, direction in self.base.incident(sample):
-            a, b = self.base.edge_endpoint(eid, direction)
-            perm = self.step_perm(eid, direction)
-            move = np.max(np.abs(self.fibers[b][perm] - self.fibers[a]))
-            worst = max(worst, float(move))
-        return worst
+    @functools.cached_property
+    def local_motion(self) -> np.ndarray:
+        """(S,) largest sheet movement along the edges at each sample."""
+        tails, heads = self.base.edges.T
+        move = np.max(np.abs(self.fibers[heads[:, None], self.edge_perms]
+                             - self.fibers[tails]), axis=1)
+        out = np.zeros(self.base.n_samples)
+        np.maximum.at(out, tails, move)
+        np.maximum.at(out, heads, move)
+        return out
 
 
 def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundle:

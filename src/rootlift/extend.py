@@ -25,7 +25,7 @@ import numpy as np
 from . import monodromy as monod
 from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
-                     _min_fiber_gap, build_bundle, is_admissible,
+                     _inverse_rows, _min_fiber_gap, build_bundle, is_admissible,
                      pullback_polynomial, solve_fiber)
 
 MAX_LIFTS = 4096         # lifts decide_subalgebra probes before it answers "inconclusive"
@@ -42,13 +42,6 @@ class InadmissibleError(ExtendError):
 # -- the lift constraint problem --------------------------------------------------
 
 
-def _inverse_rows(perms: np.ndarray) -> np.ndarray:
-    """Row-wise inverse permutations."""
-    inv = np.empty_like(perms)
-    inv[np.arange(len(perms))[:, None], perms] = np.arange(perms.shape[1])
-    return inv
-
-
 def _tree_transports(bundles, root: int, nodes, tree_edges, dirs, pred) -> list[np.ndarray]:
     """Per bundle, transports T with T[root] = id and T[x] = step(x) . T[pred[x]].
 
@@ -61,8 +54,7 @@ def _tree_transports(bundles, root: int, nodes, tree_edges, dirs, pred) -> list[
     """
     steps, offsets = [], [0]
     for bundle in bundles:
-        perms = bundle.edge_perms[tree_edges]
-        steps.append(offsets[-1] + np.where((dirs > 0)[:, None], perms, _inverse_rows(perms)))
+        steps.append(offsets[-1] + bundle.directed_perms(tree_edges, dirs))
         offsets.append(offsets[-1] + bundle.degree)
     T = np.empty((len(pred), offsets[-1]), dtype=np.intp)
     T[root] = np.arange(offsets[-1])
@@ -154,7 +146,7 @@ class LiftProblem:
         """Which pairs of target values at ``sample`` merged source sheets may
         take: those within ``branch_tol`` plus ``merge_scale`` local target
         sheet movements.  Every merge check applies this one rule."""
-        tol = self.tol.branch_tol + self.tol.merge_scale * self.target.local_motion(sample)
+        tol = self.tol.branch_tol + self.tol.merge_scale * self.target.local_motion[sample]
         return np.abs(values[:, None] - values[None, :]) <= tol
 
     def _build_merge_constraints(self):
@@ -676,12 +668,13 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
         a_pair = A.fibers[u][slots]
         b_pair = B.fibers[u][targets]
         qs: list[complex] = []
-        # the dyadic probe points, evaluated at once; solved until the pair coalesces
+        # the dyadic probe points, solved at once; tracked until the pair coalesces
         ys = wrap(y0 + side * (2.0 * h * 0.5 ** np.arange(60)))
-        coeffsA, coeffsB = A.poly.coeffs_at(ys), B.poly.coeffs_at(ys)
-        for cA, cB in zip(coeffsA, coeffsB):
-            a_pair = _track_pair(solve_fiber(cA, tol), a_pair)
-            b_pair = _track_pair(solve_fiber(cB, tol), b_pair)
+        fibersA = solve_fiber(A.poly.coeffs_at(ys), tol)
+        fibersB = solve_fiber(B.poly.coeffs_at(ys), tol)
+        for fA, fB in zip(fibersA, fibersB):
+            a_pair = _track_pair(fA, a_pair)
+            b_pair = _track_pair(fB, b_pair)
             denom = a_pair[0] - a_pair[1]
             if abs(denom) < min_gap:
                 break
@@ -742,12 +735,12 @@ def _transport_slots(bundle: RootBundle, src: int, dst: int, slots) -> list[int]
     while cur != src:
         eid, direction = parent[cur].tolist()
         steps.append((eid, direction))
-        cur = base.edge_endpoint(eid, direction)[0]
-    out = list(slots)
-    for eid, direction in reversed(steps):
-        perm = bundle.step_perm(eid, direction)
-        out = [int(perm[i]) for i in out]
-    return out
+        cur = int(base.edges[eid, int(direction < 0)])
+    eids, dirs = np.array(steps[::-1], dtype=np.intp).reshape(-1, 2).T
+    out = np.asarray(slots, dtype=np.intp)
+    for perm in bundle.directed_perms(eids, dirs):
+        out = perm[out]
+    return out.tolist()
 
 
 def _classify_quotients(qs, tol: Tolerances) -> str:

@@ -11,23 +11,6 @@ from .bundle import RootBundle
 
 
 @dataclass
-class Monodromy:
-    """Sheet permutations induced by the base's loop basis.
-
-    ``perms[k]`` acts at the basepoint of loop k: slot i continues to slot
-    perms[k][i] after one traversal.  Recomputing at a different basepoint
-    conjugates the permutation, leaving the cycle type unchanged.
-    """
-
-    basepoints: list[int]
-    perms: list[np.ndarray]
-
-    def cycle_types(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(len(c) for c in permutation_cycles(p)))
-                for p in self.perms]
-
-
-@dataclass
 class StripDecomposition:
     """Monodromy cycles of a circle bundle: (basepoint slots, winding)."""
 
@@ -61,20 +44,11 @@ def loop_monodromy(bundle: RootBundle, loop) -> np.ndarray:
     samples = base.walk_samples(loop)
     if samples[0] != samples[-1]:
         raise BaseSpaceError("monodromy walk is not closed")
+    steps = np.asarray(loop, dtype=np.intp).reshape(-1, 2)
     perm = np.arange(bundle.degree, dtype=np.intp)
-    for eid, direction in loop:
-        perm = bundle.step_perm(eid, direction)[perm]
+    for step in bundle.directed_perms(steps[:, 0], steps[:, 1]):
+        perm = step[perm]
     return perm
-
-
-def bundle_monodromy(bundle: RootBundle) -> Monodromy:
-    base = bundle.base
-    basepoints = []
-    perms = []
-    for loop in base.loop_basis:
-        basepoints.append(base.walk_samples(loop)[0])
-        perms.append(loop_monodromy(bundle, loop))
-    return Monodromy(basepoints, perms)
 
 
 def strips(bundle: RootBundle) -> StripDecomposition:
@@ -84,41 +58,6 @@ def strips(bundle: RootBundle) -> StripDecomposition:
     perm = loop_monodromy(bundle, bundle.base.loop_basis[0])
     cycles = permutation_cycles(perm)
     return StripDecomposition([(cyc, len(cyc)) for cyc in cycles])
-
-
-def synthetic_strip_bundle(circle, windings, radius: float = 1.0,
-                           spacing: float = 4.0) -> RootBundle:
-    """A branch-free circle bundle with prescribed strip windings.
-
-    Strip k of winding a sits on a circle of the given radius around a
-    center spaced ``spacing`` apart from its neighbors, so strips never
-    interact.  Fibers are stored strip-by-strip (not canonically sorted);
-    edge permutations are identity except at the seam, where each strip
-    advances one sheet.
-    """
-    if circle.kind != "circle":
-        raise BaseSpaceError("synthetic strips are built over circle bases")
-    S = circle.n_samples
-    n = sum(windings)
-    fibers = np.empty((S, n), dtype=complex)
-    thetas = np.asarray(circle.coords)
-    offset = 0
-    for si, a in enumerate(windings):
-        center = spacing * si
-        for k in range(a):
-            fibers[:, offset + k] = center + radius * np.exp(
-                1j * (thetas + 2 * np.pi * k) / a)
-        offset += a
-    perms = np.tile(np.arange(n, dtype=np.intp), (circle.n_edges, 1))
-    seam = np.empty(n, dtype=np.intp)
-    offset = 0
-    for a in windings:
-        for k in range(a):
-            seam[offset + k] = offset + (k + 1) % a
-        offset += a
-    perms[circle.n_edges - 1] = seam
-    return RootBundle(circle, n, fibers, perms,
-                      np.zeros(S, dtype=bool), poly=None)
 
 
 def components(bundle: RootBundle) -> list[set[tuple[int, int]]]:

@@ -1,9 +1,14 @@
-"""Seeded random instances for the property suites."""
+"""Seeded random instances, fixtures and per-sample walk helpers for the
+test suites."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from rootlift import is_admissible, sample_selfmap
-from rootlift.bundle import BundleError, build_bundle, poly_from_exprs
+from rootlift.base import BaseSpaceError
+from rootlift.bundle import BundleError, RootBundle, build_bundle, poly_from_exprs
+from rootlift.monodromy import loop_monodromy, permutation_cycles
 
 
 def _fmt(x):
@@ -56,3 +61,89 @@ def random_interval_selfmap(base, rng):
     c = float(rng.uniform(0.0, 2 * np.pi))
     text = f"{_fmt(a)}+{_fmt(b)}*sin(3*x+{_fmt(c)})"
     return sample_selfmap(base, text, continuity_bound=4.0)
+
+
+def random_tree(n_vertices: int, rng) -> list[tuple[int, int]]:
+    """Uniform-attachment random tree edges on ``n_vertices`` vertices."""
+    return [(int(rng.integers(0, v)), v) for v in range(1, n_vertices)]
+
+
+# -- fixtures -----------------------------------------------------------------------
+
+
+@dataclass
+class Monodromy:
+    """Sheet permutations induced by the base's loop basis.
+
+    ``perms[k]`` acts at the basepoint of loop k: slot i continues to slot
+    perms[k][i] after one traversal.  Recomputing at a different basepoint
+    conjugates the permutation, leaving the cycle type unchanged.
+    """
+
+    basepoints: list[int]
+    perms: list[np.ndarray]
+
+    def cycle_types(self) -> list[tuple[int, ...]]:
+        return [tuple(sorted(len(c) for c in permutation_cycles(p)))
+                for p in self.perms]
+
+
+def bundle_monodromy(bundle: RootBundle) -> Monodromy:
+    base = bundle.base
+    basepoints = []
+    perms = []
+    for loop in base.loop_basis:
+        basepoints.append(base.walk_samples(loop)[0])
+        perms.append(loop_monodromy(bundle, loop))
+    return Monodromy(basepoints, perms)
+
+
+def synthetic_strip_bundle(circle, windings, radius: float = 1.0,
+                           spacing: float = 4.0) -> RootBundle:
+    """A branch-free circle bundle with prescribed strip windings.
+
+    Strip k of winding a sits on a circle of the given radius around a
+    center spaced ``spacing`` apart from its neighbors, so strips never
+    interact.  Fibers are stored strip-by-strip (not canonically sorted);
+    edge permutations are identity except at the seam, where each strip
+    advances one sheet.
+    """
+    if circle.kind != "circle":
+        raise BaseSpaceError("synthetic strips are built over circle bases")
+    S = circle.n_samples
+    n = sum(windings)
+    fibers = np.empty((S, n), dtype=complex)
+    thetas = np.asarray(circle.coords)
+    offset = 0
+    for si, a in enumerate(windings):
+        center = spacing * si
+        for k in range(a):
+            fibers[:, offset + k] = center + radius * np.exp(
+                1j * (thetas + 2 * np.pi * k) / a)
+        offset += a
+    perms = np.tile(np.arange(n, dtype=np.intp), (circle.n_edges, 1))
+    seam = np.empty(n, dtype=np.intp)
+    offset = 0
+    for a in windings:
+        for k in range(a):
+            seam[offset + k] = offset + (k + 1) % a
+        offset += a
+    perms[circle.n_edges - 1] = seam
+    return RootBundle(circle, n, fibers, perms,
+                      np.zeros(S, dtype=bool), poly=None)
+
+
+# -- per-sample walks -----------------------------------------------------------------
+
+
+def incident(base, sample: int) -> list[tuple[int, int]]:
+    """Edges at ``sample`` as (edge_id, direction), read from its row of
+    the CSR adjacency; +1 when it is the tail."""
+    lo, hi = base.adjacency.indptr[sample], base.adjacency.indptr[sample + 1]
+    return list(zip(base.adj_edge[lo:hi].tolist(), base.adj_dir[lo:hi].tolist()))
+
+
+def edge_endpoint(base, edge_id: int, direction: int) -> tuple[int, int]:
+    """The (start, end) samples of an edge traversed in ``direction``."""
+    a, b = base.edges[edge_id].tolist()
+    return (a, b) if direction > 0 else (b, a)

@@ -13,17 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from instancegen import random_admissible_poly, random_circle_selfmap
+from instancegen import (random_admissible_poly, random_circle_selfmap, random_tree,
+                         synthetic_strip_bundle)
 from rootlift import (build_bundle, discriminant, identity_selfmap,
                       make_circle, make_graph, make_interval, pullback)
 from rootlift._kernels import residuals
 from rootlift.bundle import resultant_discriminant
 from rootlift.cli import run_scenario
-from rootlift.closedness import closedness_report, has_root, random_tree
+from rootlift.closedness import closedness_report, has_root
 from rootlift.extend import (LiftProblem, ah_fit, decide_lift,
                              decide_subalgebra, divided_quotient_test,
                              lift_problem, validate_witness)
-from rootlift.monodromy import loop_monodromy, strips, synthetic_strip_bundle
+from rootlift.monodromy import loop_monodromy, strips
 from rootlift.scenarios import (builtin_scenario, crossing_quintic, flip_map,
                                 half_turn_map, interval_square_pair,
                                 time_warp_map)

@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from instancegen import edge_endpoint, incident
 from rootlift import funcspec
 from rootlift.base import (BaseSpaceError, identity_selfmap,
                            make_circle, make_graph, make_interval,
@@ -212,10 +213,10 @@ def test_spanning_tree_matches_deque_bfs(base):
 def test_adjacency_rows_in_edge_id_order():
     base = make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 2)
     for s in range(base.n_samples):
-        eids = [eid for eid, _ in base.incident(s)]
+        eids = [eid for eid, _ in incident(base, s)]
         assert eids == sorted(eids)
-        for eid, direction in base.incident(s):
-            assert base.edge_endpoint(eid, direction)[0] == s
+        for eid, direction in incident(base, s):
+            assert edge_endpoint(base, eid, direction)[0] == s
 
 
 def test_torus_edge_layout_invariant():

@@ -191,7 +191,7 @@ def test_interval_edge_perm_coherence():
     for e in range(base.n_edges):
         perm = b.edge_perms[e][perm]
     for e in range(base.n_edges - 1, -1, -1):
-        perm = b.inverse_perm(e)[perm]
+        perm = b.directed_perms([e], [-1])[0][perm]
     assert np.array_equal(perm, np.arange(2))
 
 

@@ -2,9 +2,11 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
-from rootlift import cli, scenarios
+from rootlift import (build_bundle, cli, identity_selfmap, make_torus2, poly_from_exprs,
+                      pullback, scenarios)
 from rootlift.cli import ScenarioError, main, run_scenario, validate_config
 
 
@@ -123,6 +125,28 @@ def test_torus_builtin(tmp_path):
     doc = json.loads((tmp_path / "verdict.json").read_text())
     assert doc["analyses"]["cole"]["answer"] == "no"
     assert doc["analyses"]["torus_controls"]["identity_cole"]["answer"] == "yes"
+
+
+def test_identity_pullback_reproduces_the_torus_source_bundle():
+    # the premise on which torus_controls decides the source against itself
+    cfg = scenarios.builtin_scenario("torus", samples=16)
+    base = make_torus2(16, 16)
+    p = poly_from_exprs(base, cfg["polynomial"]["coefficients"])
+    A, B = build_bundle(p), pullback(p, identity_selfmap(base))
+    assert B.poly.coeff_values.tobytes() == p.coeff_values.tobytes()
+    assert np.array_equal(A.fibers, B.fibers)
+    assert np.array_equal(A.edge_perms, B.edge_perms)
+    assert np.array_equal(A.branch_flags, B.branch_flags)
+
+
+def test_one_vertex_graph_is_algebraically_closed(tmp_path):
+    cfg = {"name": "pt", "base": {"kind": "graph", "vertices": 1, "edges": [],
+                                  "samples_per_edge": 2}, "analyses": ["closedness"]}
+    cfg_path = tmp_path / "pt.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert cli._observed_answers(doc["analyses"])["algebraically_closed"] == "yes"
 
 
 def test_graphdemo_builtin(tmp_path):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from instancegen import random_tree
 from rootlift import (make_circle, make_graph, make_interval,
                       poly_from_exprs)
 from rootlift._kernels import residuals
 from rootlift.closedness import (closedness_report, contains_circle,
                                  cycle_witness_quadratic, has_root,
-                                 random_tree, random_tree_quadratic,
+                                 random_tree_quadratic,
                                  winding_function)
 from rootlift.extend import ExtendError, InadmissibleError
 from rootlift.scenarios import interval_square_pair

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from instancegen import (random_admissible_poly, random_circle_selfmap,
-                         random_interval_selfmap)
+                         random_interval_selfmap, synthetic_strip_bundle)
 from rootlift import (build_bundle, identity_selfmap, make_circle, make_graph,
                       make_interval, make_torus2, poly_from_exprs, poly_from_roots,
                       poly_from_values, pullback, sample_selfmap)
@@ -24,7 +24,6 @@ from rootlift.bundle import Tolerances
 from rootlift.extend import (LiftProblem, _strip_obstruction, cole_extendable,
                              decide_lift, lift_problem, recheck_certificate)
 from rootlift import monodromy as monod
-from rootlift.monodromy import synthetic_strip_bundle
 from rootlift.scenarios import (crossing_quintic, flip_map, half_turn_map,
                                 interval_square_pair, time_warp_map)
 
@@ -213,7 +212,7 @@ def _ref_strip_obstruction(problem):
         n_src = _group_count(A.fibers[s], lambda u, v: abs(u - v) < tol.branch_tol)
         if n_src == A.degree:
             continue                    # no merged sheets, so no merge constraint here
-        merge_tol = tol.branch_tol + tol.merge_scale * B.local_motion(s)
+        merge_tol = tol.branch_tol + tol.merge_scale * B.local_motion[s]
         n_req = _group_count(B.fibers[s][problem.TB[s][required_slots]],
                              lambda u, v: abs(u - v) <= merge_tol)
         if n_src < n_req:

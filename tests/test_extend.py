@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from instancegen import (random_admissible_poly, random_circle_selfmap,
-                         random_interval_selfmap)
+from instancegen import (edge_endpoint, random_admissible_poly, random_circle_selfmap,
+                         random_interval_selfmap, synthetic_strip_bundle)
 from rootlift import (build_bundle, identity_selfmap, make_circle,
                       make_interval, make_torus2, poly_from_exprs,
                       poly_from_roots, poly_from_values, pullback, sample_selfmap)
@@ -18,7 +18,6 @@ from rootlift.extend import (ExtendError, InadmissibleError, LiftProblem,
                              decide_lift, decide_subalgebra,
                              divided_quotient_test, lift_problem,
                              validate_witness)
-from rootlift.monodromy import synthetic_strip_bundle
 from rootlift.scenarios import (crossing_quintic, flip_map, half_turn_map,
                                 interval_square_pair, time_warp_map)
 
@@ -318,9 +317,9 @@ def _reference_transports(problem):
     TB = {problem.basepoint: np.arange(B.degree)}
     tree, _ = base.spanning_tree(problem.basepoint)
     for sample, eid, direction in tree.tolist():
-        parent, _ = base.edge_endpoint(eid, direction)
-        TA[sample] = A.step_perm(eid, direction)[TA[parent]]
-        TB[sample] = B.step_perm(eid, direction)[TB[parent]]
+        parent, _ = edge_endpoint(base, eid, direction)
+        TA[sample] = A.directed_perms([eid], [direction])[0][TA[parent]]
+        TB[sample] = B.directed_perms([eid], [direction])[0][TB[parent]]
     return TA, TB
 
 

@@ -3,9 +3,8 @@ import pytest
 
 from rootlift import (build_bundle, make_circle, make_interval,
                       poly_from_exprs, pullback)
-from rootlift.monodromy import (bundle_monodromy, components, loop_monodromy,
-                                permutation_cycles, strips,
-                                synthetic_strip_bundle)
+from instancegen import bundle_monodromy, synthetic_strip_bundle
+from rootlift.monodromy import components, loop_monodromy, permutation_cycles, strips
 from rootlift.scenarios import (crossing_quintic, interval_square_pair,
                                 time_warp_map)
 

@@ -297,13 +297,15 @@ def _ref_probe(problem, witness, sample, tol=DEFAULT_TOL):
     return y0, quotients
 
 
-@pytest.mark.parametrize("case", ["interval-flip", "circle-time-warp"])
+@pytest.mark.parametrize("case", ["interval-flip", "circle-time-warp", "circle-time-warp-8000"])
 def test_quotient_probes_match_the_one_point_loops(case):
     if case == "interval-flip":
         base = make_interval(301)
         problem = lift_problem(interval_square_pair(base), flip_map(base))
     else:
-        base = make_circle(400)
+        # at 8000 samples the batched probe also solves many rows past the
+        # point where the pair coalesces
+        base = make_circle(8000 if case.endswith("8000") else 400)
         problem = lift_problem(crossing_quintic(base), time_warp_map(base))
     probed = 0
     for s in np.flatnonzero(problem.source.branch_flags):

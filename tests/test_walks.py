@@ -10,20 +10,21 @@ from collections import deque
 import numpy as np
 import pytest
 
-from instancegen import random_admissible_poly, random_circle_selfmap
+from instancegen import (edge_endpoint, incident, random_admissible_poly,
+                         random_circle_selfmap, synthetic_strip_bundle)
 from rootlift import (build_bundle, make_circle, make_graph, make_interval,
                       make_torus2, poly_from_values, pullback, sample_selfmap)
 from rootlift.base import BaseSpaceError, _hop_distances
 from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
 from rootlift.closedness import winding_function
 from rootlift.extend import _transport_slots, ah_fit
-from rootlift.monodromy import components, synthetic_strip_bundle
+from rootlift.monodromy import components
 
 # -- the reference walks --------------------------------------------------------
 
 
 def _neighbours(base, s):
-    return [base.edge_endpoint(eid, d)[1] for eid, d in base.incident(s)]
+    return [edge_endpoint(base, eid, d)[1] for eid, d in incident(base, s)]
 
 
 def _ref_marked_component(base, marked, start):
@@ -86,8 +87,8 @@ def _ref_hop_distance(base, loc_a, loc_b):
     """Distance between two ``(edge, t)`` locations, from their nearest
     samples: an edge's tail where ``t < 0.5``, its head otherwise."""
     (edge_a, t_a), (edge_b, t_b) = loc_a, loc_b
-    src = base.edge_endpoint(edge_a, 1)[0 if t_a < 0.5 else 1]
-    dst = base.edge_endpoint(edge_b, 1)[0 if t_b < 0.5 else 1]
+    src = edge_endpoint(base, edge_a, 1)[0 if t_a < 0.5 else 1]
+    dst = edge_endpoint(base, edge_b, 1)[0 if t_b < 0.5 else 1]
     if src == dst:
         return abs(t_a - 0.5) + abs(t_b - 0.5)
     dist = {src: 0}
@@ -164,8 +165,8 @@ def _ref_transport_slots(bundle, src, dst, slots):
         cur = queue.pop(0)
         if cur == dst:
             break
-        for eid, direction in base.incident(cur):
-            _, nxt = base.edge_endpoint(eid, direction)
+        for eid, direction in incident(base, cur):
+            _, nxt = edge_endpoint(base, eid, direction)
             if nxt not in prev:
                 prev[nxt] = (cur, eid, direction)
                 queue.append(nxt)
@@ -177,9 +178,19 @@ def _ref_transport_slots(bundle, src, dst, slots):
         cur = par
     out = list(slots)
     for eid, direction in reversed(steps):
-        perm = bundle.step_perm(eid, direction)
+        perm = bundle.directed_perms([eid], [direction])[0]
         out = [int(perm[i]) for i in out]
     return out
+
+
+def _ref_local_motion(bundle, sample):
+    """Largest sheet movement along the edges at ``sample``, walked from it."""
+    worst = 0.0
+    for eid, direction in incident(bundle.base, sample):
+        a, b = edge_endpoint(bundle.base, eid, direction)
+        perm = bundle.directed_perms([eid], [direction])[0]
+        worst = max(worst, float(np.max(np.abs(bundle.fibers[b][perm] - bundle.fibers[a]))))
+    return worst
 
 
 def _union_find(n):
@@ -387,6 +398,26 @@ def test_merge_clusters_and_components_match_reference(name, bundle):
     for s in range(bundle.base.n_samples):
         assert bundle.merge_clusters(s) == _ref_merge_clusters(bundle, s)
     assert components(bundle) == _ref_bundle_components(bundle)
+
+
+@pytest.mark.parametrize("name, bundle", list(_all_bundles()))
+def test_local_motion_matches_reference_walk(name, bundle):
+    assert bundle.local_motion.tolist() == [_ref_local_motion(bundle, s)
+                                            for s in range(bundle.base.n_samples)]
+
+
+@pytest.mark.parametrize("name, bundle", list(_all_bundles()))
+def test_directed_perms_match_the_scalar_step(name, bundle):
+    n, E = bundle.degree, bundle.base.n_edges
+    for e, perm in enumerate(bundle.edge_perms.tolist()):
+        inverse = [perm.index(j) for j in range(n)]
+        assert bundle.directed_perms([e], [1])[0].tolist() == perm
+        assert bundle.directed_perms([e], [-1])[0].tolist() == inverse
+    rng = np.random.default_rng(E)
+    eids, dirs = rng.integers(0, E, 40), rng.choice([-1, 1], 40)
+    rows = bundle.directed_perms(eids, dirs)
+    for row, e, d in zip(rows, eids, dirs):
+        assert np.array_equal(row, bundle.directed_perms([e], [d])[0])
 
 
 @pytest.mark.parametrize("name, bundle", list(_all_bundles()))
