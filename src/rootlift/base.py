@@ -265,14 +265,19 @@ class SelfMap:
 
     def image_coords_array(self, coords: np.ndarray) -> np.ndarray:
         """Image coordinates at a coordinate array: exact for expression
-        maps, interpolated between sample images otherwise."""
+        maps, interpolated between sample images otherwise (on torus2 the
+        coordinates must lie on grid lines, as the points of edges do)."""
         coords = np.asarray(coords, dtype=float)
         if self.exprs is not None:
             images, checks = _expression_images(self.base.kind, self.exprs, coords)
             _raise_first(checks)
             return images
         base = self.base
-        e, t = base.coordinate_locations(coords)
+        if base.kind == "torus2":
+            e, t, _ = _torus_grid_locations(base, coords)
+            t = t[:, None]
+        else:
+            e, t = base.coordinate_locations(coords)
         ends = base.edges[e]
         ca, cb = self.image_coords[ends[:, 0]], self.image_coords[ends[:, 1]]
         if base.kind == "interval":

@@ -1,15 +1,13 @@
 """Discretized root surfaces: fibers, continuation matching, pullbacks.
 
 ``build_bundle`` solves the polynomial fiber at every sample, then glues
-adjacent fibers with minimum-total-squared-distance assignments.  From
-degree 5 up a nearest-sheet bound settles first every edge whose nearest
-heads form a permutation that clearly wins; the exhaustive (or, above
-degree 7, assignment) search matches the rest.  An edge
-whose best assignment is not clearly separated from the runner-up is
-bisected adaptively until the matching is unambiguous or the fibers are
-inside the branch tolerance, where sheets genuinely merge and the minimal
-assignment is accepted; all such edges are bisected together, one depth
-at a time.  Off-sample coefficients come from the polynomial's source,
+adjacent fibers with minimum-total-squared-distance assignments, the
+lexicographically first where costs tie.  A nearest-sheet bound settles
+every edge whose nearest heads form a permutation that clearly wins; any
+other edge is bisected adaptively until each span is settled or the fibers
+are inside the branch tolerance, where sheets genuinely merge and the
+minimal assignment is accepted; all such edges are bisected together, one
+depth at a time.  Off-sample coefficients come from the polynomial's source,
 which evaluates with the same array evaluator as its sampled values
 (exact for expressions, root curves and pullbacks), and are linear
 interpolants otherwise.
@@ -26,16 +24,6 @@ import numpy as np
 
 from . import _kernels, funcspec
 from .base import BaseSpace, SelfMap, node_components
-
-MAX_ENUM_DEGREE = 7            # exhaustive assignment enumeration above this uses LSAP
-# permutation costs summed at once by exhaustive matching (1 MB): on a 2-core
-# x86-64 host, degree-7 blocks of this size match several times faster than
-# all edges at once (a cost matrix of tens of MB), and degree 2 no slower
-MATCH_BLOCK_COSTS = 1 << 17
-# the nearest-sheet screen runs from this degree up: on a 2-core x86-64 host
-# the exhaustive search is cheaper below it (131k degree-2 rows: 18 ms against
-# 53 ms; 20k degree-4 rows: 9 ms against 12 ms) and dearer from it on
-SCREEN_MIN_DEGREE = 5
 
 
 class BundleError(RuntimeError):
@@ -243,108 +231,70 @@ def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
     return gap
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perms(n: int) -> np.ndarray:
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    return _PERM_CACHE[n]
-
-
-def _match_batch(tails: np.ndarray, heads: np.ndarray):
-    """Best assignments tail-slot -> head-slot per row, with runner-up costs.
-
-    Enumerates all permutations in lexicographic order and takes the first
-    one of minimal cost, so ties resolve to the lexicographically smallest
-    permutation and results are deterministic.  The runner-up is the least
-    cost once that permutation's is removed (equal to the best on a tie).
-    Costs are summed one row per permutation and one column per edge, in
-    blocks of ``MATCH_BLOCK_COSTS``.
-    """
-    m, n = tails.shape
-    if n > MAX_ENUM_DEGREE:
-        return _match_batch_lsap(tails, heads)
-    perms = _perms(n)
-    dist = np.abs(tails.T[:, None, :] - heads.T[None, :, :]) ** 2   # [tail slot, head slot, edge]
-    best_idx = np.empty(m, dtype=np.intp)
-    best, second = np.empty(m), np.empty(m)
-    step = max(1, MATCH_BLOCK_COSTS // len(perms))
-    for lo in range(0, m, step):
-        block = dist[:, :, lo:lo + step]
-        costs = np.zeros((len(perms), block.shape[2]))
-        for i in range(n):
-            costs += block[i][perms[:, i]]
-        first = np.argmin(costs, axis=0)
-        cols = np.arange(costs.shape[1])
-        best_idx[lo:lo + step], best[lo:lo + step] = first, costs[first, cols]
-        costs[first, cols] = np.inf
-        second[lo:lo + step] = np.min(costs, axis=0)
-    return perms[best_idx], best, second
-
-
 def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float):
-    """:func:`_match_batch`'s permutations and ``second < margin * best``
-    decisions, with the search run only on rows a nearest-sheet bound
-    cannot settle.
+    """Sheet matchings tail slot -> head slot per row, by a nearest-sheet bound.
 
-    From degree ``SCREEN_MIN_DEGREE`` up, each tail slot i takes its
-    nearest head, at squared distance d1(i), with gap δ_i to its
-    second-nearest.  When those heads form a permutation P, every other
-    permutation moves at least two slots off their nearest heads, so it
-    costs at least ``best + δ_(1) + δ_(2)`` (the two smallest gaps), with
-    ``best = Σ d1``.  A row is settled, with P, when that bound passes the
-    margin test with a relative slack of 1e-9 and the two gaps exceed
-    1e-9·best, both far above the rounding of the search's cost sums: P is
-    then the search's own (unique, lexicographically first) optimum and
-    the row is unambiguous either way.  On a settled row ``second`` is
-    that bound, a lower bound on the runner-up cost rather than the cost
-    itself; every other row is searched, so an ambiguous row, the only
-    kind an error message quotes, carries its real runner-up.
+    Each tail slot i takes its nearest head, at squared distance d1(i),
+    with gap δ_i to its second-nearest.  ``best = Σ d1`` (summed in slot
+    order) is a lower bound on every assignment's cost.  When the nearest
+    heads form a permutation P, P costs ``best``, so it is a least-cost
+    assignment, and the lexicographically first one, as each slot takes
+    its smallest nearest head; every other permutation moves at least two
+    slots off their nearest heads, so it costs at least ``bound = best +
+    δ_(1) + δ_(2)`` (the two smallest gaps).  Such a row is ``settled``
+    when that bound passes the margin test with a relative slack of 1e-9
+    and the two gaps exceed 1e-9·best.  A row whose nearest heads collide
+    is never settled (its ``best`` is below its least cost) and takes
+    :func:`_first_least_assignment`, so every row, at every degree, gets
+    the lexicographically first least-cost assignment.  The roots must be
+    finite, as :func:`_check_residuals` ensures.
+
+    Returns ``(perms, settled, best, bound)``.
     """
     m, n = tails.shape
-    if n < SCREEN_MIN_DEGREE:
-        return _match_batch(tails, heads)
-    dist = np.abs(tails[:, :, None] - heads[:, None, :]) ** 2   # [edge, tail slot, head slot]
-    perms = np.argmin(dist, axis=2)
-    two = np.partition(dist, 1, axis=2)
-    best = two[:, :, 0].sum(axis=1)
-    gap = np.partition(two[:, :, 1] - two[:, :, 0], 1, axis=1)
-    gap = gap[:, 0] + gap[:, 1]
-    second = best + gap
-    hit = np.zeros((m, n), dtype=bool)
-    hit[np.arange(m)[:, None], perms] = True
-    # a non-finite root makes best inf or NaN, or draws every nearest head to
-    # one column (argmin takes NaN first), so its row is never settled
-    settled = (hit.all(axis=1) & (gap > 1e-9 * best)
-               & (second * (1.0 - 1e-9) >= margin * best))
-    rest = np.flatnonzero(~settled)
-    if rest.size:
-        perms[rest], best[rest], second[rest] = _match_batch(tails[rest], heads[rest])
-    return perms, best, second
+    dist = np.abs(tails.T[:, None, :] - heads.T[None, :, :]) ** 2   # [tail slot, head slot, edge]
+    near = np.zeros((n, m), dtype=np.intp)          # the first nearest head on a tie
+    d1, d2 = dist[:, 0], np.full((n, m), np.inf)
+    for j in range(1, n):
+        closer = dist[:, j] < d1
+        d2 = np.where(closer, d1, np.minimum(d2, dist[:, j]))
+        d1 = np.where(closer, dist[:, j], d1)
+        near[closer] = j
+    best = d1.sum(axis=0)
+    g1, g2 = d2[0] - d1[0], np.full(m, np.inf)      # the two smallest gaps
+    for g in d2[1:] - d1[1:]:
+        g1, g2 = np.minimum(g1, g), np.minimum(g2, np.maximum(g1, g))
+    gap = g1 + g2
+    bound = best + gap
+    onto = np.bitwise_or.reduce(1 << near, axis=0) == (1 << n) - 1
+    settled = onto & (gap > 1e-9 * best) & (bound * (1.0 - 1e-9) >= margin * best)
+    perms = np.ascontiguousarray(near.T)
+    for e in np.flatnonzero(~onto):
+        perms[e] = _first_least_assignment(dist[:, :, e])
+    return perms, settled, best, bound
 
 
-def _match_batch_lsap(tails, heads):
+def _first_least_assignment(cost: np.ndarray) -> np.ndarray:
+    """The lexicographically first least-cost assignment of an (n, n) cost
+    matrix: slot by slot, the smallest free head that still completes to a
+    least-cost assignment, costs within a relative 1e-12 counting as ties."""
     from scipy.optimize import linear_sum_assignment
 
-    m, n = tails.shape
-    perms = np.empty((m, n), dtype=np.intp)
-    best = np.empty(m)
-    second = np.empty(m)
-    for e in range(m):
-        cost = np.abs(tails[e][:, None] - heads[e][None, :]) ** 2
-        rows, cols = linear_sum_assignment(cost)
-        perms[e] = cols
-        best[e] = cost[rows, cols].sum()
-        runner = np.inf
-        for i in range(n):                       # best assignment avoiding each pair
-            masked = cost.copy()
-            masked[i, cols[i]] = np.inf
-            r2, c2 = linear_sum_assignment(masked)
-            total = masked[r2, c2].sum()
-            runner = min(runner, total)
-        second[e] = runner
-    return perms, best, second
+    def least(i, cols):                 # rows i.. onto the columns cols
+        cols = np.asarray(cols, dtype=np.intp)
+        r, c = linear_sum_assignment(cost[i:, cols])
+        return cost[i + r, cols[c]].sum()
+
+    n = len(cost)
+    target = least(0, range(n)) * (1.0 + 1e-12)
+    perm, free, fixed = np.empty(n, dtype=np.intp), list(range(n)), 0.0
+    for i in range(n):
+        for j in free:
+            if fixed + cost[i, j] + least(i + 1, [f for f in free if f != j]) <= target:
+                break
+        perm[i], fixed = j, fixed + cost[i, j]
+        free.remove(j)
+    return perm
 
 
 def _inverse_rows(perms: np.ndarray) -> np.ndarray:
@@ -406,9 +356,9 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
     edges = base.edges
     tails = fibers[edges[:, 0]]
     heads = fibers[edges[:, 1]]
-    perms, best, second = _match_edges(tails, heads, tol.match_margin)
+    perms, settled, _, _ = _match_edges(tails, heads, tol.match_margin)
     near_branch = flags[edges[:, 0]] | flags[edges[:, 1]]
-    ambiguous = np.flatnonzero(~near_branch & (second < tol.match_margin * best))
+    ambiguous = np.flatnonzero(~near_branch & ~settled)
 
     refinement: dict[int, list[float]] = {}
     if ambiguous.size:
@@ -420,11 +370,11 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
 
 
 def _bisect(p, eids, f0, f1, tol):
-    """Sheet permutations of the ambiguous edges ``eids`` by bisection.
+    """Sheet permutations of the unsettled edges ``eids`` by bisection.
 
     A span [t0, t1] of an edge is a leaf, with its minimal assignment, when
-    its end fibers ``f0 -> f1`` match unambiguously or either end has
-    merged sheets (a fiber gap below ``branch_tol``).  Any other span is
+    :func:`_match_edges` settles its end fibers ``f0 -> f1`` or either end
+    has merged sheets (a fiber gap below ``branch_tol``).  Any other span is
     split at its midpoint, whose fiber is solved; past
     ``max_refine_depth`` it raises :class:`AmbiguousMatchError`.  All spans
     of one depth are matched, evaluated and solved together, so errors
@@ -439,9 +389,8 @@ def _bisect(p, eids, f0, f1, tol):
     t0, t1 = np.zeros(len(eids)), np.ones(len(eids))
     leaves, mids = [], []
     for depth in itertools.count():
-        perm, best, second = _match_edges(f0, f1, tol.match_margin)
-        split = ~((second >= tol.match_margin * best)
-                  | (_min_fiber_gap(f0) < tol.branch_tol)
+        perm, settled, best, bound = _match_edges(f0, f1, tol.match_margin)
+        split = ~(settled | (_min_fiber_gap(f0) < tol.branch_tol)
                   | (_min_fiber_gap(f1) < tol.branch_tol))
         leaves.append((edge[~split], t0[~split], perm[~split]))
         if not split.any():
@@ -450,7 +399,7 @@ def _bisect(p, eids, f0, f1, tol):
             k = int(np.argmax(split))
             raise AmbiguousMatchError(
                 f"edge {edge[k]}: matching ambiguous at depth {depth} "
-                f"(best {best[k]:.3e}, runner-up {second[k]:.3e})")
+                f"(best {best[k]:.3e}, runner-up bound {bound[k]:.3e})")
         edge, t0, t1, f0, f1 = edge[split], t0[split], t1[split], f0[split], f1[split]
         tm = 0.5 * (t0 + t1)
         fm = solve_fiber(p.coeffs_at_locations(edge, tm), tol)

@@ -1,6 +1,9 @@
 """Seeded random instances, fixtures and per-sample walk helpers for the
 test suites."""
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +134,54 @@ def synthetic_strip_bundle(circle, windings, radius: float = 1.0,
     perms[circle.n_edges - 1] = seam
     return RootBundle(circle, n, fibers, perms,
                       np.zeros(S, dtype=bool), poly=None)
+
+
+# -- reference matching -------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+
+def exhaustive_match(tails, heads, rtol: float = 0.0):
+    """Exhaustive sheet matching, the reference for ``bundle._match_edges``.
+
+    Per row of ``tails`` and ``heads`` (shape (m, n), or (n,) for one row),
+    every permutation tail slot -> head slot is costed, in lexicographic
+    order, by its squared distances summed in slot order; the first whose
+    cost is within a relative ``rtol`` of the least wins, so ties go to the
+    lexicographically first optimum.  The runner-up is the least cost once
+    the winner's is removed (equal to the best on a tie).  Returns
+    ``(perms, best, second)``, ``best`` being the winner's cost.
+
+    Costs are built prefix by prefix: each of the n!/(n-k-1)! prefixes of
+    length k+1 adds slot k's distance to its parent prefix's cost, so a
+    permutation's cost is the same slot-order sum at a fraction of the
+    work of summing every permutation's n terms.
+    """
+    tails, heads = np.atleast_2d(tails), np.atleast_2d(heads)
+    m, n = tails.shape
+    perms = _permutations(n)
+    dist = np.abs(tails[:, :, None] - heads[:, None, :]) ** 2   # [row, tail slot, head slot]
+    out = np.empty((m, n), dtype=np.intp)
+    best, second = np.empty(m), np.empty(m)
+    step = max(1, (1 << 18) // len(perms))
+    for lo in range(0, m, step):
+        block = dist[lo:lo + step]
+        costs = np.zeros((len(block), 1))
+        for k in range(n):
+            heads_k = perms[::math.factorial(n - k - 1), k]
+            costs = (costs[:, :, None]
+                     + block[:, k, heads_k].reshape(len(block), -1, n - k)).reshape(len(block), -1)
+        rows = np.arange(len(block))
+        first = np.argmin(costs, axis=1)
+        if rtol:
+            first = np.argmax(costs <= costs[rows, first, None] * (1.0 + rtol), axis=1)
+        out[lo:lo + step], best[lo:lo + step] = perms[first], costs[rows, first]
+        costs[rows, first] = np.inf
+        second[lo:lo + step] = np.min(costs, axis=1)
+    return out, best, second
 
 
 # -- per-sample walks -----------------------------------------------------------------

@@ -6,7 +6,8 @@ example3 (half turn; cole no) through ``cli.run_scenario`` at n = 2000,
 and prints each run's exit code (0: every answer matches ``expect``), its
 observed answers, the ``cole`` certificate kind and the wall time.  A run
 that raises prints the exception instead.  The last line counts the runs
-that matched.  Not collected by pytest (the file name has no ``test_``
+that matched, and the script exits 1 unless every run matched.  Not
+collected by pytest (the file name has no ``test_``
 prefix); run it from the repository root:
 
     PYTHONPATH=src python tests/resolution_sweep.py [n ...]
@@ -47,8 +48,8 @@ def sweep(resolutions) -> int:
             print(f"{name} n={n} exit={code} {answers} "
                   f"cole_certificate={cole.get('certificate_kind')} {seconds:.2f}s", flush=True)
     print(f"{matched} of {runs} runs matched expect")
-    return matched
+    return matched == runs
 
 
 if __name__ == "__main__":
-    sweep([int(a) for a in sys.argv[1:]] or RESOLUTIONS)
+    sys.exit(0 if sweep([int(a) for a in sys.argv[1:]] or RESOLUTIONS) else 1)

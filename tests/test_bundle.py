@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from instancegen import exhaustive_match
 from rootlift import (build_bundle, discriminant, evaluate_poly_on_bundle,
                       identity_selfmap, is_admissible, make_circle,
                       make_interval, poly_from_exprs, poly_from_values,
                       pullback, sample_selfmap, solve_fiber)
-from rootlift.bundle import (AmbiguousMatchError, MonicPolynomial, Tolerances,
+from rootlift.bundle import (AmbiguousMatchError, BundleError, MonicPolynomial, Tolerances,
                              pullback_polynomial, resultant_discriminant)
 from rootlift.scenarios import cubic_contact_text, interval_square_pair
 
@@ -213,40 +214,40 @@ def test_refinement_depth_cap_raises():
         build_bundle(p, tol)
 
 
+def _assert_first_least(perms, tails, heads):
+    """Each row of ``perms`` is the reference's lexicographically first
+    least-cost assignment, ties being exact or, as in the assignment search,
+    within a relative 1e-12.  Returns the reference's best and runner-up
+    costs, with exact ties."""
+    exact, best, second = exhaustive_match(tails, heads)
+    assert perms.dtype == exact.dtype
+    other = np.flatnonzero(np.any(perms != exact, axis=1))
+    assert np.array_equal(perms[other], exhaustive_match(tails[other], heads[other], 1e-12)[0])
+    return best, second
+
+
 def test_lsap_matching_agrees_with_enumeration():
-    from rootlift.bundle import _match_batch, _match_batch_lsap
+    # rows whose nearest heads collide take the assignment search
+    from rootlift.bundle import _first_least_assignment
     rng = np.random.default_rng(12)
     tails = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
     heads = tails + 0.05 * (rng.standard_normal((40, 5))
                             + 1j * rng.standard_normal((40, 5)))
-    pe, be, se = _match_batch(tails, heads)
-    pl, bl, sl = _match_batch_lsap(tails, heads)
-    assert np.array_equal(pe, pl)
-    assert np.allclose(be, bl)
-    assert np.allclose(se, sl)
+    want, best, _ = exhaustive_match(tails, heads)
+    for t, h, w, b in zip(tails, heads, want, best):
+        cost = np.abs(t[:, None] - h[None, :]) ** 2
+        perm = _first_least_assignment(cost)
+        assert np.array_equal(perm, w)
+        assert cost[np.arange(5), perm].sum() == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
-def _ref_match_batch(tails, heads):
-    """Exhaustive matching by a stable sort of all permutation costs."""
-    from rootlift.bundle import _perms
-    m, n = tails.shape
-    perms = _perms(n)
-    dist = np.abs(tails[:, :, None] - heads[:, None, :]) ** 2
-    costs = np.zeros((m, len(perms)))
-    for i in range(n):
-        costs += dist[:, i, perms[:, i]]
-    order = np.argsort(costs, axis=1, kind="stable")
-    best_idx = order[:, 0]
-    best = costs[np.arange(m), best_idx]
-    second = costs[np.arange(m), order[:, 1]] if len(perms) > 1 else np.full(m, np.inf)
-    return perms[best_idx], best, second
-
-
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_exhaustive_matching_equals_the_sorted_reference(n):
-    from rootlift.bundle import _match_batch
+    # the reference enumerates the permutations in sorted (lexicographic)
+    # order and takes the first of least cost, at every degree
+    from rootlift.bundle import _match_edges
     rng = np.random.default_rng(40 + n)
-    m = 60                                   # several blocks of rows at degree 7
+    m = 60
     tails = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     heads = tails + 0.05 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     # tied costs: repeated roots, a whole row of one value, integer lattices
@@ -255,15 +256,33 @@ def test_exhaustive_matching_equals_the_sorted_reference(n):
     tails[1::7] = heads[1::7] = 0.5
     tails[2::9] = rng.integers(0, 2, size=tails[2::9].shape)
     heads[2::9] = rng.integers(0, 2, size=heads[2::9].shape)
-    got, want = _match_batch(tails, heads), _ref_match_batch(tails, heads)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert np.any(got[1] == got[2])          # some rows do tie
+    # and 50 rows of 0/1 lattices, with exact costs (complex lattices would
+    # not have them: |1+1i|² rounds to 2 + 4e-16)
+    tails = np.concatenate([tails, rng.integers(0, 2, size=(50, n))])
+    heads = np.concatenate([heads, rng.integers(0, 2, size=(50, n))])
+    best, second = _assert_first_least(_match_edges(tails, heads, 2.0)[0], tails, heads)
+    assert np.any(best == second)            # some rows do tie
+
+
+@pytest.mark.parametrize("n", [5, 8, 9])
+def test_touch_leaf_keeps_the_identity(n):
+    # a double root 0 opening to -a, a (and back) ties both assignments of
+    # the pair exactly; the lexicographically first is the identity
+    from rootlift.bundle import _match_edges
+    a = 0.3
+    rest = 3.0 * np.arange(1, n - 1) + 0.5j
+    pair = np.array([[0.0, 0.0], [-a, a]])
+    tails = np.array([np.concatenate([p, rest]) for p in pair])
+    heads = tails[::-1]
+    perm, settled, _, _ = _match_edges(tails, heads, 2.0)
+    assert np.array_equal(perm, np.tile(np.arange(n), (2, 1)))
+    assert not settled.any()
+    assert np.array_equal(exhaustive_match(tails, heads)[0], perm)
 
 
 def test_large_degree_bundle_uses_lsap():
-    # degree 8 exceeds the enumeration cap; the assignment fallback must
-    # still produce a coherent bundle
+    # degree 8, where the matching rule is the same as at every other
+    # degree, must still produce a coherent bundle
     base = make_circle(24)
     texts = [f"({0.2 * k}+{0.1 * k}i)+0.05*exp(1i*theta)" for k in range(8)]
     p = poly_from_exprs(base, texts)
@@ -290,11 +309,26 @@ def test_pullback_polynomial_exact_composition():
         assert pt.coeff_values[s, 0] == pytest.approx(want, abs=1e-12)
 
 
+def _least_and_runner_up(cost):
+    """The least assignment of a cost matrix, its cost and the runner-up
+    cost (the least over assignments avoiding one of its pairs), by
+    ``linear_sum_assignment``: a check of the threshold independent of the
+    enumeration."""
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    runner_up = np.inf
+    for i in range(len(cost)):
+        masked = cost.copy()
+        masked[i, cols[i]] = np.inf
+        r, c = linear_sum_assignment(masked)
+        runner_up = min(runner_up, masked[r, c].sum())
+    return cols, cost[rows, cols].sum(), runner_up
+
+
 def _threshold_row(n, margin, rng):
     """One edge on the exact search's decision boundary: heads slide from
     one clear matching towards another, bisected to the last step the search
     still calls unambiguous with the first permutation, and the step after."""
-    from rootlift.bundle import _match_batch
     tails = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     noise = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     start = tails + noise
@@ -306,8 +340,8 @@ def _threshold_row(n, margin, rng):
         return ((1.0 - s) * start + s * end)[None, :]
 
     def clear(s):
-        perm, best, second = _match_batch(tails[None, :], heads_at(s))
-        return np.array_equal(perm[0], np.arange(n)) and second[0] >= margin * best[0]
+        cols, best, second = _least_and_runner_up(np.abs(tails[:, None] - heads_at(s)) ** 2)
+        return np.array_equal(cols, np.arange(n)) and second >= margin * best
 
     lo, hi = 0.0, 1.0
     assert clear(lo) and not clear(hi)
@@ -318,7 +352,7 @@ def _threshold_row(n, margin, rng):
         lo, hi = (mid, hi) if clear(mid) else (lo, mid)
     heads = np.concatenate([heads_at(lo), heads_at(hi)])
     tails = np.stack([tails, tails])
-    _, best, second = _match_batch(tails, heads)
+    _, best, second = exhaustive_match(tails, heads)
     # above margin 1 the boundary is the margin test, at or below it the switch
     # to the other permutation, where the runner-up ties the best
     target = max(margin, 1.0) * best
@@ -329,7 +363,9 @@ def _threshold_row(n, margin, rng):
 @pytest.mark.parametrize("margin", [0.5, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("n", range(2, 10))
 def test_screened_matching_equals_the_search(n, margin):
-    from rootlift.bundle import _match_batch, _match_edges
+    # the nearest-sheet rule gives the search's permutations, and a row it
+    # settles is never ambiguous to the search
+    from rootlift.bundle import _match_edges
     rng = np.random.default_rng(100 * n + int(10 * margin))
     m = 48
     tails = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -344,74 +380,93 @@ def test_screened_matching_equals_the_search(n, margin):
     tails = np.concatenate([t for t, _ in rows])
     heads = np.concatenate([h for _, h in rows])
 
-    want_perm, want_best, want_second = _match_batch(tails, heads)
-    perm, best, second = _match_edges(tails, heads, margin)
-    assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
-    assert np.array_equal(second < margin * best, want_second < margin * want_best)
-    assert np.allclose(best, want_best, rtol=1e-12, atol=0.0)
-    assert np.all(second <= want_second * (1.0 + 1e-12))  # a lower bound at most
+    perm, settled, best, bound = _match_edges(tails, heads, margin)
+    want_best, want_second = _assert_first_least(perm, tails, heads)
+    assert settled.any() and not settled.all()
+    assert np.all(want_second[settled] >= margin * want_best[settled])
+    # best and bound are the least cost and a lower bound on the runner-up
+    # where the nearest heads form a permutation, and best a lower bound else
+    near = np.argmin(np.abs(tails[:, :, None] - heads[:, None, :]), axis=2)
+    onto = np.all(np.sort(near, axis=1) == np.arange(n), axis=1)
+    assert np.allclose(best[onto], want_best[onto], rtol=1e-12, atol=0.0)
+    assert np.all(bound[onto] <= want_second[onto] * (1.0 + 1e-12))
+    assert np.all(best <= want_best * (1.0 + 1e-12))
 
 
-def test_screen_leaves_non_finite_rows_to_the_search():
-    from rootlift.bundle import _match_batch, _match_edges
-    rng = np.random.default_rng(5)
-    tails = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-    heads = tails + 0.01
-    tails[0, 2] = tails[1, 3] = np.nan
-    heads[2, 4] = heads[3, 0] = np.nan
-    tails[4, 1] = heads[5, 5] = np.inf
-    tails[6, 0] = heads[6, 0] = np.inf
-    with np.errstate(invalid="ignore"):                  # inf - inf
-        want = _match_batch(tails, heads)
-        got = _match_edges(tails, heads, 2.0)
-    assert np.array_equal(got[0], want[0])
-    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0, equal_nan=True)
-    assert np.array_equal(got[2][:7], want[2][:7], equal_nan=True)
-    assert got[2][7] <= want[2][7] * (1.0 + 1e-12)       # the finite row
+def test_non_finite_roots_are_rejected_before_matching(monkeypatch):
+    # matching needs finite roots: the residual guard stops a non-finite
+    # sample fiber in build_bundle and a non-finite midpoint in _bisect
+    from rootlift import _kernels, bundle
+    seen = []
+    match = bundle._match_edges
+
+    def checked(tails, heads, margin):
+        seen.append(bool(np.all(np.isfinite(tails)) and np.all(np.isfinite(heads))))
+        return match(tails, heads, margin)
+
+    monkeypatch.setattr(bundle, "_match_edges", checked)
+    solve = _kernels.solve_fibers
+    p, q = (poly_from_exprs(make_interval(11), ["-(x-0.49)^2", "0"]) for _ in range(2))
+    q.fibers                                             # solved at the samples
+    monkeypatch.setattr(_kernels, "solve_fibers", lambda c: np.where(
+        np.arange(len(c))[:, None] == 7, np.nan, solve(c)))
+    with pytest.raises(BundleError, match="residual nan above tolerance at sample 7"):
+        build_bundle(p)
+    assert seen == []
+
+    monkeypatch.setattr(_kernels, "solve_fibers", lambda c: np.full(c.shape, np.nan + 0j))
+    with pytest.raises(BundleError, match="residual nan above tolerance"):
+        build_bundle(q)                                  # the midpoint of edge 4
+    assert seen and all(seen)                            # the edges and spans before it
 
 
-def _count_rows(monkeypatch, name):
-    """The number of rows of each later call of the matcher ``bundle.<name>``."""
+def _count_searches(monkeypatch):
+    """The degree of each later assignment search, which a row whose
+    nearest heads collide takes."""
     from rootlift import bundle
-    rows, matcher = [], getattr(bundle, name)
+    sizes, search = [], bundle._first_least_assignment
 
-    def counting(tails, heads):
-        rows.append(len(tails))
-        return matcher(tails, heads)
+    def counting(cost):
+        sizes.append(len(cost))
+        return search(cost)
 
-    monkeypatch.setattr(bundle, name, counting)
-    return rows
+    monkeypatch.setattr(bundle, "_first_least_assignment", counting)
+    return sizes
 
 
 def test_screen_settles_a_smooth_degree7_bundle(monkeypatch):
     from rootlift import poly_from_roots
-    searched = _count_rows(monkeypatch, "_match_batch")
+    searched = _count_searches(monkeypatch)
     base = make_circle(400)
     texts = [f"({0.3 * k}+{0.1 * k}i)+0.1*exp(1i*(theta+{k}))" for k in range(7)]
     b = build_bundle(poly_from_roots(base, texts))
     assert b.degree == 7 and not b.refinement
-    assert sum(searched) <= 0.05 * len(base.edges)
+    assert len(searched) <= 0.05 * len(base.edges)
 
 
 def test_large_degree_bundle_falls_back_to_lsap_where_the_screen_fails(monkeypatch):
-    # two of eight roots pass within 0.008 of each other while moving 0.08
-    # per sample, so both tail slots of a crossing edge are nearest to one
-    # head: the screen cannot settle those edges, the assignment search
-    # (degree 8) takes them, and bisection resolves them
+    # two of eight roots pass within 0.008 of each other, one overtaking the
+    # other, so both tail slots of a crossing edge are nearest to one head:
+    # the bound cannot settle those edges, the assignment search matches
+    # them, and bisection resolves them
     from rootlift import bundle, poly_from_roots
     base = make_circle(24)
     texts = [f"({0.2 * k}+{0.1 * k}i)+0.05*exp(1i*theta)" for k in range(2, 8)]
-    texts += ["-0.5+0.3*cos(theta)+0.004i", "-0.5-0.3*cos(theta)-0.004i"]
+    texts += ["-0.5+0.3*cos(theta+0.1)+0.004i", "-0.5+0.1*cos(theta+0.1)-0.004i"]
     p = poly_from_roots(base, texts)
-    searched = _count_rows(monkeypatch, "_match_batch_lsap")
+    searched = _count_searches(monkeypatch)
     b = build_bundle(p)
     assert b.degree == 8 and not np.any(b.branch_flags)
-    assert searched and searched[0] < len(base.edges)    # the screen settled the rest
+    assert searched and set(searched) == {8}
     assert b.refinement
 
-    # the same bundle with every edge and span matched by exhaustive search
-    monkeypatch.setattr(bundle, "_match_edges",
-                        lambda tails, heads, margin: _ref_match_batch(tails, heads))
+    # the same bundle with every edge and span matched by exhaustive search,
+    # split where the search itself finds the matching ambiguous
+    def searched_rule(tails, heads, margin):
+        perms, best, second = exhaustive_match(tails, heads)
+        return perms, second >= margin * best, best, second
+
+    monkeypatch.setattr(bundle, "_match_edges", searched_rule)
     ref = build_bundle(p)
     assert np.array_equal(b.edge_perms, ref.edge_perms)
-    assert b.refinement == ref.refinement
+    assert set(ref.refinement) <= set(b.refinement)

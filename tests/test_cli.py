@@ -139,6 +139,32 @@ def test_identity_pullback_reproduces_the_torus_source_bundle():
     assert np.array_equal(A.branch_flags, B.branch_flags)
 
 
+# a double root along the circles sin(theta1) = 0.65, which fall between the
+# grid lines of an 8x8 torus, so the edges that cross them are bisected
+TORUS_TABLE_MAP = {"name": "t", "base": {"kind": "torus2", "shape": [8, 8]},
+                   "polynomial": {"coefficients": ["-(sin(theta1)-0.65)^2", "0"]},
+                   "selfmap": {"identity": True}, "analyses": ["cole"]}
+
+
+def test_torus_table_map_bisects_its_pullback(tmp_path):
+    # a table map's off-sample images lie on the grid lines that edges do
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(TORUS_TABLE_MAP))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert doc["analyses"]["cole"]["answer"] == "yes"
+
+
+def test_identity_table_pullback_reproduces_a_bisected_torus_bundle():
+    base = make_torus2(8, 8)
+    p = poly_from_exprs(base, TORUS_TABLE_MAP["polynomial"]["coefficients"])
+    A, B = build_bundle(p), pullback(p, identity_selfmap(base))
+    assert A.refinement
+    assert np.array_equal(A.fibers, B.fibers)
+    assert np.array_equal(A.edge_perms, B.edge_perms)
+    assert A.refinement == B.refinement
+
+
 def test_one_vertex_graph_is_algebraically_closed(tmp_path):
     cfg = {"name": "pt", "base": {"kind": "graph", "vertices": 1, "edges": [],
                                   "samples_per_edge": 2}, "analyses": ["closedness"]}

@@ -1,10 +1,14 @@
-"""Level-by-level edge bisection against the recursive bisection it replaced,
-and the reference rule for off-sample coefficients.
+"""Level-by-level edge bisection against a recursive bisection, and the
+reference rule for off-sample coefficients.
 
 ``_ref_refine_match`` is the per-edge depth-first recursion that
-``build_bundle`` used before it bisected all ambiguous edges one depth at a
-time; it is kept as the reference.  Permutations must match exactly, and
-each edge must have the same midpoints.
+``build_bundle`` used before it bisected all unsettled edges one depth at
+a time, with the exhaustive search of ``instancegen.exhaustive_match`` as
+its matcher.  Under the ``"bound"`` rule a span is a leaf when the
+nearest-sheet bound, worked out from fully sorted distances, settles it; under the
+``"search"`` rule, the old one, when the search's runner-up passes the
+margin.  ``build_bundle`` must give the bound rule's permutations and
+midpoints exactly, and the search rule's permutations.
 """
 
 import math
@@ -12,14 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from instancegen import (random_admissible_poly, random_circle_selfmap,
+from instancegen import (exhaustive_match, random_admissible_poly, random_circle_selfmap,
                          random_interval_selfmap)
 from rootlift import (_kernels, build_bundle, cli, funcspec, identity_selfmap,
                       make_circle, make_graph, make_interval, make_torus2,
                       poly_from_values, pullback_polynomial)
 from rootlift.bundle import (DEFAULT_TOL, AmbiguousMatchError, BundleError, Tolerances,
-                             _match_batch, _min_fiber_gap, poly_from_exprs,
-                             poly_from_roots, solve_fiber)
+                             _min_fiber_gap, poly_from_exprs, poly_from_roots, solve_fiber)
 from rootlift.extend import (_track_pair, _transport_slots, divided_quotient_test,
                              lift_problem)
 from rootlift.funcspec import EvalError, parse
@@ -29,40 +32,54 @@ from rootlift.scenarios import (builtin_scenario, crossing_quintic, flip_map,
 # -- the reference bisection ------------------------------------------------------
 
 
-def _ref_refine_match(p, eid, t0, t1, f0, f1, depth, tol, midpoints):
-    perm, best, second = _match_batch(f0[None, :], f1[None, :])
-    perm, best, second = perm[0], best[0], second[0]
-    gap0 = _min_fiber_gap(f0[None, :])[0]
-    gap1 = _min_fiber_gap(f1[None, :])[0]
-    if second >= tol.match_margin * best:
-        return perm
-    if gap0 < tol.branch_tol or gap1 < tol.branch_tol:
-        return perm                     # sheets genuinely merge; accept minimum
+def _ref_leaf(f0, f1, tol, rule):
+    """Whether each span of rows f0 -> f1 is a leaf under ``rule``, with the
+    costs an error quotes: the best and the runner-up (or its bound)."""
+    if rule == "search":
+        _, best, second = exhaustive_match(f0, f1)
+        return second >= tol.match_margin * best, best, second
+    n = f0.shape[1]
+    dist = np.abs(f0[:, :, None] - f1[:, None, :]) ** 2    # [span, tail slot, head slot]
+    order = np.argsort(dist, axis=2, kind="stable")          # nearest head first
+    near = np.take_along_axis(dist, order, axis=2)
+    best = sum(near[:, i, 0] for i in range(n))              # in slot order
+    gaps = np.sort(near[:, :, 1] - near[:, :, 0], axis=1)
+    bound = best + gaps[:, 0] + gaps[:, 1]
+    onto = np.all(np.sort(order[:, :, 0], axis=1) == np.arange(n), axis=1)
+    settled = (onto & (gaps[:, 0] + gaps[:, 1] > 1e-9 * best)
+               & (bound * (1.0 - 1e-9) >= tol.match_margin * best))
+    return settled, best, bound
+
+
+def _ref_refine_match(p, eid, t0, t1, f0, f1, depth, tol, midpoints, rule):
+    leaf, best, runner_up = (a[0] for a in _ref_leaf(f0[None, :], f1[None, :], tol, rule))
+    if leaf or min(_min_fiber_gap(np.stack([f0, f1]))) < tol.branch_tol:
+        return exhaustive_match(f0, f1)[0][0]   # a leaf takes the minimum
     if depth >= tol.max_refine_depth:
         raise AmbiguousMatchError(
             f"edge {eid}: matching ambiguous at depth {depth} "
-            f"(best {best:.3e}, runner-up {second:.3e})")
+            f"(best {best:.3e}, runner-up bound {runner_up:.3e})")
     tm = 0.5 * (t0 + t1)
     midpoints.append(tm)
     fm = solve_fiber(p.coeffs_at_locations([eid], [tm])[0], tol)
-    left = _ref_refine_match(p, eid, t0, tm, f0, fm, depth + 1, tol, midpoints)
-    right = _ref_refine_match(p, eid, tm, t1, fm, f1, depth + 1, tol, midpoints)
+    left = _ref_refine_match(p, eid, t0, tm, f0, fm, depth + 1, tol, midpoints, rule)
+    right = _ref_refine_match(p, eid, tm, t1, fm, f1, depth + 1, tol, midpoints, rule)
     return right[left]
 
 
-def _ref_edge_perms(p, tol=DEFAULT_TOL):
+def _ref_edge_perms(p, tol=DEFAULT_TOL, rule="bound"):
     """``build_bundle``'s edge permutations and midpoints, edge by edge."""
     fibers = p.fibers
     flags = _min_fiber_gap(fibers) < tol.branch_tol
     edges = p.base.edges
     tails, heads = fibers[edges[:, 0]], fibers[edges[:, 1]]
-    perms, best, second = _match_batch(tails, heads)
-    near_branch = flags[edges[:, 0]] | flags[edges[:, 1]]
+    perms = exhaustive_match(tails, heads)[0]
+    leaf = _ref_leaf(tails, heads, tol, rule)[0]
     refinement = {}
-    for eid in np.flatnonzero(~near_branch & (second < tol.match_margin * best)):
+    for eid in np.flatnonzero(~(flags[edges[:, 0]] | flags[edges[:, 1]] | leaf)):
         midpoints = []
         perms[eid] = _ref_refine_match(p, int(eid), 0.0, 1.0, tails[eid], heads[eid],
-                                       0, tol, midpoints)
+                                       0, tol, midpoints, rule)
         refinement[int(eid)] = midpoints
     return perms, refinement
 
@@ -75,6 +92,7 @@ def _assert_same_refinement(p, tol=DEFAULT_TOL):
     assert list(bundle.refinement) == list(refinement)
     for eid, midpoints in refinement.items():
         assert bundle.refinement[eid] == sorted(midpoints)
+    assert np.array_equal(perms, _ref_edge_perms(p, tol, "search")[0])
     return len(refinement)
 
 
