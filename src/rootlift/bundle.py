@@ -231,23 +231,23 @@ def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
     return gap
 
 
-def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float):
+def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float, leaf=True):
     """Sheet matchings tail slot -> head slot per row, by a nearest-sheet bound.
 
     Each tail slot i takes its nearest head, at squared distance d1(i),
     with gap δ_i to its second-nearest.  ``best = Σ d1`` (summed in slot
     order) is a lower bound on every assignment's cost.  When the nearest
-    heads form a permutation P, P costs ``best``, so it is a least-cost
-    assignment, and the lexicographically first one, as each slot takes
-    its smallest nearest head; every other permutation moves at least two
-    slots off their nearest heads, so it costs at least ``bound = best +
-    δ_(1) + δ_(2)`` (the two smallest gaps).  Such a row is ``settled``
-    when that bound passes the margin test with a relative slack of 1e-9
-    and the two gaps exceed 1e-9·best.  A row whose nearest heads collide
-    is never settled (its ``best`` is below its least cost) and takes
-    :func:`_first_least_assignment`, so every row, at every degree, gets
-    the lexicographically first least-cost assignment.  The roots must be
-    finite, as :func:`_check_residuals` ensures.
+    heads form a permutation P, P costs ``best`` and any other permutation,
+    moving two slots or more off their nearest heads, at least ``bound =
+    best + δ_(1) + δ_(2)`` (the two smallest gaps); if those gaps exceed
+    1e-9·best, nothing ties P.  Such a row is ``settled`` when its bound
+    passes the margin test with a relative slack of 1e-9.  Any other row
+    that ``leaf`` marks (every row by default) takes the identity if that
+    ties ``best``, else :func:`_first_least_assignment`.  So each settled
+    or marked row, at every degree, gets the lexicographically first
+    least-cost assignment, costs within a relative 1e-12 tying; the rest
+    keep their nearest heads, to be bisected.  The roots must be finite, as
+    :func:`_check_residuals` ensures.
 
     Returns ``(perms, settled, best, bound)``.
     """
@@ -266,34 +266,37 @@ def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float):
         g1, g2 = np.minimum(g1, g), np.minimum(g2, np.maximum(g1, g))
     gap = g1 + g2
     bound = best + gap
-    onto = np.bitwise_or.reduce(1 << near, axis=0) == (1 << n) - 1
-    settled = onto & (gap > 1e-9 * best) & (bound * (1.0 - 1e-9) >= margin * best)
+    clear = np.all(np.sort(near, axis=0) == np.arange(n)[:, None], axis=0) & (gap > 1e-9 * best)
+    settled = clear & (bound * (1.0 - 1e-9) >= margin * best)
     perms = np.ascontiguousarray(near.T)
-    for e in np.flatnonzero(~onto):
+    search = ~clear & leaf
+    # nothing precedes the identity, so it wins wherever it ties best
+    first = search & (dist[np.arange(n), np.arange(n)].sum(axis=0) <= best * (1.0 + 1e-12))
+    perms[first] = np.arange(n)
+    for e in np.flatnonzero(search & ~first):
         perms[e] = _first_least_assignment(dist[:, :, e])
     return perms, settled, best, bound
 
 
 def _first_least_assignment(cost: np.ndarray) -> np.ndarray:
     """The lexicographically first least-cost assignment of an (n, n) cost
-    matrix: slot by slot, the smallest free head that still completes to a
-    least-cost assignment, costs within a relative 1e-12 counting as ties."""
+    matrix, costs within a relative 1e-12 of the least tying: from a least
+    ``linear_sum_assignment``, slot by slot, the first smaller free head
+    whose least completion keeps the total within the ties replaces the
+    slot's head, the completion the later slots'."""
     from scipy.optimize import linear_sum_assignment
-
-    def least(i, cols):                 # rows i.. onto the columns cols
-        cols = np.asarray(cols, dtype=np.intp)
-        r, c = linear_sum_assignment(cost[i:, cols])
-        return cost[i + r, cols[c]].sum()
-
     n = len(cost)
-    target = least(0, range(n)) * (1.0 + 1e-12)
-    perm, free, fixed = np.empty(n, dtype=np.intp), list(range(n)), 0.0
-    for i in range(n):
-        for j in free:
-            if fixed + cost[i, j] + least(i + 1, [f for f in free if f != j]) <= target:
+    perm = linear_sum_assignment(cost)[1]
+    target = cost[np.arange(n), perm].sum() * (1.0 + 1e-12)
+    fixed = 0.0
+    for i in range(n - 1):
+        for j in sorted(h for h in perm[i + 1:].tolist() if h < perm[i]):
+            rest = np.sort(perm[i:][perm[i:] != j])
+            c = linear_sum_assignment(cost[i + 1:, rest])[1]
+            if fixed + cost[i, j] + cost[np.arange(i + 1, n), rest[c]].sum() <= target:
+                perm[i], perm[i + 1:] = j, rest[c]
                 break
-        perm[i], fixed = j, fixed + cost[i, j]
-        free.remove(j)
+        fixed += cost[i, perm[i]]
     return perm
 
 
@@ -356,8 +359,8 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
     edges = base.edges
     tails = fibers[edges[:, 0]]
     heads = fibers[edges[:, 1]]
-    perms, settled, _, _ = _match_edges(tails, heads, tol.match_margin)
     near_branch = flags[edges[:, 0]] | flags[edges[:, 1]]
+    perms, settled, _, _ = _match_edges(tails, heads, tol.match_margin, near_branch)
     ambiguous = np.flatnonzero(~near_branch & ~settled)
 
     refinement: dict[int, list[float]] = {}
@@ -389,9 +392,9 @@ def _bisect(p, eids, f0, f1, tol):
     t0, t1 = np.zeros(len(eids)), np.ones(len(eids))
     leaves, mids = [], []
     for depth in itertools.count():
-        perm, settled, best, bound = _match_edges(f0, f1, tol.match_margin)
-        split = ~(settled | (_min_fiber_gap(f0) < tol.branch_tol)
-                  | (_min_fiber_gap(f1) < tol.branch_tol))
+        merged = (_min_fiber_gap(f0) < tol.branch_tol) | (_min_fiber_gap(f1) < tol.branch_tol)
+        perm, settled, best, bound = _match_edges(f0, f1, tol.match_margin, merged)
+        split = ~(settled | merged)
         leaves.append((edge[~split], t0[~split], perm[~split]))
         if not split.any():
             break

@@ -144,16 +144,17 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def exhaustive_match(tails, heads, rtol: float = 0.0):
+def exhaustive_match(tails, heads):
     """Exhaustive sheet matching, the reference for ``bundle._match_edges``.
 
     Per row of ``tails`` and ``heads`` (shape (m, n), or (n,) for one row),
     every permutation tail slot -> head slot is costed, in lexicographic
     order, by its squared distances summed in slot order; the first whose
-    cost is within a relative ``rtol`` of the least wins, so ties go to the
-    lexicographically first optimum.  The runner-up is the least cost once
-    the winner's is removed (equal to the best on a tie).  Returns
-    ``(perms, best, second)``, ``best`` being the winner's cost.
+    cost is within a relative 1e-12 of the least wins, so ties, exact or
+    by rounding, go to the lexicographically first optimum.  The runner-up
+    is the least cost once the winner's is removed (equal to the best on an
+    exact tie).  Returns ``(perms, best, second)``, ``best`` being the
+    winner's cost.
 
     Costs are built prefix by prefix: each of the n!/(n-k-1)! prefixes of
     length k+1 adds slot k's distance to its parent prefix's cost, so a
@@ -175,9 +176,8 @@ def exhaustive_match(tails, heads, rtol: float = 0.0):
             costs = (costs[:, :, None]
                      + block[:, k, heads_k].reshape(len(block), -1, n - k)).reshape(len(block), -1)
         rows = np.arange(len(block))
-        first = np.argmin(costs, axis=1)
-        if rtol:
-            first = np.argmax(costs <= costs[rows, first, None] * (1.0 + rtol), axis=1)
+        least = np.min(costs, axis=1, keepdims=True)
+        first = np.argmax(costs <= least * (1.0 + 1e-12), axis=1)
         out[lo:lo + step], best[lo:lo + step] = perms[first], costs[rows, first]
         costs[rows, first] = np.inf
         second[lo:lo + step] = np.min(costs, axis=1)

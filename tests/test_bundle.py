@@ -214,18 +214,6 @@ def test_refinement_depth_cap_raises():
         build_bundle(p, tol)
 
 
-def _assert_first_least(perms, tails, heads):
-    """Each row of ``perms`` is the reference's lexicographically first
-    least-cost assignment, ties being exact or, as in the assignment search,
-    within a relative 1e-12.  Returns the reference's best and runner-up
-    costs, with exact ties."""
-    exact, best, second = exhaustive_match(tails, heads)
-    assert perms.dtype == exact.dtype
-    other = np.flatnonzero(np.any(perms != exact, axis=1))
-    assert np.array_equal(perms[other], exhaustive_match(tails[other], heads[other], 1e-12)[0])
-    return best, second
-
-
 def test_lsap_matching_agrees_with_enumeration():
     # rows whose nearest heads collide take the assignment search
     from rootlift.bundle import _first_least_assignment
@@ -256,11 +244,13 @@ def test_exhaustive_matching_equals_the_sorted_reference(n):
     tails[1::7] = heads[1::7] = 0.5
     tails[2::9] = rng.integers(0, 2, size=tails[2::9].shape)
     heads[2::9] = rng.integers(0, 2, size=heads[2::9].shape)
-    # and 50 rows of 0/1 lattices, with exact costs (complex lattices would
-    # not have them: |1+1i|² rounds to 2 + 4e-16)
-    tails = np.concatenate([tails, rng.integers(0, 2, size=(50, n))])
-    heads = np.concatenate([heads, rng.integers(0, 2, size=(50, n))])
-    best, second = _assert_first_least(_match_edges(tails, heads, 2.0)[0], tails, heads)
+    # and 50 rows of complex 0/1 lattices, whose ties round apart:
+    # |1+1i|² is 2 + 4e-16, |1|² + |1i|² is 2
+    lattice = rng.integers(0, 2, size=(2, 50, n, 2)) @ np.array([1, 1j])
+    tails, heads = np.concatenate([tails, lattice[0]]), np.concatenate([heads, lattice[1]])
+    got = _match_edges(tails, heads, 2.0)[0]
+    want, best, second = exhaustive_match(tails, heads)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.any(best == second)            # some rows do tie
 
 
@@ -278,6 +268,14 @@ def test_touch_leaf_keeps_the_identity(n):
     assert np.array_equal(perm, np.tile(np.arange(n), (2, 1)))
     assert not settled.any()
     assert np.array_equal(exhaustive_match(tails, heads)[0], perm)
+
+
+def test_nearest_sheet_bound_settles_at_degree_70():
+    # the permutation test has no bit masks to overflow past degree 63
+    from rootlift.bundle import _match_edges
+    tails = np.arange(70.0)[None, :] + 0.5j
+    perm, settled, _, _ = _match_edges(tails, tails + 0.01, 2.0)
+    assert settled.all() and np.array_equal(perm[0], np.arange(70))
 
 
 def test_large_degree_bundle_uses_lsap():
@@ -381,7 +379,8 @@ def test_screened_matching_equals_the_search(n, margin):
     heads = np.concatenate([h for _, h in rows])
 
     perm, settled, best, bound = _match_edges(tails, heads, margin)
-    want_best, want_second = _assert_first_least(perm, tails, heads)
+    want_perm, want_best, want_second = exhaustive_match(tails, heads)
+    assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
     assert settled.any() and not settled.all()
     assert np.all(want_second[settled] >= margin * want_best[settled])
     # best and bound are the least cost and a lower bound on the runner-up
@@ -391,6 +390,11 @@ def test_screened_matching_equals_the_search(n, margin):
     assert np.allclose(best[onto], want_best[onto], rtol=1e-12, atol=0.0)
     assert np.all(bound[onto] <= want_second[onto] * (1.0 + 1e-12))
     assert np.all(best <= want_best * (1.0 + 1e-12))
+    # rows marked as leaves keep their assignment unsettled, the others
+    # only where settled
+    leaf = rng.random(len(tails)) < 0.5
+    kept = leaf | settled
+    assert np.array_equal(_match_edges(tails, heads, margin, leaf)[0][kept], perm[kept])
 
 
 def test_non_finite_roots_are_rejected_before_matching(monkeypatch):
@@ -400,9 +404,9 @@ def test_non_finite_roots_are_rejected_before_matching(monkeypatch):
     seen = []
     match = bundle._match_edges
 
-    def checked(tails, heads, margin):
+    def checked(tails, heads, margin, leaf):
         seen.append(bool(np.all(np.isfinite(tails)) and np.all(np.isfinite(heads))))
-        return match(tails, heads, margin)
+        return match(tails, heads, margin, leaf)
 
     monkeypatch.setattr(bundle, "_match_edges", checked)
     solve = _kernels.solve_fibers
@@ -445,28 +449,28 @@ def test_screen_settles_a_smooth_degree7_bundle(monkeypatch):
 
 
 def test_large_degree_bundle_falls_back_to_lsap_where_the_screen_fails(monkeypatch):
-    # two of eight roots pass within 0.008 of each other, one overtaking the
-    # other, so both tail slots of a crossing edge are nearest to one head:
-    # the bound cannot settle those edges, the assignment search matches
-    # them, and bisection resolves them
+    # two of eight roots pass within 0.008 of each other while moving 0.08
+    # per sample: the bound cannot settle the edges where they pass, so
+    # bisection resolves them, and no span there needs the assignment
+    # search, which only leaves the bound leaves unsettled take
     from rootlift import bundle, poly_from_roots
     base = make_circle(24)
     texts = [f"({0.2 * k}+{0.1 * k}i)+0.05*exp(1i*theta)" for k in range(2, 8)]
-    texts += ["-0.5+0.3*cos(theta+0.1)+0.004i", "-0.5+0.1*cos(theta+0.1)-0.004i"]
+    texts += ["-0.5+0.3*cos(theta)+0.004i", "-0.5-0.3*cos(theta)-0.004i"]
     p = poly_from_roots(base, texts)
     searched = _count_searches(monkeypatch)
     b = build_bundle(p)
     assert b.degree == 8 and not np.any(b.branch_flags)
-    assert searched and set(searched) == {8}
+    assert searched == []
     assert b.refinement
 
     # the same bundle with every edge and span matched by exhaustive search,
     # split where the search itself finds the matching ambiguous
-    def searched_rule(tails, heads, margin):
+    def searched_rule(tails, heads, margin, leaf):
         perms, best, second = exhaustive_match(tails, heads)
         return perms, second >= margin * best, best, second
 
     monkeypatch.setattr(bundle, "_match_edges", searched_rule)
     ref = build_bundle(p)
     assert np.array_equal(b.edge_perms, ref.edge_perms)
-    assert set(ref.refinement) <= set(b.refinement)
+    assert b.refinement == ref.refinement
