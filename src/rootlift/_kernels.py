@@ -27,13 +27,22 @@ def horner(coeffs: np.ndarray, z: np.ndarray):
 
 
 def polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray:
-    """Guarded Newton sweeps; steps are skipped where p' underflows."""
+    """Guarded Newton sweeps; steps are skipped where p' underflows, and
+    where a step reaches half way to the root's nearest neighbour in the
+    input row: near a multiple root Newton can throw one copy far off."""
     z = roots.copy()
+    half_gap = np.full(z.shape, np.inf)
+    for i in range(z.shape[1]):
+        for j in range(i + 1, z.shape[1]):
+            gap = 0.5 * np.abs(z[:, i] - z[:, j])
+            np.minimum(half_gap[:, i], gap, out=half_gap[:, i])
+            np.minimum(half_gap[:, j], gap, out=half_gap[:, j])
     for _ in range(sweeps):
         p, dp = horner(coeffs, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = p / dp
-        ok = (np.abs(dp) > 1e-300) & (np.abs(step) < 0.5 * (1.0 + np.abs(z)))
+        bound = np.minimum(0.5 * (1.0 + np.abs(z)), half_gap)
+        ok = (np.abs(dp) > 1e-300) & (np.abs(step) < bound)
         z = np.where(ok, z - step, z)
     return z
 

@@ -42,31 +42,45 @@ class InadmissibleError(ExtendError):
 # -- the lift constraint problem --------------------------------------------------
 
 
-def _tree_transports(bundles, root: int, nodes, tree_edges, dirs, pred) -> list[np.ndarray]:
-    """Per bundle, transports T with T[root] = id and T[x] = step(x) . T[pred[x]].
+def _tree_transports(bundles, nodes, tree_edges, dirs, pred, moving):
+    """Per bundle, the transports F of the owners, and each sample's row
+    ``owner`` of F: T = F[owner] has T[root] = id and T[x] = step(x) . T[pred[x]].
 
-    ``step(x)`` is the sheet permutation along x's tree edge.  The bundles'
-    permutations are composed together, as one block-diagonal permutation
-    per sample, by pointer doubling: while ``T[x] = F[x] . T[anc[x]]`` for
-    a partial product F, each round sets ``F[x] <- F[x] . F[anc[x]]`` and
-    ``anc[x] <- anc[anc[x]]`` for every x whose ``anc`` is not yet the
-    root, so a tree of depth d takes about log2(d) rounds.
+    ``step(x)``, the sheet permutation along x's tree edge, is the identity
+    unless ``moving`` marks that edge, so T is constant between the steps
+    that move a sheet.  A sample's owner is its nearest ancestor-or-self
+    whose step moves a sheet, or the root (row 0, the one sample that is
+    its own ``pred``), found by pointer jumping.  The owners' transports are composed together,
+    as one block-diagonal permutation per owner, by pointer doubling: while
+    ``F[x] = P[x] . F[anc[x]]`` for a partial product P, each round sets
+    ``P[x] <- P[x] . P[anc[x]]`` and ``anc[x] <- anc[anc[x]]`` for every x
+    whose ``anc`` is not yet the root, so owners at most d moves deep take
+    about log2(d) rounds.
     """
+    moves = moving[tree_edges]
+    movers = nodes[moves]
+    owner = pred.copy()
+    owner[movers] = movers
+    while not np.array_equal(jumped := owner[owner], owner):
+        owner = jumped
+    row = np.zeros(len(pred), dtype=np.intp)
+    row[movers] = np.arange(1, len(movers) + 1)
     steps, offsets = [], [0]
     for bundle in bundles:
-        steps.append(offsets[-1] + bundle.directed_perms(tree_edges, dirs))
+        steps.append(offsets[-1] + bundle.directed_perms(tree_edges[moves], dirs[moves]))
         offsets.append(offsets[-1] + bundle.degree)
-    T = np.empty((len(pred), offsets[-1]), dtype=np.intp)
-    T[root] = np.arange(offsets[-1])
-    T[nodes] = np.concatenate(steps, axis=1)
-    anc = pred.copy()
-    todo = np.flatnonzero(anc != root)
+    F = np.empty((len(movers) + 1, offsets[-1]), dtype=np.intp)
+    F[0] = np.arange(offsets[-1])
+    F[1:] = np.concatenate(steps, axis=1)
+    anc = np.zeros(len(F), dtype=np.intp)
+    anc[1:] = row[owner[pred[movers]]]
+    todo = np.flatnonzero(anc)
     while todo.size:
         up = anc[todo]
-        T[todo] = np.take_along_axis(T[todo], T[up], axis=1)
+        F[todo] = np.take_along_axis(F[todo], F[up], axis=1)
         anc[todo] = anc[up]
-        todo = todo[anc[todo] != root]
-    return [T[:, lo:hi] - lo for lo, hi in zip(offsets, offsets[1:])]
+        todo = todo[anc[todo] != 0]
+    return row[owner], [F[:, lo:hi] - lo for lo, hi in zip(offsets, offsets[1:])]
 
 
 class LiftProblem:
@@ -83,8 +97,7 @@ class LiftProblem:
         self.tol = source.tol
         self.base = source.base
         self.basepoint = self._pick_basepoint()
-        self._build_transports()
-        self._build_loop_constraints()
+        self._build_loop_constraints(*self._build_transports())
         self._build_merge_constraints()
 
     # most-merged sample first: it carries the strongest unary pruning
@@ -105,6 +118,9 @@ class LiftProblem:
 
         ``TA[x]`` (``TB[x]``) sends a basepoint slot of the source (target)
         to its slot at sample x; ``cotree`` lists the edges off the tree.
+        Both are gathered as T = F[owner] from the transports F of the
+        owners (see ``_tree_transports``); returns ``owner`` and the (E,)
+        mask of the edges that move a sheet in either bundle.
         """
         base = self.base
         tree, _ = base.spanning_tree(self.basepoint)
@@ -112,27 +128,40 @@ class LiftProblem:
         ends = base.edges[tree_edges]
         pred = np.arange(base.n_samples)
         pred[nodes] = np.where(dirs > 0, ends[:, 0], ends[:, 1])
-        self.TA, self.TB = _tree_transports((self.source, self.target), self.basepoint,
-                                            nodes, tree_edges, dirs, pred)
+        # a permutation is the identity exactly when its inverse is, so the
+        # test needs no direction
+        moving = np.zeros(base.n_edges, dtype=bool)
+        for bundle in (self.source, self.target):
+            moving |= (bundle.edge_perms != np.arange(bundle.degree)).any(axis=1)
+        owner, (FA, FB) = _tree_transports((self.source, self.target),
+                                           nodes, tree_edges, dirs, pred, moving)
+        self.TA, self.TB = FA[owner], FB[owner]
+        self.invTA, self.invTB = _inverse_rows(FA)[owner], _inverse_rows(FB)[owner]
         in_tree = np.zeros(base.n_edges, dtype=bool)
         in_tree[tree_edges] = True
         self.cotree = np.flatnonzero(~in_tree)
-        self.invTA = _inverse_rows(self.TA)
-        self.invTB = _inverse_rows(self.TB)
+        return owner, moving
 
-    def _build_loop_constraints(self):
+    def _build_loop_constraints(self, owner, moving):
         """Each co-tree edge x->y yields g0 . rhoA = rhoB . g0 at the basepoint.
 
         ``loop_pairs`` keeps each distinct (rhoA, rhoB) once, in order of
-        first occurrence over the co-tree edges.
+        first occurrence over the co-tree edges.  An edge that moves no
+        sheet gives a pair fixed by the owners of its ends, so only the
+        first edge of each owner pair is solved, with every moving edge.
         """
         a, b = self.base.edges[self.cotree].T
+        # one key per owner pair, and a negative one of its own per moving edge
+        groups = np.where(moving[self.cotree], -1 - np.arange(len(self.cotree)),
+                        owner[a] * (owner.max() + 1) + owner[b])
+        first = np.sort(np.unique(groups, return_index=True)[1])
+        a, b, edges = a[first], b[first], self.cotree[first]
         rhoA = np.take_along_axis(self.invTA[b], np.take_along_axis(
-            self.source.edge_perms[self.cotree], self.TA[a], axis=1), axis=1)
+            self.source.edge_perms[edges], self.TA[a], axis=1), axis=1)
         rhoB = np.take_along_axis(self.invTB[b], np.take_along_axis(
-            self.target.edge_perms[self.cotree], self.TB[a], axis=1), axis=1)
+            self.target.edge_perms[edges], self.TB[a], axis=1), axis=1)
         keep = []
-        if len(self.cotree):
+        if len(edges):
             # one opaque key per (rhoA, rhoB) row; unique's stable sort
             # returns each key's first occurrence
             small = np.min_scalar_type(max(self.source.degree, self.target.degree))

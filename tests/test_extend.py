@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from instancegen import (edge_endpoint, random_admissible_poly, random_circle_selfmap,
                          random_interval_selfmap, synthetic_strip_bundle)
-from rootlift import (build_bundle, identity_selfmap, make_circle,
+from rootlift import (build_bundle, identity_selfmap, make_circle, make_graph,
                       make_interval, make_torus2, poly_from_exprs,
                       poly_from_roots, poly_from_values, pullback, sample_selfmap)
 from rootlift import bundle, cli, closedness, extend, figures, monodromy
@@ -392,6 +393,75 @@ def test_lift_problem_matches_reference_on_torus_swap():
     assert verdict.certificate["kind"] == "csp_exhaustion"
     assert verdict.certificate["loop_constraints"] == 4097
     assert decide_lift(ident).answer == "yes"
+
+
+def _constant_sheets(base, degree):
+    """The bundle with sheets 0, 1, ..., degree - 1, which no edge moves."""
+    lower = np.poly(np.arange(degree))[1:][::-1]
+    return build_bundle(poly_from_values(base, [np.full(base.n_samples, c) for c in lower]))
+
+
+def _permuted(bundle, share, rng):
+    """``bundle`` with a seeded random sheet permutation, never the identity,
+    on each edge drawn with probability ``share``; no other edge moves a sheet."""
+    ident = np.arange(bundle.degree)
+    perms = np.tile(ident, (bundle.base.n_edges, 1))
+    drawn = rng.random(len(perms)) < share
+    perms[drawn] = rng.permuted(perms[drawn], axis=1)
+    perms[drawn & (perms == ident).all(axis=1)] = np.roll(ident, 1)
+    return dataclasses.replace(bundle, edge_perms=perms)
+
+
+def _check_inverses(problem):
+    for T, inv in ((problem.TA, problem.invTA), (problem.TB, problem.invTB)):
+        assert np.array_equal(np.take_along_axis(inv, T, axis=1),
+                              np.broadcast_to(np.arange(T.shape[1]), T.shape))
+
+
+@pytest.mark.parametrize("share", [0.0, 0.01, 1.0])
+def test_lift_problem_matches_reference_on_permuted_bundles(share):
+    # transports are composed only at tree steps that move a sheet; these
+    # bundles move none, about 1% or all of their sheets along the edges
+    rng = np.random.default_rng(int(share * 100) + 7)
+    for base in (make_circle(120), make_torus2(16, 16), make_graph(1, [(0, 0), (0, 0)], 20)):
+        for degree in (2, 3, 4):
+            R = _constant_sheets(base, degree)
+            A, B = _permuted(R, share, rng), _permuted(R, share, rng)
+            for problem in (LiftProblem(A, B), LiftProblem(A, A)):
+                _check_against_reference(problem)
+                _check_inverses(problem)
+
+
+def test_lift_problem_matches_reference_from_a_branch_basepoint():
+    # the sheets +-cos(theta) merge at theta = pi/2 and 3 pi/2, so the
+    # basepoint is a merge sample and not sample 0
+    base = make_circle(120)
+    A = build_bundle(poly_from_roots(base, ["cos(theta)", "-cos(theta)", "2"]))
+    rng = np.random.default_rng(3)
+    for B in (A, _permuted(A, 0.01, rng), _permuted(A, 1.0, rng)):
+        problem = LiftProblem(A, B)
+        assert problem.basepoint == 30 and problem.merge_samples == [30, 90]
+        _check_against_reference(problem)
+        _check_inverses(problem)
+
+
+def test_loop_pairs_keep_first_occurrence_with_a_moving_cotree_edge():
+    # a bouquet of three loops; co-tree edges 1, 4 and 7 are the middle
+    # edges of loops 1, 2 and 3.  Edge 1 swaps the sheets (P = the swap),
+    # loop 2 moves nothing (Q = the identity), and in loop 3 the tree edge 6
+    # swaps while the co-tree edge 7 does not (P again).  Edges 1 and 4 join
+    # samples whose transports are both the identity, so only a key of its
+    # own for the moving edge 1 keeps Q
+    base = make_graph(1, [(0, 0), (0, 0), (0, 0)], 3)
+    R = _constant_sheets(base, 2)
+    perms = np.tile([0, 1], (base.n_edges, 1))
+    perms[[1, 6]] = [1, 0]
+    A = dataclasses.replace(R, edge_perms=perms)
+    problem = LiftProblem(A, A)
+    assert problem.cotree.tolist() == [1, 4, 7]
+    _check_against_reference(problem)
+    assert [(a.tolist(), b.tolist()) for a, b in problem.loop_pairs] == [
+        ([1, 0], [1, 0]), ([0, 1], [0, 1])]
 
 
 # -- one source of tolerances: the bundles ------------------------------------------

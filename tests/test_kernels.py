@@ -143,3 +143,15 @@ def test_residual_guard_rejects_nan_roots():
         solve_fiber([1, 1e200])
     with pytest.raises(BundleError, match=message):
         _check_residuals(np.array([[1.0, 0.0]]), np.array([[np.nan, 1j]]), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("root", ["cos(theta1)", "exp(1i*theta1)", "0.5*exp(1i*theta1)",
+                                  "cos(theta1)+0.3i"])
+def test_polish_keeps_both_copies_of_a_double_root(root):
+    # the eigenvalues split a double root by about 1e-8; a Newton step from
+    # one copy can reach far past the other (0.704 for 0.741 at sample 1943
+    # of the first polynomial), so steps stop at half the gap between them
+    from rootlift import build_bundle, make_torus2, poly_from_roots
+    p = poly_from_roots(make_torus2(128, 128), [root, root, "3+sin(theta2)"])
+    fibers = build_bundle(p).fibers
+    assert np.max(np.abs(fibers[:, 0] - fibers[:, 1])) < 1e-6
