@@ -329,13 +329,21 @@ class RootBundle:
         perms[back] = _inverse_rows(perms[back])
         return perms
 
-    def merge_clusters(self, sample: int) -> list[list[int]]:
-        """The merged sheets at ``sample``: the groups of two or more slots
-        that root values within branch tolerance connect."""
-        vals = self.fibers[sample]
-        close = np.abs(vals[:, None] - vals[None, :]) < self.tol.branch_tol
-        return [g.tolist() for g in node_components(self.degree, np.argwhere(close))
-                if len(g) > 1]
+    @functools.cached_property
+    def merge_clusters(self) -> dict[int, list[list[int]]]:
+        """The merged sheets at each branch-flagged sample, in ascending
+        order: the groups of two or more slots that root values within
+        branch tolerance connect, by smallest slot."""
+        n = self.degree
+        flagged = np.flatnonzero(self.branch_flags)
+        vals = self.fibers[flagged]
+        # slot i of the k-th flagged sample is node k * n + i
+        k, i, j = np.nonzero(np.abs(vals[:, :, None] - vals[:, None, :]) < self.tol.branch_tol)
+        table: dict[int, list[list[int]]] = {s: [] for s in flagged.tolist()}
+        for g in node_components(len(flagged) * n, np.column_stack([k * n + i, k * n + j])):
+            if len(g) > 1:
+                table[int(flagged[g[0] // n])].append((g % n).tolist())
+        return table
 
     @functools.cached_property
     def local_motion(self) -> np.ndarray:

@@ -113,7 +113,7 @@ def cycle_witness_quadratic(base: BaseSpace, loop,
     verdict = has_root(p, tol)
     return {
         "loop_length": len(loop),
-        "admissible": bool(is_admissible(p).admissible),
+        "admissible": bool(is_admissible(p, zero_tol=tol.admissible_zero_tol).admissible),
         "has_root": verdict.answer,
         "certificate": verdict.certificate,
     }
@@ -167,7 +167,7 @@ def closedness_report(base: BaseSpace, trials: int = 20, seed: int = 0,
         return report
     rng = np.random.default_rng(seed)
     for k in range(trials):
-        p = random_tree_quadratic(base, rng)
+        p = random_tree_quadratic(base, rng, tol)
         verdict = has_root(p, tol)
         report.trials.append({
             "trial": k,
@@ -198,13 +198,13 @@ def _smooth_graph_values(base: BaseSpace, rng, scale: float = 1.0) -> np.ndarray
     return values
 
 
-def random_tree_quadratic(base: BaseSpace, rng,
+def random_tree_quadratic(base: BaseSpace, rng, tol: Tolerances = DEFAULT_TOL,
                           max_tries: int = 50) -> MonicPolynomial:
-    """A random admissible quadratic with continuous sampled coefficients."""
+    """A random quadratic admissible at ``tol``, with continuous sampled coefficients."""
     for _ in range(max_tries):
         c0 = _smooth_graph_values(base, rng)
         c1 = _smooth_graph_values(base, rng)
         p = poly_from_values(base, [c0, c1])
-        if is_admissible(p).admissible:
+        if is_admissible(p, zero_tol=tol.admissible_zero_tol).admissible:
             return p
     raise ExtendError("could not draw an admissible quadratic")

@@ -102,16 +102,9 @@ class LiftProblem:
 
     # most-merged sample first: it carries the strongest unary pruning
     def _pick_basepoint(self) -> int:
-        flags = np.flatnonzero(self.source.branch_flags)
-        if len(flags) == 0:
-            return 0
-        best, best_pairs = int(flags[0]), -1
-        for s in flags:
-            pairs = sum(len(c) * (len(c) - 1) // 2
-                        for c in self.source.merge_clusters(int(s)))
-            if pairs > best_pairs:
-                best, best_pairs = int(s), pairs
-        return best
+        table = self.source.merge_clusters
+        return max(table, key=lambda s: sum(len(c) * (len(c) - 1) // 2 for c in table[s]),
+                   default=0)
 
     def _build_transports(self):
         """Sheet transports from the basepoint along the BFS spanning tree.
@@ -181,16 +174,12 @@ class LiftProblem:
     def _build_merge_constraints(self):
         """Branch merges, pulled back to basepoint slots as allowed-value matrices."""
         combined: dict[tuple[int, int], np.ndarray] = {}
-        self.merge_samples: list[int] = []
-        for s in np.flatnonzero(self.source.branch_flags):
-            s = int(s)
-            clusters = self.source.merge_clusters(s)
-            if not clusters:
-                continue
-            self.merge_samples.append(s)
+        table = self.source.merge_clusters
+        self.merge_samples = [s for s, clusters in table.items() if clusters]
+        for s in self.merge_samples:
             # values of the basepoint slots at s
             allowed = self.values_agree(s, self.target.fibers[s][self.TB[s]])
-            for cluster in clusters:
+            for cluster in table[s]:
                 slots = [int(self.invTA[s][i]) for i in cluster]
                 for x, y in itertools.combinations(slots, 2):
                     key = (min(x, y), max(x, y))
@@ -326,8 +315,8 @@ def validate_witness(problem: LiftProblem, witness: LiftWitness) -> dict:
     edge_ok = bool(np.array_equal(lhs, rhs))
     merge_ok = True
     worst_spread = 0.0
-    for s in np.flatnonzero(A.branch_flags).tolist():
-        for cluster in A.merge_clusters(s):
+    for s, clusters in A.merge_clusters.items():
+        for cluster in clusters:
             vals = B.fibers[s][G[s][cluster]]
             spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
             worst_spread = max(worst_spread, spread)
@@ -418,7 +407,7 @@ def _fiber_counts(problem: LiftProblem, sample: int, cyclesB, pairing) -> tuple[
     sends each merged group into one such group and reaches every paired
     slot, so it needs the first count at least the second."""
     A = problem.source
-    n_src = A.degree - sum(len(c) - 1 for c in A.merge_clusters(sample))
+    n_src = A.degree - sum(len(c) - 1 for c in A.merge_clusters[sample])
     required = sorted({slot for t in pairing for slot in cyclesB[t[0]]})
     vals = problem.target.fibers[sample][problem.TB[sample][required]]
     groups = node_components(len(vals), np.argwhere(problem.values_agree(sample, vals)))
@@ -657,7 +646,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     if A.poly is None or B.poly is None:
         return QuotientReport("inconclusive", sample, None, [],
                               "no exact coefficient source available")
-    clusters = A.merge_clusters(sample)
+    clusters = A.merge_clusters.get(sample, [])
     if len(clusters) != 1 or len(clusters[0]) != 2:
         raise ExtendError(
             f"branch structure at sample {sample} is not two-sheeted")
@@ -817,7 +806,7 @@ def decide_subalgebra(problem: LiftProblem) -> Verdict:
         failed = False
         inconclusive = False
         for s in problem.merge_samples:
-            clusters = problem.source.merge_clusters(s)
+            clusters = problem.source.merge_clusters[s]
             if len(clusters) != 1 or len(clusters[0]) != 2:
                 inconclusive = True
                 reports.append({"sample": s, "verdict": "inconclusive",

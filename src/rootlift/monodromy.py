@@ -72,8 +72,8 @@ def components(bundle: RootBundle) -> list[set[tuple[int, int]]]:
     matched = np.column_stack([(edges[:, 0, None] * n + np.arange(n)).ravel(),
                                (edges[:, 1, None] * n + bundle.edge_perms).ravel()])
     merged = [(s * n + cluster[0], s * n + i)
-              for s in np.flatnonzero(bundle.branch_flags).tolist()
-              for cluster in bundle.merge_clusters(s) for i in cluster[1:]]
+              for s, clusters in bundle.merge_clusters.items()
+              for cluster in clusters for i in cluster[1:]]
     pairs = np.concatenate([matched, np.asarray(merged, dtype=np.intp).reshape(-1, 2)])
     out = []
     for g in node_components(bundle.base.n_samples * n, pairs):

@@ -4,11 +4,12 @@ import pytest
 from instancegen import exhaustive_match
 from rootlift import (build_bundle, discriminant, evaluate_poly_on_bundle,
                       identity_selfmap, is_admissible, make_circle,
-                      make_interval, poly_from_exprs, poly_from_values,
-                      pullback, sample_selfmap, solve_fiber)
+                      make_interval, make_torus2, poly_from_exprs, poly_from_roots,
+                      poly_from_values, pullback, sample_selfmap, solve_fiber)
 from rootlift.bundle import (AmbiguousMatchError, BundleError, MonicPolynomial, Tolerances,
                              pullback_polynomial, resultant_discriminant)
-from rootlift.scenarios import cubic_contact_text, interval_square_pair
+from rootlift.scenarios import (crossing_quintic, cubic_contact_text, interval_square_pair,
+                                time_warp_map)
 
 R = cubic_contact_text()
 
@@ -65,6 +66,25 @@ def test_square_pair_branch_flag_near_double_contact_at_spec_resolution():
     flagged = np.flatnonzero(b.branch_flags)
     assert len(flagged) >= 1
     assert all(abs(base.coords[s] - 2 / 3) < 1e-3 for s in flagged)
+
+
+def _built_bundles():
+    circle = make_circle(400)
+    quintic = crossing_quintic(circle)
+    yield "sqrt", build_bundle(poly_from_exprs(make_interval(101), ["-x", "0"]))
+    yield "square-pair", build_bundle(interval_square_pair(make_interval(301)))
+    yield "quintic", build_bundle(quintic)
+    yield "quintic-pullback", pullback(quintic, time_warp_map(circle))
+    yield "merged-torus", build_bundle(poly_from_roots(
+        make_torus2(16, 16), ["cos(theta1)", "2", "3+sin(theta2)"]))
+    yield "unmerged", build_bundle(poly_from_exprs(circle, ["-exp(1i*theta)", "0"]))
+
+
+@pytest.mark.parametrize("name, b", list(_built_bundles()))
+def test_merge_table_holds_exactly_the_flagged_samples(name, b):
+    # a built bundle flags a sample exactly when two of its sheets merge there
+    assert list(b.merge_clusters) == np.flatnonzero(b.branch_flags).tolist()
+    assert all(b.merge_clusters.values())
 
 
 def test_fiber_residuals_below_tolerance():

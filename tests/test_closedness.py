@@ -7,6 +7,7 @@ from instancegen import random_tree
 from rootlift import (make_circle, make_graph, make_interval,
                       poly_from_exprs)
 from rootlift._kernels import residuals
+from rootlift.bundle import Tolerances
 from rootlift.closedness import (closedness_report, contains_circle,
                                  cycle_witness_quadratic, has_root,
                                  random_tree_quadratic,
@@ -147,6 +148,16 @@ def test_tree_quadratics_always_have_roots():
     for _ in range(5):
         p = random_tree_quadratic(base, rng)
         assert has_root(p).answer == "yes"
+
+
+def test_tree_draws_use_the_given_admissibility_tolerance():
+    # at this zero tolerance the default filter accepts draws that has_root
+    # rejects as inadmissible
+    base = make_graph(4, [(0, 1), (1, 2), (1, 3)], 8)
+    tol = Tolerances(admissible_zero_tol=1.0)
+    rep = closedness_report(base, tol=tol)
+    assert rep.algebraically_closed_verdict
+    assert len(rep.trials) == 20 and all(t["has_root"] == "yes" for t in rep.trials)
 
 
 def test_report_json_roundtrip():

@@ -395,6 +395,21 @@ def test_lift_problem_matches_reference_on_torus_swap():
     assert decide_lift(ident).answer == "yes"
 
 
+def test_merges_are_grouped_once_per_bundle(monkeypatch):
+    # sheets 2 and 3 + sin(theta2) merge along the circle theta2 = 3 pi / 2
+    base = make_torus2(64, 64)
+    W = build_bundle(poly_from_roots(base, ["cos(theta1)", "2", "3+sin(theta2)"]))
+    calls = []
+    grouped = bundle.node_components
+    monkeypatch.setattr(bundle, "node_components",
+                        lambda *args: calls.append(args) or grouped(*args))
+    problem = LiftProblem(W, W)
+    assert decide_lift(problem).answer == "yes"
+    assert len(calls) == 1
+    assert problem.merge_samples == np.flatnonzero(W.branch_flags).tolist()
+    assert len(problem.merge_samples) == 64
+
+
 def _constant_sheets(base, degree):
     """The bundle with sheets 0, 1, ..., degree - 1, which no edge moves."""
     lower = np.poly(np.arange(degree))[1:][::-1]
@@ -520,15 +535,14 @@ def _eager_decide_subalgebra(problem, max_lifts):
         return Verdict("no", certificate={"kind": "no_lift",
                                           "lift_certificate": cole.certificate},
                        diagnostics=diag)
-    branch_samples = [int(s) for s in np.flatnonzero(problem.source.branch_flags)
-                      if any(len(c) > 1 for c in problem.source.merge_clusters(int(s)))]
+    branch_samples = [s for s, clusters in problem.source.merge_clusters.items() if clusters]
     refusals = []
     any_inconclusive = truncated
     for k, lift in enumerate(lifts):
         reports = []
         failed = inconclusive = False
         for s in branch_samples:
-            clusters = [c for c in problem.source.merge_clusters(s) if len(c) > 1]
+            clusters = problem.source.merge_clusters[s]
             if len(clusters) != 1 or len(clusters[0]) != 2:
                 inconclusive = True
                 reports.append({"sample": s, "verdict": "inconclusive",

@@ -282,7 +282,7 @@ def _ref_probe(problem, witness, sample, tol=DEFAULT_TOL):
         else:
             lo = m1
     y0 = 0.5 * (lo + hi)
-    pair_slots = [c for c in A.merge_clusters(sample) if len(c) > 1][0]
+    pair_slots = A.merge_clusters[sample][0]
     min_gap = 32.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(A.fibers[sample]))))
     b_floor = 32.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(B.fibers[sample]))))
     quotients = []
@@ -326,13 +326,12 @@ def test_quotient_probes_match_the_one_point_loops(case):
         base = make_circle(8000 if case.endswith("8000") else 400)
         problem = lift_problem(crossing_quintic(base), time_warp_map(base))
     probed = 0
-    for s in np.flatnonzero(problem.source.branch_flags):
-        clusters = [c for c in problem.source.merge_clusters(int(s)) if len(c) > 1]
+    for s, clusters in problem.source.merge_clusters.items():
         if len(clusters) != 1 or len(clusters[0]) != 2:
             continue
         for witness in problem.enumerate()[:2]:
-            rep = divided_quotient_test(problem, witness, int(s))
-            y0, quotients = _ref_probe(problem, witness, int(s))
+            rep = divided_quotient_test(problem, witness, s)
+            y0, quotients = _ref_probe(problem, witness, s)
             assert rep.branch_coordinate == y0
             assert rep.quotients == quotients
             probed += len(quotients) > 8

@@ -395,8 +395,9 @@ def _all_bundles():
 
 @pytest.mark.parametrize("name, bundle", list(_all_bundles()))
 def test_merge_clusters_and_components_match_reference(name, bundle):
-    for s in range(bundle.base.n_samples):
-        assert bundle.merge_clusters(s) == _ref_merge_clusters(bundle, s)
+    flagged = np.flatnonzero(bundle.branch_flags).tolist()
+    assert list(bundle.merge_clusters) == flagged
+    assert bundle.merge_clusters == {s: _ref_merge_clusters(bundle, s) for s in flagged}
     assert components(bundle) == _ref_bundle_components(bundle)
 
 
