@@ -6,9 +6,8 @@ from ._kernels import BACKEND as kernel_backend
 from .base import (BaseSpace, SelfMap, identity_selfmap, make_circle, make_graph,
                    make_interval, make_torus2, sample_selfmap)
 from .bundle import (MonicPolynomial, RootBundle, Tolerances, build_bundle,
-                     discriminant, evaluate_poly_on_bundle, is_admissible,
-                     poly_from_exprs, poly_from_roots, poly_from_values,
-                     pullback, pullback_polynomial, solve_fiber)
+                     is_admissible, poly_from_exprs, poly_from_roots,
+                     poly_from_values, pullback, pullback_polynomial, solve_fiber)
 from .closedness import (GraphReport, closedness_report, contains_circle,
                          has_root, trivial_bundle)
 from .extend import (FitResult, LiftProblem, LiftWitness, Verdict, ah_extendable,
@@ -22,9 +21,8 @@ __all__ = [
     "BaseSpace", "SelfMap", "identity_selfmap", "make_circle",
     "make_graph", "make_interval", "make_torus2", "sample_selfmap",
     "MonicPolynomial", "RootBundle", "Tolerances", "build_bundle",
-    "discriminant", "evaluate_poly_on_bundle", "is_admissible",
-    "poly_from_exprs", "poly_from_roots", "poly_from_values", "pullback",
-    "pullback_polynomial", "solve_fiber",
+    "is_admissible", "poly_from_exprs", "poly_from_roots", "poly_from_values",
+    "pullback", "pullback_polynomial", "solve_fiber",
     "GraphReport", "closedness_report", "contains_circle", "has_root",
     "trivial_bundle",
     "FitResult", "LiftProblem", "LiftWitness", "Verdict", "ah_extendable",

@@ -223,8 +223,6 @@ def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
 def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
     """Minimal pairwise root distance per fiber row."""
     m, n = fibers.shape
-    if n < 2:
-        return np.full(m, np.inf)
     gap = np.full(m, np.inf)
     for i, j in itertools.combinations(range(n), 2):
         gap = np.minimum(gap, np.abs(fibers[:, i] - fibers[:, j]))
@@ -359,78 +357,72 @@ class RootBundle:
 
 def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundle:
     """Solve and glue all fibers of ``p`` into a :class:`RootBundle`."""
-    base = p.base
     fibers = p.fibers
     _check_residuals(p.coeff_values, fibers, tol)
     flags = _min_fiber_gap(fibers) < tol.branch_tol
-
-    edges = base.edges
-    tails = fibers[edges[:, 0]]
-    heads = fibers[edges[:, 1]]
-    near_branch = flags[edges[:, 0]] | flags[edges[:, 1]]
-    perms, settled, _, _ = _match_edges(tails, heads, tol.match_margin, near_branch)
-    ambiguous = np.flatnonzero(~near_branch & ~settled)
-
-    refinement: dict[int, list[float]] = {}
-    if ambiguous.size:
-        perms[ambiguous], refinement = _bisect(p, ambiguous, tails[ambiguous],
-                                               heads[ambiguous], tol)
-
-    return RootBundle(base, p.degree, fibers, perms, flags,
+    perms, refinement = _bisect(p, fibers, flags, tol)
+    return RootBundle(p.base, p.degree, fibers, perms, flags,
                       refinement=refinement, poly=p, tol=tol)
 
 
-def _bisect(p, eids, f0, f1, tol):
-    """Sheet permutations of the unsettled edges ``eids`` by bisection.
+def _bisect(p, fibers, flags, tol):
+    """Sheet permutations of every edge of ``p``'s base, by bisection.
 
-    A span [t0, t1] of an edge is a leaf, with its minimal assignment, when
-    :func:`_match_edges` settles its end fibers ``f0 -> f1`` or either end
-    has merged sheets (a fiber gap below ``branch_tol``).  Any other span is
-    split at its midpoint, whose fiber is solved; past
+    Each edge starts as one span at depth 0; a span at depth d is its edge
+    and its left end t0, of width 2^-d.  A span is a leaf, with its minimal
+    assignment, when :func:`_match_edges` settles its end fibers or either
+    end has merged sheets (a fiber gap below ``branch_tol``, the sample
+    ``flags`` at depth 0 and carried with each end after).  Any other span
+    is split at its midpoint, whose fiber is solved; past
     ``max_refine_depth`` it raises :class:`AmbiguousMatchError`.  All spans
-    of one depth are matched, evaluated and solved together, so errors
-    come from the shallowest failing depth, edges in ascending order.  An
-    edge's permutation composes its leaves from left to right.
+    of one depth are matched, evaluated and solved together, so errors come
+    from the shallowest failing depth, edges in ascending order.  A split
+    span's permutation composes its halves', left then right, from the
+    deepest depth up.
 
-    Returns the (len(eids), n) permutations and each edge's midpoints,
-    ascending.
+    Returns the (E, n) permutations and the midpoints of each edge that
+    split, edges and midpoints ascending.
     """
     n = p.degree
-    edge = eids
-    t0, t1 = np.zeros(len(eids)), np.ones(len(eids))
-    leaves, mids = [], []
+    tails, heads = p.base.edges.T
+    f0, f1, m0, m1 = fibers[tails], fibers[heads], flags[tails], flags[heads]
+    levels, mids = [], []
     for depth in itertools.count():
-        merged = (_min_fiber_gap(f0) < tol.branch_tol) | (_min_fiber_gap(f1) < tol.branch_tol)
+        merged = m0 | m1
         perm, settled, best, bound = _match_edges(f0, f1, tol.match_margin, merged)
         split = ~(settled | merged)
-        leaves.append((edge[~split], t0[~split], perm[~split]))
+        levels.append((perm, split))
         if not split.any():
             break
+        at = np.flatnonzero(split)
+        # a depth-0 span is its whole edge: no per-edge index arrays are built
+        edge, t0 = (at, np.zeros(len(at))) if depth == 0 else (edge[at], t0[at])
         if depth >= tol.max_refine_depth:
-            k = int(np.argmax(split))
             raise AmbiguousMatchError(
-                f"edge {edge[k]}: matching ambiguous at depth {depth} "
-                f"(best {best[k]:.3e}, runner-up bound {bound[k]:.3e})")
-        edge, t0, t1, f0, f1 = edge[split], t0[split], t1[split], f0[split], f1[split]
-        tm = 0.5 * (t0 + t1)
+                f"edge {edge[0]}: matching ambiguous at depth {depth} "
+                f"(best {best[at[0]]:.3e}, runner-up bound {bound[at[0]]:.3e})")
+        f0, f1, m0, m1 = f0[at], f1[at], m0[at], m1[at]
+        tm = t0 + 0.5 ** (depth + 1)
         fm = solve_fiber(p.coeffs_at_locations(edge, tm), tol)
+        mm = _min_fiber_gap(fm) < tol.branch_tol
         mids.append((edge, tm))
         # each span's two halves, left then right, in place of the span
         edge = np.repeat(edge, 2)
-        t0, t1 = np.column_stack([t0, tm]).ravel(), np.column_stack([tm, t1]).ravel()
+        t0 = np.column_stack([t0, tm]).ravel()
         f0 = np.stack([f0, fm], axis=1).reshape(-1, n)
         f1 = np.stack([fm, f1], axis=1).reshape(-1, n)
+        m0, m1 = np.column_stack([m0, mm]).ravel(), np.column_stack([mm, m1]).ravel()
 
-    composed: dict[int, np.ndarray] = {}
-    edge, t0, perm = (np.concatenate(part) for part in zip(*leaves))
-    for k in np.lexsort((t0, edge)):
-        e = int(edge[k])
-        composed[e] = perm[k] if e not in composed else perm[k][composed[e]]
-    refinement: dict[int, list[float]] = {int(e): [] for e in eids}
-    edge, tm = (np.concatenate(part) for part in zip(*mids))
-    for k in np.lexsort((tm, edge)):
-        refinement[int(edge[k])].append(float(tm[k]))
-    return np.array([composed[int(e)] for e in eids]), refinement
+    perm = levels.pop()[0]
+    for up, split in reversed(levels):
+        up[split] = np.take_along_axis(perm[1::2], perm[0::2], axis=1)   # right[left]
+        perm = up
+    refinement: dict[int, list[float]] = {}
+    if mids:
+        edge, tm = (np.concatenate(part) for part in zip(*mids))
+        for k in np.lexsort((tm, edge)):
+            refinement.setdefault(int(edge[k]), []).append(float(tm[k]))
+    return perm, refinement
 
 
 def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -> RootBundle:
@@ -442,50 +434,13 @@ def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -
 # -- discriminant and admissibility ---------------------------------------------
 
 
-def discriminant(p: MonicPolynomial, check: bool = True,
-                 tol: Tolerances = DEFAULT_TOL) -> funcspec.SampledFunction:
-    """Product of squared root differences per fiber.
-
-    With ``check`` the values are cross-checked against the resultant of p
-    and its derivative away from branch-flagged samples.
-    """
+def discriminant(p: MonicPolynomial) -> funcspec.SampledFunction:
+    """Product of squared root differences per fiber."""
     fibers = p.fibers
-    n = p.degree
     prod = np.ones(p.base.n_samples, dtype=complex)
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in itertools.combinations(range(p.degree), 2):
         prod *= (fibers[:, i] - fibers[:, j]) ** 2
-    if check:
-        res = resultant_discriminant(p)
-        flags = _min_fiber_gap(fibers) < tol.branch_tol
-        denom = np.maximum(np.abs(prod), 1.0)
-        rel = np.abs(prod - res) / denom
-        bad = rel > 1e-6
-        bad &= ~flags
-        if np.any(bad):
-            worst = int(np.argmax(np.where(bad, rel, 0.0)))
-            raise BundleError(
-                f"discriminant product and resultant disagree at sample {worst} "
-                f"(relative error {rel[worst]:.3e})")
     return funcspec.SampledFunction(p.base, prod)
-
-
-def resultant_discriminant(p: MonicPolynomial) -> np.ndarray:
-    """Discriminant via the Sylvester resultant of p and p'."""
-    n = p.degree
-    S = p.base.n_samples
-    desc = np.concatenate([np.ones((S, 1), dtype=complex),
-                           p.coeff_values[:, ::-1]], axis=1)      # t^n .. t^0
-    k = np.arange(n, 0, -1, dtype=float)
-    ddesc = desc[:, :n] * k[None, :]                              # derivative, deg n-1
-    size = 2 * n - 1
-    syl = np.zeros((S, size, size), dtype=complex)
-    for i in range(n - 1):
-        syl[:, i, i : i + n + 1] = desc
-    for j in range(n):
-        syl[:, n - 1 + j, j : j + n] = ddesc
-    det = np.linalg.det(syl)
-    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return sign * det
 
 
 @dataclass
@@ -510,7 +465,7 @@ def is_admissible(p: MonicPolynomial, zero_tol: float | None = None,
     S = p.base.n_samples
     if window is None:
         window = max(8, math.ceil(0.02 * S))
-    d = discriminant(p, check=False).values
+    d = discriminant(p).values
     runs = []
     for comp in p.base.components(np.abs(d) < zero_tol):
         span = _component_path_span(p.base, comp)
@@ -537,23 +492,3 @@ def _component_path_span(base, comp):
     # a tree: the sample farthest from any sample ends a longest path
     far = comp[np.argmax(base.hops(comp[0], inside)[comp])]
     return int(np.max(base.hops(far, inside)[comp])) + 1
-
-
-# -- evaluation on bundles --------------------------------------------------------
-
-
-def evaluate_poly_on_bundle(q_values, bundle: RootBundle) -> np.ndarray:
-    """Values of sum q_k(x) * lambda^k at every bundle point (x, lambda).
-
-    ``q_values`` is a (S, m) coefficient array (or list of SampledFunctions)
-    of any degree m >= 1; no monic leading term is implied here.
-    """
-    if isinstance(q_values, (list, tuple)):
-        q_values = np.column_stack(
-            [c.values if isinstance(c, funcspec.SampledFunction) else np.asarray(c)
-             for c in q_values])
-    q_values = np.asarray(q_values, dtype=complex)
-    out = np.zeros_like(bundle.fibers)
-    for k in range(q_values.shape[1] - 1, -1, -1):
-        out = out * bundle.fibers + q_values[:, k][:, None]
-    return out

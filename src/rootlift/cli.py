@@ -130,15 +130,18 @@ def validate_config(config: dict) -> None:
 
 def _scaled_base(spec: dict, factor: int, override: int | None):
     kind = spec["kind"]
+    if override is not None:            # --samples sets every size, 0 included
+        spec = {**spec, "samples": override, "shape": [override, override],
+                "samples_per_edge": override}
     if kind == "interval":
-        return make_interval(((override or spec.get("samples", 201)) - 1) * factor + 1)
+        return make_interval((spec.get("samples", 201) - 1) * factor + 1)
     if kind == "circle":
-        return make_circle((override or spec.get("samples", 240)) * factor)
+        return make_circle(spec.get("samples", 240) * factor)
     if kind == "torus2":
         shape = spec.get("shape", [16, 16])
-        return make_torus2((override or shape[0]) * factor, (override or shape[1]) * factor)
+        return make_torus2(shape[0] * factor, shape[1] * factor)
     if kind == "graph":
-        k = (override or spec.get("samples_per_edge", 8)) * factor
+        k = spec.get("samples_per_edge", 8) * factor
         return make_graph(spec.get("vertices", 1), [tuple(e) for e in spec.get("edges", [])], k)
     raise ScenarioError(f"unknown base kind {kind!r}")
 

@@ -58,6 +58,9 @@ def emit_bundle_svg(bundle: RootBundle, path, title: str = "") -> None:
     xmin = min(min(xs) for xs, _ in chains)
     xmax = max(max(xs) for xs, _ in chains)
     panel_h = (HEIGHT - 2 * MARGIN - PANEL_GAP) / 2
+    # the characters XML text may not hold raw; xml.sax.saxutils.escape does
+    # the same, but imports urllib.request and ssl: 2 MB more peak RSS
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

@@ -168,7 +168,7 @@ def flip_map(interval: BaseSpace):
 
 def builtin_scenario(name: str, samples: int | None = None) -> dict:
     if name == "example1":
-        n = samples or 2001
+        n = 2001 if samples is None else samples
         return {
             "name": "example1",
             "seed": 0,
@@ -179,7 +179,7 @@ def builtin_scenario(name: str, samples: int | None = None) -> dict:
             "expect": {"cole": "yes", "ah": "yes"},
         }
     if name == "example2":
-        n = samples or 2000
+        n = 2000 if samples is None else samples
         return {
             "name": "example2",
             "seed": 0,
@@ -192,7 +192,7 @@ def builtin_scenario(name: str, samples: int | None = None) -> dict:
             "expect": {"cole": "yes", "ah": "no"},
         }
     if name == "example3":
-        n = samples or 2000
+        n = 2000 if samples is None else samples
         return {
             "name": "example3",
             "seed": 0,
@@ -204,7 +204,7 @@ def builtin_scenario(name: str, samples: int | None = None) -> dict:
             "expect": {"cole": "no"},
         }
     if name == "torus":
-        n = samples or 64
+        n = 64 if samples is None else samples
         return {
             "name": "torus",
             "seed": 0,
@@ -215,7 +215,7 @@ def builtin_scenario(name: str, samples: int | None = None) -> dict:
             "expect": {"cole": "no"},
         }
     if name == "graphdemo":
-        k = samples or 12
+        k = 12 if samples is None else samples
         return {
             "name": "graphdemo",
             "seed": 0,

@@ -184,6 +184,29 @@ def exhaustive_match(tails, heads):
     return out, best, second
 
 
+# -- reference discriminant ---------------------------------------------------------
+
+
+def resultant_discriminant(p) -> np.ndarray:
+    """Discriminant via the Sylvester resultant of p and p', the reference
+    for the product of squared root differences of ``bundle.discriminant``."""
+    n = p.degree
+    S = p.base.n_samples
+    desc = np.concatenate([np.ones((S, 1), dtype=complex),
+                           p.coeff_values[:, ::-1]], axis=1)      # t^n .. t^0
+    k = np.arange(n, 0, -1, dtype=float)
+    ddesc = desc[:, :n] * k[None, :]                              # derivative, deg n-1
+    size = 2 * n - 1
+    syl = np.zeros((S, size, size), dtype=complex)
+    for i in range(n - 1):
+        syl[:, i, i : i + n + 1] = desc
+    for j in range(n):
+        syl[:, n - 1 + j, j : j + n] = ddesc
+    det = np.linalg.det(syl)
+    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
+    return sign * det
+
+
 # -- per-sample walks -----------------------------------------------------------------
 
 

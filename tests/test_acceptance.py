@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from instancegen import (random_admissible_poly, random_circle_selfmap, random_tree,
-                         synthetic_strip_bundle)
-from rootlift import (build_bundle, discriminant, identity_selfmap,
-                      make_circle, make_graph, make_interval, pullback)
+                         resultant_discriminant, synthetic_strip_bundle)
+from rootlift import (build_bundle, identity_selfmap, make_circle, make_graph,
+                      make_interval, pullback)
 from rootlift._kernels import residuals
-from rootlift.bundle import resultant_discriminant
+from rootlift.bundle import discriminant
 from rootlift.cli import run_scenario
 from rootlift.closedness import closedness_report, has_root
 from rootlift.extend import (LiftProblem, ah_fit, decide_lift,
@@ -215,7 +215,7 @@ def test_criterion_8_bundle_numerics():
     IA = build_bundle(ip)
     assert np.max(residuals(ip.coeff_values, IA.fibers)) < 1e-9
     # discriminant two ways
-    prod = discriminant(p, check=False).values
+    prod = discriminant(p).values
     resd = resultant_discriminant(p)
     away = ~A.branch_flags
     rel = np.abs(prod - resd) / np.maximum(np.abs(prod), 1.0)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from instancegen import exhaustive_match
-from rootlift import (build_bundle, discriminant, evaluate_poly_on_bundle,
-                      identity_selfmap, is_admissible, make_circle,
+from instancegen import exhaustive_match, resultant_discriminant
+from rootlift import (build_bundle, identity_selfmap, is_admissible, make_circle,
                       make_interval, make_torus2, poly_from_exprs, poly_from_roots,
                       poly_from_values, pullback, sample_selfmap, solve_fiber)
-from rootlift.bundle import (AmbiguousMatchError, BundleError, MonicPolynomial, Tolerances,
-                             pullback_polynomial, resultant_discriminant)
+from rootlift.bundle import (DEFAULT_TOL, AmbiguousMatchError, BundleError, MonicPolynomial,
+                             Tolerances, _min_fiber_gap, discriminant, pullback_polynomial)
 from rootlift.scenarios import (crossing_quintic, cubic_contact_text, interval_square_pair,
                                 time_warp_map)
 
@@ -96,11 +95,21 @@ def test_fiber_residuals_below_tolerance():
     assert np.max(res) < 1e-9 * max(1.0, np.max(np.abs(p.coeff_values)))
 
 
+def _assert_resultant_agrees(p):
+    """The product agrees with the resultant to a relative 1e-6 away from
+    samples whose sheets merge."""
+    prod = discriminant(p).values
+    rel = np.abs(prod - resultant_discriminant(p)) / np.maximum(np.abs(prod), 1.0)
+    away = _min_fiber_gap(p.fibers) >= DEFAULT_TOL.branch_tol
+    assert np.all(rel[away] <= 1e-6)
+
+
 def test_discriminant_quadratic_is_4c():
     base = make_interval(11)
     p = poly_from_exprs(base, ["-(0.5+0.25i)+0*x", "0"])   # t^2 - c
     d = discriminant(p)
     assert np.allclose(d.values, 4 * (0.5 + 0.25j))
+    _assert_resultant_agrees(p)
 
 
 def test_discriminant_square_pair_value_at_zero():
@@ -108,18 +117,20 @@ def test_discriminant_square_pair_value_at_zero():
     base = make_interval(5)
     p = interval_square_pair(base)
     assert discriminant(p).values[0] == pytest.approx(64.0)
+    _assert_resultant_agrees(p)
 
 
 def test_discriminant_t2_plus_1():
     base = make_interval(7)
     p = poly_from_exprs(base, ["1+0*x", "0"])
     assert np.allclose(discriminant(p).values, -4.0)
+    _assert_resultant_agrees(p)
 
 
 def test_resultant_matches_product_formula():
     base = make_circle(64)
     p = poly_from_exprs(base, ["-exp(1i*theta)", "0.3+0.1i", "0.2+0i"])
-    prod = discriminant(p, check=False).values
+    prod = discriminant(p).values
     res = resultant_discriminant(p)
     rel = np.abs(prod - res) / np.maximum(np.abs(prod), 1.0)
     assert np.max(rel) < 1e-8
@@ -180,28 +191,6 @@ def test_pullback_rotation_on_circle():
     a = build_bundle(p)
     s, shifted = 5, (5 + 32) % 64
     assert np.allclose(b.fibers[s], a.fibers[shifted], atol=1e-9)
-
-
-def test_evaluate_poly_on_bundle_projection_and_constant():
-    base = make_circle(40)
-    p = poly_from_exprs(base, ["-exp(1i*theta)", "0.1+0i", "0"])
-    b = build_bundle(p)
-    ident = evaluate_poly_on_bundle([np.zeros(40), np.ones(40)], b)   # q = t
-    assert np.array_equal(ident, b.fibers)
-    const = evaluate_poly_on_bundle([np.ones(40)], b)                 # q = 1
-    assert np.allclose(const, 1.0)
-
-
-def test_evaluate_poly_constant_on_fibers():
-    base = make_interval(101)
-    p = interval_square_pair(base)
-    b = build_bundle(p)
-    from rootlift import funcspec
-    rvals = funcspec.evaluate(funcspec.parse(R), base).values
-    q0 = rvals[::-1]                    # r(1 - x) on the uniform grid
-    out = evaluate_poly_on_bundle([q0], b)
-    assert np.allclose(out[:, 0], out[:, 1])
-    assert np.allclose(out[:, 0], q0)
 
 
 def test_interval_edge_perm_coherence():

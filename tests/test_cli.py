@@ -216,6 +216,36 @@ def test_svg_interval_bundle(tmp_path):
     assert svg.count("<polyline") == 4          # two sheets in two panels
 
 
+def test_svg_title_is_escaped(tmp_path):
+    # the title comes from the config's name, which may hold markup
+    from xml.dom import minidom
+
+    cfg = dict(_small_example1(201), name="a<b & c")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--svg", "--out", str(tmp_path / "out")]) == 0
+    for name, title in (("bundle_p.svg", "a<b & c: root curves"),
+                        ("bundle_pT.svg", "a<b & c: pulled-back root curves")):
+        doc = minidom.parse(str(tmp_path / "out" / "figures" / name))
+        assert doc.getElementsByTagName("text")[0].firstChild.data == title
+
+
+@pytest.mark.parametrize("command, bound", [
+    ("example1", "$.base.samples: 0 is less than the minimum of 2"),
+    ("torus", "$.base.shape[0]: 0 is less than the minimum of 3"),
+    ("graphdemo", "$.base.samples_per_edge: 0 is less than the minimum of 2"),
+    ("run", "interval needs at least 2 samples"),
+], ids=["example1", "torus", "graphdemo", "run"])
+def test_zero_samples_is_rejected(tmp_path, capsys, command, bound):
+    # --samples 0 is given, not absent: it must meet the bound, not the default
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_example1(201)))
+    argv = ["run", str(cfg_path)] if command == "run" else ["builtin", command]
+    assert main(argv + ["--samples", "0", "--out", str(tmp_path / "out")]) == 1
+    assert bound in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
 def test_crossing_assertions_run_at_load(tmp_path):
     cfg = scenarios.builtin_scenario("example2", samples=240)
     run_scenario(cfg, str(tmp_path))

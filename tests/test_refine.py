@@ -155,6 +155,39 @@ def test_merge_at_a_midpoint_ends_the_span():
     assert build_bundle(p).refinement[3] == [0.5]
 
 
+def _match_count_cases():
+    circle = make_circle(2000)
+    quintic = crossing_quintic(circle)
+    yield pytest.param(quintic, True, id="quintic")
+    yield pytest.param(pullback_polynomial(quintic, time_warp_map(circle)), True,
+                       id="quintic-pullback")
+    yield pytest.param(poly_from_roots(make_interval(9), ["x-0.4375", "2*(x-0.4375)"]), True,
+                       id="midpoint-merge")
+    yield pytest.param(poly_from_exprs(make_torus2(64, 64), ["-exp(1i*theta1)", "0"]), False,
+                       id="torus")
+
+
+@pytest.mark.parametrize("p, refines", list(_match_count_cases()))
+def test_one_match_per_depth(monkeypatch, p, refines):
+    # every edge's first match is depth 0 of the bisection, and each depth
+    # with split spans adds one match: a midpoint of denominator 2^k is
+    # matched at depth k
+    from rootlift import bundle
+    calls, match = [], bundle._match_edges
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return match(*args)
+
+    monkeypatch.setattr(bundle, "_match_edges", counting)
+    b = build_bundle(p)
+    assert bool(b.refinement) == refines
+    depth = max((t.as_integer_ratio()[1].bit_length() - 1
+                 for mids in b.refinement.values() for t in mids), default=0)
+    assert len(calls) == 1 + depth
+    assert calls[0] == p.base.n_edges
+
+
 def test_depth_cap_raises_like_the_reference():
     base = make_interval(11)
     p = poly_from_exprs(base, ["-(x-0.4999999)^2", "0"])

@@ -308,7 +308,7 @@ def test_admissibility_runs_match_reference_walk(name):
     for mask in _masks(base, 3 * len(name)):
         g = np.where(mask, 0.0, 1.0 + np.arange(base.n_samples))
         p = poly_from_values(base, [g, zeros])
-        marked = np.abs(discriminant(p, check=False).values) < DEFAULT_TOL.admissible_zero_tol
+        marked = np.abs(discriminant(p).values) < DEFAULT_TOL.admissible_zero_tol
         for window in (1, 2, 3, 5, None):
             report = is_admissible(p, window=window)
             assert report.runs == _ref_admissibility_runs(base, marked, report.window)
