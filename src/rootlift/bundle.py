@@ -87,7 +87,7 @@ class MonicPolynomial:
     def fibers(self) -> np.ndarray:
         """(S, n) canonically ordered roots per sample, solved once and
         shared by :func:`discriminant` and :func:`build_bundle`."""
-        return _kernels.solve_fibers(self.coeff_values)
+        return _kernels.track_fibers(self.coeff_values)
 
     def coeffs_at(self, coords) -> np.ndarray:
         """(K, n) coefficients at K coordinates, shape (K,) or (K, 2) on torus2.

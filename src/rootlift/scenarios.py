@@ -185,8 +185,9 @@ def builtin_scenario(name: str, samples: int | None = None) -> dict:
             "seed": 0,
             "base": {"kind": "circle", "samples": n},
             "polynomial": {"roots": quintic_root_texts()},
+            # below 2 samples the schema rejects the base and names the bound
             "selfmap": {"expr": time_warp_text(),
-                        "continuity_bound": time_warp_bound(n)},
+                        "continuity_bound": time_warp_bound(max(n, 2))},
             "analyses": ["bundle", "strips", "cole", "ah", "cross_checks"],
             "assertions": "crossing_quintic",
             "expect": {"cole": "yes", "ah": "no"},

@@ -483,3 +483,27 @@ def test_large_degree_bundle_falls_back_to_lsap_where_the_screen_fails(monkeypat
     ref = build_bundle(p)
     assert np.array_equal(b.edge_perms, ref.edge_perms)
     assert b.refinement == ref.refinement
+
+
+@pytest.mark.parametrize("n", [2000, 2001, 8000])
+def test_tracked_fibers_keep_every_branch_decision(monkeypatch, n):
+    # sample fibers come from track_fibers; a row near a coalescence must
+    # fall back to solve_fibers, so flags, merges and refinement are those of
+    # bundles solved by solve_fibers alone
+    from rootlift import _kernels
+    from rootlift.scenarios import half_turn_map
+    circle = make_circle(n)
+    p = crossing_quintic(circle)
+    polys = [p] + [pullback_polynomial(p, f(circle)) for f in (time_warp_map, half_turn_map)]
+    tracked = [build_bundle(q) for q in polys]
+    monkeypatch.setattr(_kernels, "track_fibers", _kernels.solve_fibers)
+    checked = 0
+    for q, a in zip(polys, tracked):
+        b = build_bundle(MonicPolynomial(q.base, q.coeff_values, q.source))
+        near = _min_fiber_gap(b.fibers) < DEFAULT_TOL.branch_tol
+        assert np.array_equal(a.fibers[near], b.fibers[near])
+        assert np.array_equal(a.branch_flags, b.branch_flags)
+        assert a.merge_clusters == b.merge_clusters
+        assert a.refinement == b.refinement
+        checked += np.count_nonzero(near)
+    assert checked      # some sample, or its image, lies on the touch at pi

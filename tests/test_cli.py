@@ -246,6 +246,14 @@ def test_zero_samples_is_rejected(tmp_path, capsys, command, bound):
     assert not (tmp_path / "out" / "verdict.json").exists()
 
 
+def test_negative_samples_name_the_bound(tmp_path, capsys):
+    # example2 derives its warp's continuity bound from the sample count,
+    # which must not fail before the schema names the bound on the count
+    assert main(["builtin", "example2", "--samples", "-4", "--out", str(tmp_path / "out")]) == 1
+    assert "$.base.samples: -4 is less than the minimum of 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
 def test_crossing_assertions_run_at_load(tmp_path):
     cfg = scenarios.builtin_scenario("example2", samples=240)
     run_scenario(cfg, str(tmp_path))

@@ -155,3 +155,132 @@ def test_polish_keeps_both_copies_of_a_double_root(root):
     p = poly_from_roots(make_torus2(128, 128), [root, root, "3+sin(theta2)"])
     fibers = build_bundle(p).fibers
     assert np.max(np.abs(fibers[:, 0] - fibers[:, 1])) < 1e-6
+
+
+# -- tracked sample fibers ---------------------------------------------------------
+
+def _circle_rows(m, roots_at):
+    """Coefficient rows of the monic polynomials whose roots at theta are
+    ``roots_at(theta)``, over m samples of the circle."""
+    theta = 2 * np.pi * np.arange(m) / m
+    return np.array([_poly_from_roots(roots_at(t)) for t in theta])
+
+
+def _cycle_rows(d, m=1000, seed=0):
+    # (t - c)^d - exp(i(theta + phase)): one d-cycle of roots around c
+    rng = np.random.default_rng(seed)
+    c, phase = complex(*rng.uniform(-0.3, 0.3, size=2)), rng.uniform(0, 2 * np.pi)
+    k = np.arange(d)
+    return _circle_rows(m, lambda t: c + np.exp(1j * (t + phase + 2 * np.pi * k) / d))
+
+
+def _trivial_rows(d, m=64, seed=0):
+    # d unit circles, centres about 3 apart on the real axis
+    rng = np.random.default_rng(seed)
+    centre = 3.0 * np.arange(d) + rng.uniform(-0.25, 0.25, d) + 1j * rng.uniform(-0.25, 0.25, d)
+    phase = rng.uniform(0, 2 * np.pi, d)
+    return _circle_rows(m, lambda t: centre + np.exp(1j * (t + phase)))
+
+
+def _smooth_rows(seed, m=500):
+    # random roots, each a centre plus two Fourier modes of the angle
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 10))
+    a = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    a[0] *= 3.0
+    return _circle_rows(m, lambda t: a[0] + 0.5 * a[1] * np.exp(1j * t)
+                        + 0.3 * a[2] * np.exp(-2j * t))
+
+
+def _quintic_rows(m):
+    from rootlift import make_circle
+    from rootlift.scenarios import crossing_quintic
+    return crossing_quintic(make_circle(m)).coeff_values
+
+
+def _tracked(monkeypatch, coeffs):
+    """track_fibers(coeffs), solve_fibers(coeffs), and which rows
+    track_fibers passed to solve_fibers: its anchors and its fallbacks."""
+    solve, passed = _kernels.solve_fibers, set()
+
+    def spy(rows):
+        passed.update(row.tobytes() for row in rows)
+        return solve(rows)
+
+    monkeypatch.setattr(_kernels, "solve_fibers", spy)
+    got = _kernels.track_fibers(coeffs)
+    return got, solve(coeffs), np.array([row.tobytes() in passed for row in coeffs])
+
+
+def _assert_same_roots(coeffs, got, want):
+    """Rows of the same multisets, each root to within a few times the
+    rounding floor of its row: eps times the root scale plus Horner's
+    rounding bound over |p'|, the limit of any residual-driven solve."""
+    dist = np.abs(got[:, :, None] - want[:, None, :])
+    err = np.maximum(dist.min(axis=1).max(axis=1), dist.min(axis=2).max(axis=1))
+    bound, _ = _kernels.horner(np.abs(coeffs), np.abs(want))
+    _, slope = _kernels.horner(coeffs, want)
+    floor = np.abs(want).max(axis=1) + (bound / np.abs(slope)).max(axis=1)
+    assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, floor))
+
+
+# the largest roots of the trivial families from degree 7 on have rounding
+# bounds above the radius bound, so most or all of their rows fall back
+@pytest.mark.parametrize("rows, tracked", [
+    *(pytest.param(lambda d=d: _cycle_rows(d), 0.9, id=f"cycle{d}") for d in range(3, 10)),
+    *(pytest.param(lambda d=d: _trivial_rows(d), 0.9 if d < 7 else 0.0, id=f"trivial{d}")
+      for d in range(3, 10)),
+    *(pytest.param(lambda m=m: _quintic_rows(m), 0.9, id=f"quintic{m}")
+      for m in (2000, 2001, 8000)),
+    *(pytest.param(lambda s=s: _smooth_rows(s), 0.9, id=f"smooth{s}") for s in range(4)),
+])
+def test_track_fibers_agrees_with_solve_fibers(monkeypatch, rows, tracked):
+    coeffs = rows()
+    got, want, by_solve = _tracked(monkeypatch, coeffs)
+    _check_residuals(coeffs, got, DEFAULT_TOL)
+    _assert_canonical(got)
+    # every 16th row, and every row the sweeps did not certify, keeps the
+    # solve's bits
+    assert by_solve[::16].all()
+    assert np.array_equal(got[by_solve], want[by_solve])
+    assert np.count_nonzero(~by_solve) >= tracked * len(coeffs)
+    _assert_same_roots(coeffs[~by_solve], got[~by_solve], want[~by_solve])
+
+
+def test_track_fibers_leaves_degree_two_to_the_closed_form(monkeypatch):
+    coeffs = np.stack([-np.exp(1j * np.linspace(0, 6, 100)), np.zeros(100)], axis=1)
+    got, want, by_solve = _tracked(monkeypatch, coeffs)
+    assert by_solve.all() and np.array_equal(got, want)
+
+
+def test_wide_disjoint_discs_are_never_accepted(monkeypatch):
+    # the crossing quintic over 64 samples: a row starts up to 8 samples, an
+    # eighth of a turn, from its nearest solved row, where several rows'
+    # discs are disjoint but far wider than the radius bound.  With one
+    # sweep a row can be accepted only on those seed discs, so each such row
+    # must be left to solve_fibers
+    coeffs = _quintic_rows(64)
+    m, n = coeffs.shape
+    rows = np.flatnonzero(np.arange(m) % 16)
+    seed = _kernels.solve_fibers(coeffs)[np.minimum((rows + 8) // 16, (m - 1) // 16) * 16]
+    p, _ = _kernels.horner(coeffs[rows], seed)
+    q = np.prod([np.where(np.arange(n) == j, 1.0, seed - seed[:, j, None]) for j in range(n)],
+                axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):   # seeds with a double root
+        radius = n * np.abs(p / q)
+    disjoint = np.array([all(abs(z[i] - z[j]) > r[i] + r[j]
+                             for i in range(n) for j in range(i + 1, n))
+                         for z, r in zip(seed, radius)])
+    wide = np.any(radius > 1e-10 * np.maximum(1.0, np.abs(seed)), axis=1)
+    trap = rows[disjoint & wide]
+    assert len(trap) >= 5
+    monkeypatch.setattr(_kernels, "_SWEEPS", 1)
+    got, want, by_solve = _tracked(monkeypatch, coeffs)
+    assert by_solve[trap].all()
+    assert np.array_equal(got, want)
+    # with every sweep, the rows the sweeps certify hold the same roots
+    monkeypatch.setattr(_kernels, "_SWEEPS", 8)
+    got, want, by_solve = _tracked(monkeypatch, coeffs)
+    _check_residuals(coeffs, got, DEFAULT_TOL)
+    assert np.count_nonzero(~by_solve[trap]) >= 3
+    _assert_same_roots(coeffs[~by_solve], got[~by_solve], want[~by_solve])
