@@ -23,15 +23,13 @@ _SWEEPS = 8            # Weierstrass sweeps before a row falls back to solve_fib
 _RADIUS = 1e-10        # largest accepted disc radius, relative to max(1, |z|)
 
 
-def horner(coeffs: np.ndarray, z: np.ndarray):
-    """Evaluate monic p and p' at z; coeffs are c_0..c_{n-1} per row."""
-    m, n = coeffs.shape
-    p = np.ones_like(z)
-    dp = np.zeros_like(z)
-    for k in range(n - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs[:, k, None]
-    return p, dp
+def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Monic p at z, one array updated in place; coeffs are c_0..c_{n-1} per row."""
+    p = np.ones(z.shape, dtype=np.result_type(coeffs, z))
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        p *= z
+        p += coeffs[:, k, None]
+    return p
 
 
 def polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray:
@@ -46,7 +44,10 @@ def polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray
             np.minimum(half_gap[:, i], gap, out=half_gap[:, i])
             np.minimum(half_gap[:, j], gap, out=half_gap[:, j])
     for _ in range(sweeps):
-        p, dp = horner(coeffs, z)
+        p, dp = np.ones_like(z), np.zeros_like(z)    # p and p' by Horner's rule
+        for k in range(coeffs.shape[1] - 1, -1, -1):
+            dp = dp * z + p
+            p = p * z + coeffs[:, k, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = p / dp
         bound = np.minimum(0.5 * (1.0 + np.abs(z)), half_gap)
@@ -113,7 +114,7 @@ def track_fibers(coeffs: np.ndarray) -> np.ndarray:
         if not rows.size:
             break
         with np.errstate(all="ignore"):
-            p, _ = horner(c, z)
+            p = horner(c, z)
             q = np.ones_like(z)             # prod_{j != i} (z_i - z_j)
             for j in range(n):
                 d = z - z[:, j, None]
@@ -127,7 +128,7 @@ def track_fibers(coeffs: np.ndarray) -> np.ndarray:
             k = np.flatnonzero(ok)
             zk = z[k]
             radius = n * (np.abs(p[k]) + 4 * n * np.finfo(float).eps
-                          * horner(np.abs(c[k]), np.abs(zk))[0]) / np.abs(q[k])
+                          * horner(np.abs(c[k]), np.abs(zk))) / np.abs(q[k])
             ok[k] = np.all(radius <= lim[k], axis=1)
             for j in range(n):
                 apart = np.abs(zk - zk[:, j, None]) > radius + radius[:, j, None]
@@ -142,5 +143,4 @@ def track_fibers(coeffs: np.ndarray) -> np.ndarray:
 
 
 def residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    p, _ = horner(np.ascontiguousarray(coeffs, dtype=complex), roots)
-    return np.abs(p)
+    return np.abs(horner(np.ascontiguousarray(coeffs, dtype=complex), roots))

@@ -211,7 +211,7 @@ def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
     bad = ~(res <= tol.root_residual * np.maximum(1.0, np.max(np.abs(coeffs), axis=1))[:, None])
     rows = np.flatnonzero(bad.any(axis=1))
     if rows.size:               # the Horner bound, only where the coefficient scale fails
-        horner_bound, _ = _kernels.horner(np.abs(coeffs[rows]), np.abs(roots[rows]))
+        horner_bound = _kernels.horner(np.abs(coeffs[rows]), np.abs(roots[rows]))
         bad[rows] &= ~(res[rows] <= tol.root_residual * horner_bound)
         rows = rows[bad[rows].any(axis=1)]
     if rows.size:

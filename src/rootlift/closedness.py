@@ -113,7 +113,7 @@ def cycle_witness_quadratic(base: BaseSpace, loop,
     verdict = has_root(p, tol)
     return {
         "loop_length": len(loop),
-        "admissible": bool(is_admissible(p, zero_tol=tol.admissible_zero_tol).admissible),
+        "admissible": True,             # has_root raises on an inadmissible polynomial
         "has_root": verdict.answer,
         "certificate": verdict.certificate,
     }
@@ -167,8 +167,9 @@ def closedness_report(base: BaseSpace, trials: int = 20, seed: int = 0,
         return report
     rng = np.random.default_rng(seed)
     for k in range(trials):
+        # drawn admissible at tol, so has_root's own check is not repeated
         p = random_tree_quadratic(base, rng, tol)
-        verdict = has_root(p, tol)
+        verdict = _section_verdict(build_bundle(p, tol))
         report.trials.append({
             "trial": k,
             "has_root": verdict.answer,

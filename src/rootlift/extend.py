@@ -16,6 +16,7 @@ combinatorial search is exact at the sampling resolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -98,6 +99,7 @@ class LiftProblem:
         self.base = source.base
         self.basepoint = self._pick_basepoint()
         self._build_loop_constraints(*self._build_transports())
+        self._build_orbits()
         self._build_merge_constraints()
 
     # most-merged sample first: it carries the strongest unary pruning
@@ -164,6 +166,36 @@ class LiftProblem:
         self.loop_pairs: list[tuple[np.ndarray, np.ndarray]] = [
             (rhoA[k], rhoB[k]) for k in keep]
 
+    def _build_orbits(self):
+        """The loop constraints propagated once: one entry per orbit of
+        source slots under the rhoA, in order of smallest slot.
+
+        ``orbits[k]`` is (slots, choices): the orbit's slots in walk order,
+        and one row per target slot y, ascending, that g0 can send the first
+        slot to such that g0[rhoA[s]] = rhoB[g0[s]] propagates consistently
+        through the orbit, holding g0 of every slot.  A loop constraint ties
+        a slot only to the slots of its orbit, so g0 satisfies every one of
+        them exactly when it takes one choice per orbit.
+        """
+        nA, nB = self.source.degree, self.target.degree
+        images = np.full((nA, nB), -1, dtype=np.intp)   # g0 of a slot, per choice of y
+        self.orbits: list[tuple[np.ndarray, np.ndarray]] = []
+        for x in range(nA):
+            if images[x, 0] >= 0:
+                continue
+            images[x] = np.arange(nB)
+            consistent = np.ones(nB, dtype=bool)
+            orbit = [x]
+            for s in orbit:                              # grows while it is walked
+                for rhoA, rhoB in self.loop_pairs:
+                    t, image = int(rhoA[s]), rhoB[images[s]]
+                    if images[t, 0] >= 0:
+                        consistent &= images[t] == image
+                    else:
+                        images[t] = image
+                        orbit.append(t)
+            self.orbits.append((np.array(orbit), images[orbit][:, consistent].T))
+
     def values_agree(self, sample: int, values: np.ndarray) -> np.ndarray:
         """Which pairs of target values at ``sample`` merged source sheets may
         take: those within ``branch_tol`` plus ``merge_scale`` local target
@@ -189,49 +221,34 @@ class LiftProblem:
                     else:
                         combined[key] = mat.copy()
         self.merge_pairs = [(a, b, m) for (a, b), m in sorted(combined.items())]
-        self._merge_by_slot: dict[int, list[tuple[int, np.ndarray, bool]]] = {}
-        for a, b, m in self.merge_pairs:
-            self._merge_by_slot.setdefault(a, []).append((b, m, False))
-            self._merge_by_slot.setdefault(b, []).append((a, m, True))
 
     # -- enumeration ------------------------------------------------------------
 
     def _solutions(self):
-        """Basepoint maps g0 of all lifts, lazily, in lexicographic order."""
-        nA, nB = self.source.degree, self.target.degree
-        g0 = np.full(nA, -1, dtype=np.intp)
+        """Basepoint maps g0 of all lifts, lazily, in lexicographic order.
 
-        def assign(slot, value, trail):
-            stack = [(slot, value)]
-            while stack:
-                s, v = stack.pop()
-                if g0[s] >= 0:
-                    if g0[s] != v:
-                        return False
-                    continue
-                for other, mat, flipped in self._merge_by_slot.get(s, ()):
-                    if g0[other] >= 0:
-                        ok = mat[g0[other], v] if flipped else mat[v, g0[other]]
-                        if not ok:
-                            return False
-                g0[s] = v
-                trail.append(s)
-                for rhoA, rhoB in self.loop_pairs:
-                    stack.append((int(rhoA[s]), int(rhoB[v])))
-            return True
+        A depth-first product over the orbits' choices; each merge pair is
+        checked at the orbit that sets the later of its two slots.  Each
+        orbit's first slot is the smallest not set before it, so ordering
+        by the choices is ordering by g0.
+        """
+        g0 = np.zeros(self.source.degree, dtype=np.intp)
+        depth = np.empty_like(g0)                        # the orbit of each slot
+        for k, (slots, _) in enumerate(self.orbits):
+            depth[slots] = k
+        checks = [[] for _ in self.orbits]
+        for a, b, mat in self.merge_pairs:
+            checks[max(depth[a], depth[b])].append((a, b, mat))
 
-        def search(pos):
-            while pos < nA and g0[pos] >= 0:
-                pos += 1
-            if pos == nA:
-                yield tuple(int(v) for v in g0)
+        def search(k):
+            if k == len(self.orbits):
+                yield tuple(g0.tolist())
                 return
-            for v in range(nB):
-                trail: list[int] = []
-                if assign(pos, v, trail):
-                    yield from search(pos + 1)
-                for s in trail:
-                    g0[s] = -1
+            slots, choices = self.orbits[k]
+            for choice in choices:
+                g0[slots] = choice
+                if all(mat[g0[a], g0[b]] for a, b, mat in checks[k]):
+                    yield from search(k + 1)
 
         return search(0)
 
@@ -242,34 +259,11 @@ class LiftProblem:
 
     def solution_count(self, cap: int | None = None) -> int:
         """The number of lifts (``cap`` when there are more), counted
-        without building them.
-
-        Loop constraints tie a slot only to the slots of its orbit under the
-        source loop permutations, so without merge constraints the count is
-        the product over orbits of the target slots y such that g0[x] = y,
-        for the orbit's first slot x, propagates consistently through the
-        orbit.  With merge constraints lifts are searched for, up to ``cap``.
-        """
+        without building them: without merge constraints the product of the
+        orbits' choice counts, with them by search, up to ``cap``."""
         if self.merge_pairs:
             return sum(1 for _ in itertools.islice(self._solutions(), cap))
-        nA, nB = self.source.degree, self.target.degree
-        images = np.full((nA, nB), -1, dtype=np.intp)   # g0 of a slot, per choice of y
-        count = 1
-        for x in range(nA):
-            if images[x, 0] >= 0:
-                continue
-            images[x] = np.arange(nB)
-            consistent = np.ones(nB, dtype=bool)
-            orbit = [x]
-            for s in orbit:                              # grows while it is walked
-                for rhoA, rhoB in self.loop_pairs:
-                    t, image = int(rhoA[s]), rhoB[images[s]]
-                    if images[t, 0] >= 0:
-                        consistent &= images[t] == image
-                    else:
-                        images[t] = image
-                        orbit.append(t)
-            count *= int(np.count_nonzero(consistent))
+        count = math.prod(len(choices) for _, choices in self.orbits)
         return count if cap is None else min(count, cap)
 
     def assignments_for(self, g0) -> np.ndarray:
@@ -281,26 +275,21 @@ class LiftProblem:
 
 @dataclass
 class LiftWitness:
-    """One lift: the basepoint assignment plus lazily materialized values."""
+    """One lift: the basepoint assignment plus lazily materialized values.
+    Witnesses compare by problem and basepoint map."""
 
     problem: LiftProblem
     g0: tuple[int, ...]
-    _assignments: np.ndarray | None = field(default=None, repr=False)
-    _values: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @functools.cached_property
     def assignments(self) -> np.ndarray:
-        if self._assignments is None:
-            self._assignments = self.problem.assignments_for(self.g0)
-        return self._assignments
+        return self.problem.assignments_for(self.g0)
 
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
         """f on the source bundle: value of the assigned target sheet."""
-        if self._values is None:
-            rows = np.arange(self.problem.base.n_samples)[:, None]
-            self._values = self.problem.target.fibers[rows, self.assignments]
-        return self._values
+        rows = np.arange(self.problem.base.n_samples)[:, None]
+        return self.problem.target.fibers[rows, self.assignments]
 
 
 def validate_witness(problem: LiftProblem, witness: LiftWitness) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from instancegen import random_tree
-from rootlift import (make_circle, make_graph, make_interval,
+from rootlift import (closedness, make_circle, make_graph, make_interval,
                       poly_from_exprs)
 from rootlift._kernels import residuals
 from rootlift.bundle import Tolerances
@@ -158,6 +158,25 @@ def test_tree_draws_use_the_given_admissibility_tolerance():
     rep = closedness_report(base, tol=tol)
     assert rep.algebraically_closed_verdict
     assert len(rep.trials) == 20 and all(t["has_root"] == "yes" for t in rep.trials)
+
+
+@pytest.mark.parametrize("vertices, cedges, trials",
+                         [(1, [(0, 0), (0, 0)], 3), (4, [(0, 1), (1, 2), (1, 3)], 6)])
+def test_each_polynomial_is_checked_for_admissibility_once(monkeypatch, vertices, cedges,
+                                                           trials):
+    # a figure eight (one witness quadratic per loop) and a tree (one per draw)
+    checked = []
+    admissible = closedness.is_admissible
+    monkeypatch.setattr(closedness, "is_admissible",
+                        lambda p, **kw: checked.append(p) or admissible(p, **kw))
+    base = make_graph(vertices, cedges, 8)
+    rep = closedness_report(base, trials=trials, seed=2)
+    assert len({id(p) for p in checked}) == len(checked)
+    if rep.has_cycle:
+        assert len(checked) == len(base.loop_basis) == 2
+        assert all(w["admissible"] for w in rep.cycle_witnesses)
+    else:
+        assert len(checked) >= len(rep.trials) == trials
 
 
 def test_report_json_roundtrip():

@@ -1,10 +1,12 @@
 """Lift counting and the vectorised circle fast path against references.
 
-``solution_count`` counts lifts by source orbits (no merge constraints) or
-by search (with them); the reference here checks every basepoint map
-against every loop and merge constraint.  ``_strip_obstruction`` counts
-at the merge samples with the lift search's own merge rules; the reference
-is a per-sample loop over the same two counts, by union-find.
+``solution_count`` multiplies the choice counts of the orbit table (no
+merge constraints) or counts by search (with them), and the search lists
+lifts in lexicographic order; the reference here checks every basepoint map
+against every loop and merge constraint, in that order.
+``_strip_obstruction`` counts at the merge samples with the lift search's
+own merge rules; the reference is a per-sample loop over the same two
+counts, by union-find.
 """
 
 import copy
@@ -28,33 +30,35 @@ from rootlift.scenarios import (crossing_quintic, flip_map, half_turn_map,
                                 interval_square_pair, time_warp_map)
 
 
-def _brute_count(problem):
+def _brute_solutions(problem):
     """Basepoint maps g0 with g0[rhoA] = rhoB[g0] for every loop pair and
-    every merge pair's value allowed, found by trying all of them."""
+    every merge pair's value allowed, found by trying all of them in
+    lexicographic order."""
     nA, nB = problem.source.degree, problem.target.degree
-    count = 0
+    found = []
     for g0 in itertools.product(range(nB), repeat=nA):
-        g0 = np.array(g0)
-        count += all(np.array_equal(g0[rhoA], rhoB[g0]) for rhoA, rhoB in problem.loop_pairs) \
-            and all(mat[g0[a], g0[b]] for a, b, mat in problem.merge_pairs)
-    return count
+        g = np.array(g0)
+        if all(np.array_equal(g[rhoA], rhoB[g]) for rhoA, rhoB in problem.loop_pairs) \
+                and all(mat[g[a], g[b]] for a, b, mat in problem.merge_pairs):
+            found.append(g0)
+    return found
 
 
 def _without_merges(problem):
     bare = copy.copy(problem)
-    bare.merge_pairs, bare._merge_by_slot = [], {}
+    bare.merge_pairs = []
     return bare
 
 
 def _assert_counts(problem):
-    """The count equals the reference and the enumeration, with and
-    without the problem's merge constraints; returns the count."""
-    count = problem.solution_count()
-    assert count == _brute_count(problem) == len(problem.enumerate())
-    if problem.merge_pairs:
-        bare = _without_merges(problem)
-        assert bare.solution_count() == _brute_count(bare) == len(bare.enumerate())
-    return count
+    """The count equals the reference, and the enumeration is the
+    reference's list in its lexicographic order, with and without the
+    problem's merge constraints; returns the count."""
+    for instance in (problem, _without_merges(problem)) if problem.merge_pairs else (problem,):
+        want = _brute_solutions(instance)
+        assert [w.g0 for w in instance.enumerate()] == want
+        assert instance.solution_count() == len(want)
+    return problem.solution_count()
 
 
 def test_count_on_random_interval_and_circle_instances():

@@ -300,11 +300,22 @@ def test_witness_validator_catches_corruption():
     problem, _, _ = _square_pair_problem(101)
     w = problem.enumerate()[0]
     _ = w.values
-    w._assignments = w.assignments.copy()
-    w._assignments[50, 0] = 1 - w._assignments[50, 0]
-    w._values = None
+    corrupt = w.assignments.copy()
+    corrupt[50, 0] = 1 - corrupt[50, 0]
+    w.assignments = corrupt
+    del w.values                       # materialized again from the corrupt map
     report = validate_witness(problem, w)
     assert not report["valid"]
+
+
+def test_witnesses_compare_by_problem_and_basepoint_map():
+    problem, _, _ = _square_pair_problem(101)
+    first, second = problem.enumerate(), problem.enumerate()
+    for w in first + second:
+        _ = w.values                   # both caches materialized
+    assert first == second
+    assert first[0] != first[1]
+    assert first[0] != LiftWitness(_square_pair_problem(101)[0], first[0].g0)
 
 
 # -- the array LiftProblem against per-sample references ---------------------------

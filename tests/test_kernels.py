@@ -218,8 +218,11 @@ def _assert_same_roots(coeffs, got, want):
     rounding bound over |p'|, the limit of any residual-driven solve."""
     dist = np.abs(got[:, :, None] - want[:, None, :])
     err = np.maximum(dist.min(axis=1).max(axis=1), dist.min(axis=2).max(axis=1))
-    bound, _ = _kernels.horner(np.abs(coeffs), np.abs(want))
-    _, slope = _kernels.horner(coeffs, want)
+    bound = _kernels.horner(np.abs(coeffs), np.abs(want))
+    n = coeffs.shape[1]
+    k = np.arange(1, n)            # p'(z) = n z^(n-1) + sum_k k c_k z^(k-1), term by term
+    slope = n * want ** (n - 1) + np.sum(
+        k * coeffs[:, None, 1:] * want[:, :, None] ** (k - 1), axis=2)
     floor = np.abs(want).max(axis=1) + (bound / np.abs(slope)).max(axis=1)
     assert np.all(err <= 8 * np.finfo(float).eps * np.maximum(1.0, floor))
 
@@ -263,7 +266,7 @@ def test_wide_disjoint_discs_are_never_accepted(monkeypatch):
     m, n = coeffs.shape
     rows = np.flatnonzero(np.arange(m) % 16)
     seed = _kernels.solve_fibers(coeffs)[np.minimum((rows + 8) // 16, (m - 1) // 16) * 16]
-    p, _ = _kernels.horner(coeffs[rows], seed)
+    p = _kernels.horner(coeffs[rows], seed)
     q = np.prod([np.where(np.arange(n) == j, 1.0, seed - seed[:, j, None]) for j in range(n)],
                 axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):   # seeds with a double root
