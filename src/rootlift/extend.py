@@ -175,7 +175,9 @@ class LiftProblem:
         slot to such that g0[rhoA[s]] = rhoB[g0[s]] propagates consistently
         through the orbit, holding g0 of every slot.  A loop constraint ties
         a slot only to the slots of its orbit, so g0 satisfies every one of
-        them exactly when it takes one choice per orbit.
+        them exactly when it takes one choice per orbit.  The table is
+        derived from ``loop_pairs`` when the problem is built: a later
+        change to ``loop_pairs`` has no effect until this runs again.
         """
         nA, nB = self.source.degree, self.target.degree
         images = np.full((nA, nB), -1, dtype=np.intp)   # g0 of a slot, per choice of y
@@ -230,7 +232,8 @@ class LiftProblem:
         A depth-first product over the orbits' choices; each merge pair is
         checked at the orbit that sets the later of its two slots.  Each
         orbit's first slot is the smallest not set before it, so ordering
-        by the choices is ordering by g0.
+        by the choices is ordering by g0.  ``orbits`` is fixed when the
+        problem is built, while ``merge_pairs`` is read on every call.
         """
         g0 = np.zeros(self.source.degree, dtype=np.intp)
         depth = np.empty_like(g0)                        # the orbit of each slot

@@ -364,7 +364,9 @@ def _check_against_reference(problem):
     assert len(problem.cotree) == len(ref)
     full = copy.copy(problem)                        # the search with every co-tree edge
     full.loop_pairs = ref
-    assert len(full.enumerate()) == len(problem.enumerate())
+    full._build_orbits()                             # the orbit table is derived from loop_pairs
+    assert full.orbits is not problem.orbits
+    assert [w.g0 for w in full.enumerate()] == [w.g0 for w in problem.enumerate()]
 
 
 def _torus_swap_problems(n=64):
