@@ -13,6 +13,7 @@ config errors.  Outputs are byte-deterministic for a fixed config+seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -111,6 +112,10 @@ def validate_config(config: dict) -> None:
     if "polynomial" in config and len(config["polynomial"]) != 1:
         raise ScenarioError(
             "$.polynomial: give exactly one of 'coefficients' and 'roots'")
+    if "polynomial" in config and kind == "graph":
+        # expressions over a graph take no variables, and a scenario file
+        # has no way to give sampled values
+        raise ScenarioError("$.polynomial: a graph base takes no polynomial")
     if any(a in analyses for a in ("cole", "ah", "cross_checks")):
         if "polynomial" not in config or "selfmap" not in config:
             raise ScenarioError(
@@ -185,31 +190,90 @@ def _coord_columns(base):
     return ["coord1", "coord2"]
 
 
-def write_bundle_csv(bundle, path):
-    # Python scalars from tolist(), one write per sample
+# The CSV writers build the text of _BLOCK samples with one %-format call over
+# columns of strings formatted once each: the head "s,coord…," per sample,
+# repr of every root part, and the flag as a constant tail; tests/test_writers.py
+# holds them to per-line reference writers byte for byte.  Blocks of 64 to
+# 1,024 samples write equally fast; larger ones hold more strings at once.
+_BLOCK = 128
+_TAILS = (",0\n", ",1\n")
+_LIFT_HEADER = "sample_index,sheet_index,target_sheet,f_re,f_im\n"
+
+
+def _parts(z):
+    """repr of the real and of the imaginary parts of ``z``, in C order; of
+    Python floats from tolist(), so "-2.0", never "np.float64(-2.0)"."""
+    return (list(map(repr, z.real.ravel().tolist())),
+            list(map(repr, z.imag.ravel().tolist())))
+
+
+def _columns(m, n, *columns):
+    """The arguments of m samples' n rows each, row-major: a column is a
+    sequence with one entry per sample (repeated on each of its rows) or with
+    one entry per row."""
+    k = len(columns)
+    args = [None] * (k * m * n)
+    for j, col in enumerate(columns):
+        if len(col) == m * n:
+            args[j::k] = col
+        else:
+            for i in range(n):
+                args[k * i + j::k * n] = col
+    return tuple(args)
+
+
+def _lift_rows(a, targets, re, im):
+    """lift_f.csv rows of the samples a, a+1, …: ``targets`` is their block of
+    assignments, ``re``/``im`` the formatted parts of f row-major."""
+    m, n = targets.shape
+    rows = "".join(f"%d,{i},%d,%s,%s\n" for i in range(n))
+    return (rows * m) % _columns(m, n, range(a, a + m), targets.ravel().tolist(), re, im)
+
+
+def write_bundle_csv(bundle, path, witness=None, lift_path=None):
+    """Write the bundle's roots to ``path``.  Given a ``witness`` of a lift
+    into this bundle, also write its values to ``lift_path`` in the same pass:
+    they are the bundle's own roots (``LiftWitness.values``), so each lift row
+    takes the text of the root it was gathered from."""
+    if witness is not None and witness.problem.target is not bundle:
+        raise ValueError("the witness lifts into another bundle")
     base = bundle.base
+    S, n = bundle.fibers.shape
     cols = _coord_columns(base)
-    rows = zip(base.coords.reshape(base.n_samples, -1).tolist(),
-               bundle.fibers.tolist(), bundle.branch_flags.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
+    coords = base.coords.reshape(S, -1)
+    head = "%d" + ",%s" * len(cols)
+    rows = "".join(f"%s,{i},%s,%s%s" for i in range(n))
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(path, "w", encoding="utf-8"))
         fh.write(",".join(["sample_index", *cols,
                            "sheet_index", "root_re", "root_im", "branch_flag"])
                  + "\n")
-        for s, (coord, fiber, flag) in enumerate(rows):
-            head = ",".join([str(s), *map(repr, coord)]) + ","
-            tail = f",{int(flag)}\n"
-            fh.write("".join([f"{head}{i},{z.real!r},{z.imag!r}{tail}"
-                              for i, z in enumerate(fiber)]))
+        if witness is not None:
+            lift_fh = stack.enter_context(open(lift_path, "w", encoding="utf-8"))
+            lift_fh.write(_LIFT_HEADER)
+            assignments = witness.assignments
+        for a in range(0, S, _BLOCK):
+            b = min(a + _BLOCK, S)
+            m = b - a
+            coord_texts = (map(repr, c) for c in coords[a:b].T.tolist())
+            heads = list(map(head.__mod__, zip(range(a, b), *coord_texts)))
+            tails = list(map(_TAILS.__getitem__, bundle.branch_flags[a:b].tolist()))
+            re, im = _parts(bundle.fibers[a:b])
+            fh.write((rows * m) % _columns(m, n, heads, re, im, tails))
+            if witness is not None:
+                targets = assignments[a:b]
+                at = (targets + n * np.arange(m)[:, None]).ravel().tolist()
+                lift_fh.write(_lift_rows(a, targets, list(map(re.__getitem__, at)),
+                                         list(map(im.__getitem__, at))))
 
 
 def write_lift_csv(witness, path):
-    # Python scalars from tolist(): repr gives "-2.0", never "np.float64(-2.0)"
+    values, assignments = witness.values, witness.assignments
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_index,sheet_index,target_sheet,f_re,f_im\n")
-        rows = zip(witness.values.tolist(), witness.assignments.tolist())
-        for s, (values, targets) in enumerate(rows):
-            fh.write("".join([f"{s},{i},{t},{z.real!r},{z.imag!r}\n"
-                              for i, (z, t) in enumerate(zip(values, targets))]))
+        fh.write(_LIFT_HEADER)
+        for a in range(0, len(values), _BLOCK):
+            fh.write(_lift_rows(a, assignments[a:a + _BLOCK],
+                                *_parts(values[a:a + _BLOCK])))
 
 
 def _analyze(config: dict, factor: int, override: int | None,
@@ -257,7 +321,6 @@ def _analyze(config: dict, factor: int, override: int | None,
         }
         if out_dir:
             write_bundle_csv(bundle_a, os.path.join(out_dir, "bundle_p.csv"))
-            write_bundle_csv(bundle_b, os.path.join(out_dir, "bundle_pT.csv"))
             if svg and base.kind in ("interval", "circle"):
                 figdir = os.path.join(out_dir, "figures")
                 os.makedirs(figdir, exist_ok=True)
@@ -274,14 +337,20 @@ def _analyze(config: dict, factor: int, override: int | None,
             "pT": monodromy.strips(bundle_b).windings,
         }
 
-    cole = ah = None
+    cole = ah = witness = None
     if "cole" in analyses and problem is not None:
         cole = decide_lift(problem)
-        ref = None
-        if cole.witness is not None and out_dir:
-            ref = "lift_f.csv"
-            write_lift_csv(cole.witness, os.path.join(out_dir, ref))
-        results["cole"] = cole.to_json(ref)
+        witness = cole.witness if out_dir else None
+        results["cole"] = cole.to_json(None if witness is None else "lift_f.csv")
+    if out_dir:
+        # the target's roots and the lift f, which takes its values from
+        # them, in one pass
+        lift_path = os.path.join(out_dir, "lift_f.csv")
+        if "bundle" in analyses and bundle_b is not None:
+            write_bundle_csv(bundle_b, os.path.join(out_dir, "bundle_pT.csv"),
+                             witness, lift_path)
+        elif witness is not None:
+            write_lift_csv(witness, lift_path)
     if "ah" in analyses and problem is not None:
         ah = decide_subalgebra(problem)
         results["ah"] = ah.to_json()
@@ -333,6 +402,12 @@ def _observed_answers(results: dict) -> dict:
     return out
 
 
+# every file a run may write, relative to its output directory
+_ARTIFACTS = ("verdict.json", "bundle_p.csv", "bundle_pT.csv", "lift_f.csv",
+              os.path.join("figures", "bundle_p.svg"),
+              os.path.join("figures", "bundle_pT.svg"))
+
+
 def run_scenario(config: dict, out_dir: str, samples: int | None = None,
                  seed: int | None = None, svg: bool = False,
                  stability: bool = False,
@@ -346,6 +421,11 @@ def run_scenario(config: dict, out_dir: str, samples: int | None = None,
         config = dict(config)
         config["seed"] = seed
     os.makedirs(out_dir, exist_ok=True)
+    # an earlier run into the same directory may have written artifacts that
+    # this one does not; every other file is left alone
+    for name in _ARTIFACTS:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     results = _analyze(config, 1, samples, out_dir, svg, tol)
 
     doc = {

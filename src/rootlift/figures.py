@@ -69,6 +69,16 @@ def emit_bundle_svg(bundle: RootBundle, path, title: str = "") -> None:
         f'<text x="{WIDTH // 2}" y="26" text-anchor="middle" '
         f'font-family="monospace" font-size="15">{title}</text>',
     ]
+
+    # sx and sy take floats and arrays alike, with the same operations in the
+    # same order, so an array point and a scalar one print the same digits
+    def sx(x):
+        return MARGIN + (x - xmin) / (xmax - xmin) * (WIDTH - 2 * MARGIN)
+
+    xs = chains[0][0]             # every chain runs over the same coordinates
+    points = " ".join(["%.3f,%.3f"] * len(xs))
+    xy = np.empty(2 * len(xs))    # x0, y0, x1, y1, …
+    xy[0::2] = sx(np.array(xs))
     for panel, part in enumerate(("re", "im")):
         values = [ys.real if part == "re" else ys.imag for _, ys in chains]
         vmin = min(float(np.min(v)) for v in values)
@@ -78,9 +88,6 @@ def emit_bundle_svg(bundle: RootBundle, path, title: str = "") -> None:
         pad = 0.05 * (vmax - vmin)
         vmin, vmax = vmin - pad, vmax + pad
         top = MARGIN + panel * (panel_h + PANEL_GAP)
-
-        def sx(x):
-            return MARGIN + (x - xmin) / (xmax - xmin) * (WIDTH - 2 * MARGIN)
 
         def sy(v):
             return top + (vmax - v) / (vmax - vmin) * panel_h
@@ -96,13 +103,12 @@ def emit_bundle_svg(bundle: RootBundle, path, title: str = "") -> None:
             parts.append(
                 f'<line x1="{MARGIN}" y1="{_fmt(y0)}" x2="{WIDTH - MARGIN}" '
                 f'y2="{_fmt(y0)}" stroke="#ddd"/>')
-        for k, ((xs, _), vals) in enumerate(zip(chains, values)):
-            pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(v))}"
-                           for x, v in zip(xs, vals.tolist()))
+        for k, vals in enumerate(values):
+            xy[1::2] = sy(vals)
             color = PALETTE[k % len(PALETTE)]
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.2"/>')
+                f'<polyline points="{points % tuple(xy.tolist())}" fill="none" '
+                f'stroke="{color}" stroke-width="1.2"/>')
             parts.append(
                 f'<text x="{_fmt(sx(xs[0]) + 4)}" y="{_fmt(sy(vals[0]) - 4)}" '
                 f'font-family="monospace" font-size="11" fill="{color}">'

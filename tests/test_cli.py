@@ -341,3 +341,40 @@ def test_csv_fields_are_plain_numbers(tmp_path):
                     int(field)
                 except ValueError:
                     float(field)
+
+
+def test_rerun_into_the_same_directory_removes_stale_artifacts(tmp_path, capsys):
+    # example 2 lifts and draws; example 3 does neither, so nothing of
+    # example 2's may stay next to example 3's verdict
+    out = tmp_path / "out"
+    argv = ["--samples", "240", "--out", str(out)]
+    assert main(["builtin", "example2", "--svg", *argv]) == 0
+    assert (out / "lift_f.csv").exists()
+    assert (out / "figures" / "bundle_p.svg").exists()
+    (out / "notes.txt").write_text("mine")
+    (out / "figures" / "mine.svg").write_text("<svg/>")
+    assert main(["builtin", "example3", *argv]) == 0
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["scenario"] == "example3"
+    assert doc["analyses"]["cole"]["answer"] == "no"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bundle_p.csv", "bundle_pT.csv", "figures", "notes.txt", "verdict.json"]
+    assert [p.name for p in (out / "figures").iterdir()] == ["mine.svg"]
+    assert (out / "notes.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("polynomial", [
+    {"coefficients": ["-2", "0"]},
+    {"roots": ["1", "-1"]},
+], ids=["coefficients", "roots"])
+def test_graph_base_takes_no_polynomial(tmp_path, capsys, polynomial):
+    # expressions over a graph take no variables, and a scenario cannot give
+    # sampled values, so even constant coefficients could never be evaluated
+    cfg = {"name": "g", "base": {"kind": "graph", "vertices": 1, "edges": [[0, 0]]},
+           "polynomial": polynomial, "analyses": ["closedness"]}
+    with pytest.raises(ScenarioError, match=r"^\$\.polynomial: a graph base"):
+        validate_config(cfg)
+    cfg_path = tmp_path / "g.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: $.polynomial: a graph base")

@@ -1,5 +1,6 @@
-"""The CSV writers and the SVG sheet chains against the per-sample loops they
-replaced, which are kept here as the reference: the files must be byte-identical."""
+"""The CSV and SVG writers and the SVG sheet chains against the per-line and
+per-sample loops they replaced, which are kept here as the reference: the
+files must be byte-identical."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -10,8 +11,9 @@ import pytest
 from rootlift import (build_bundle, make_circle, make_interval, make_torus2,
                       poly_from_exprs, poly_from_roots)
 from rootlift import figures
-from rootlift.cli import _coord_columns, write_bundle_csv, write_lift_csv
+from rootlift.cli import _BLOCK, _coord_columns, write_bundle_csv, write_lift_csv
 from rootlift.extend import decide_lift, lift_problem
+from rootlift.figures import HEIGHT, MARGIN, PALETTE, PANEL_GAP, WIDTH, _fmt
 from rootlift.scenarios import flip_map, interval_square_pair, quintic_root_texts
 
 
@@ -40,6 +42,62 @@ def _ref_write_lift_csv(witness, path):
         for s, (values, targets) in enumerate(rows):
             for i, (z, t) in enumerate(zip(values, targets)):
                 fh.write(f"{s},{i},{t},{z.real!r},{z.imag!r}\n")
+
+
+def _ref_emit_bundle_svg(bundle, path, title=""):
+    chains = figures._sheet_chains(bundle)
+    xmin = min(min(xs) for xs, _ in chains)
+    xmax = max(max(xs) for xs, _ in chains)
+    panel_h = (HEIGHT - 2 * MARGIN - PANEL_GAP) / 2
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH // 2}" y="26" text-anchor="middle" '
+        f'font-family="monospace" font-size="15">{title}</text>',
+    ]
+    for panel, part in enumerate(("re", "im")):
+        values = [ys.real if part == "re" else ys.imag for _, ys in chains]
+        vmin = min(float(np.min(v)) for v in values)
+        vmax = max(float(np.max(v)) for v in values)
+        if vmax - vmin < 1e-9:
+            vmin, vmax = vmin - 1.0, vmax + 1.0
+        pad = 0.05 * (vmax - vmin)
+        vmin, vmax = vmin - pad, vmax + pad
+        top = MARGIN + panel * (panel_h + PANEL_GAP)
+
+        def sx(x):
+            return MARGIN + (x - xmin) / (xmax - xmin) * (WIDTH - 2 * MARGIN)
+
+        def sy(v):
+            return top + (vmax - v) / (vmax - vmin) * panel_h
+
+        parts.append(
+            f'<rect x="{MARGIN}" y="{_fmt(top)}" width="{WIDTH - 2 * MARGIN}" '
+            f'height="{_fmt(panel_h)}" fill="none" stroke="#999"/>')
+        parts.append(
+            f'<text x="{MARGIN}" y="{_fmt(top - 8)}" font-family="monospace" '
+            f'font-size="12">{part} part</text>')
+        if vmin < 0 < vmax:
+            y0 = sy(0.0)
+            parts.append(
+                f'<line x1="{MARGIN}" y1="{_fmt(y0)}" x2="{WIDTH - MARGIN}" '
+                f'y2="{_fmt(y0)}" stroke="#ddd"/>')
+        for k, ((xs, _), vals) in enumerate(zip(chains, values)):
+            pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(v))}"
+                           for x, v in zip(xs, vals.tolist()))
+            color = PALETTE[k % len(PALETTE)]
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="1.2"/>')
+            parts.append(
+                f'<text x="{_fmt(sx(xs[0]) + 4)}" y="{_fmt(sy(vals[0]) - 4)}" '
+                f'font-family="monospace" font-size="11" fill="{color}">'
+                f's{k + 1}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def _ref_sheet_chains(bundle):
@@ -91,12 +149,25 @@ def _circle_turning_pair_bundle():
     return bundle
 
 
-def _torus_bundle():
-    return build_bundle(poly_from_exprs(make_torus2(6, 8), ["-exp(1i*theta1)", "0"]))
+def _torus_bundle(shape=(6, 8)):
+    return build_bundle(poly_from_exprs(make_torus2(*shape), ["-exp(1i*theta1)", "0"]))
+
+
+def _flat_real_part_bundle():
+    # roots +-2i: the real-part panel is flat
+    bundle = build_bundle(poly_from_exprs(make_circle(24), ["4", "0"]))
+    assert np.ptp(bundle.fibers.real) < 1e-9
+    return bundle
 
 
 BUNDLES = {"interval": _interval_bundle, "circle5": _circle_quintic_bundle,
-           "circle2": _circle_turning_pair_bundle, "torus2": _torus_bundle}
+           "circle2": _circle_turning_pair_bundle, "torus2": _torus_bundle,
+           "flat": _flat_real_part_bundle,
+           # sample counts one below, at and one above the writers' block size
+           "interval-block-1": lambda: build_bundle(interval_square_pair(make_interval(_BLOCK - 1))),
+           "interval-block": lambda: build_bundle(interval_square_pair(make_interval(_BLOCK))),
+           "interval-block+1": lambda: build_bundle(interval_square_pair(make_interval(_BLOCK + 1))),
+           "torus2-block+16": lambda: _torus_bundle((16, _BLOCK // 16 + 1))}
 
 
 @pytest.mark.parametrize("negative_zeros", [False, True])
@@ -112,16 +183,63 @@ def test_bundle_csv_bytes_match_the_per_line_writer(tmp_path, name, negative_zer
     assert (b",-0.0," in got) == negative_zeros
 
 
+def _check_lift_csv(tmp_path, witness, target=None):
+    """lift_f.csv alone, and, given the witness's target, in one pass with
+    bundle_pT.csv, against the per-line writers; returns the lift bytes."""
+    _ref_write_lift_csv(witness, tmp_path / "ref.csv")
+    want = (tmp_path / "ref.csv").read_bytes()
+    write_lift_csv(witness, tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == want
+    if target is not None:
+        write_bundle_csv(target, tmp_path / "pT.csv", witness, tmp_path / "pass.csv")
+        assert (tmp_path / "pass.csv").read_bytes() == want
+        _ref_write_bundle_csv(target, tmp_path / "ref_pT.csv")
+        assert (tmp_path / "pT.csv").read_bytes() == (tmp_path / "ref_pT.csv").read_bytes()
+    return want
+
+
 def test_lift_csv_bytes_match_the_per_line_writer(tmp_path):
+    # the default interval, and one below, at and one above the block size
+    for n in (201, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+        base = make_interval(n)
+        witness = decide_lift(lift_problem(interval_square_pair(base), flip_map(base))).witness
+        target = witness.problem.target
+        _check_lift_csv(tmp_path, witness, target)
+
+        values = witness.values.copy()
+        values[0, 0] = complex(-0.0, -0.0)
+        got = _check_lift_csv(
+            tmp_path, SimpleNamespace(values=values, assignments=witness.assignments))
+        assert b"0,0,0,-0.0,-0.0\n" in got
+
+        # a target with -0.0 roots: the lift takes their text from the pass
+        zeros = _with_negative_zeros(target)
+        G = witness.assignments
+        zero_witness = SimpleNamespace(problem=SimpleNamespace(target=zeros), assignments=G,
+                                       values=zeros.fibers[np.arange(n)[:, None], G])
+        got = _check_lift_csv(tmp_path, zero_witness, zeros)
+        assert b",-0.0,-0.0\n" in got
+
+
+def test_lift_pass_refuses_a_witness_into_another_bundle(tmp_path):
     base = make_interval(201)
     witness = decide_lift(lift_problem(interval_square_pair(base), flip_map(base))).witness
-    values = witness.values.copy()
-    values[0, 0] = complex(-0.0, -0.0)
-    for w in (witness, SimpleNamespace(values=values, assignments=witness.assignments)):
-        write_lift_csv(w, tmp_path / "new.csv")
-        _ref_write_lift_csv(w, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert b"0,0,0,-0.0,-0.0\n" in (tmp_path / "new.csv").read_bytes()
+    with pytest.raises(ValueError, match="another bundle"):
+        write_bundle_csv(witness.problem.source, tmp_path / "p.csv", witness,
+                         tmp_path / "lift.csv")
+
+
+@pytest.mark.parametrize("negative_zeros", [False, True])
+@pytest.mark.parametrize("name", ["interval", "circle5", "circle2", "flat"])
+def test_svg_bytes_match_the_per_point_writer(tmp_path, name, negative_zeros):
+    bundle = BUNDLES[name]()
+    if negative_zeros:
+        bundle = _with_negative_zeros(bundle)
+    figures.emit_bundle_svg(bundle, tmp_path / "new.svg", "a<b & c")
+    _ref_emit_bundle_svg(bundle, tmp_path / "ref.svg", "a<b & c")
+    got = (tmp_path / "new.svg").read_bytes()
+    assert got == (tmp_path / "ref.svg").read_bytes()
+    assert got.count(b"<polyline") == 2 * bundle.degree
 
 
 @pytest.mark.parametrize("name", ["interval", "circle5", "circle2"])
