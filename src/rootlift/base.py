@@ -205,6 +205,16 @@ class BaseSpace:
             inner = (ca + t * ((cb - ca) % TWO_PI)) % TWO_PI
         return np.where(t == 0.0, ca, np.where(t == 1.0, cb, inner))
 
+    @property
+    def spacing(self) -> float:
+        """Coordinate length of each edge of an interval or circle."""
+        return 1.0 / (self.n_samples - 1) if self.kind == "interval" else TWO_PI / self.n_samples
+
+    def wrap(self, coords):
+        """Interval or circle coordinates brought into the chart: clipped
+        to [0, 1] on an interval, taken mod 2π on a circle."""
+        return np.mod(coords, TWO_PI) if self.kind == "circle" else np.clip(coords, 0.0, 1.0)
+
     def coordinate_locations(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of :meth:`location_coordinates` for coordinate-charted kinds."""
         coords = np.asarray(coords, dtype=float)

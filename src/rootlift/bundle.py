@@ -344,6 +344,32 @@ class RootBundle:
         return table
 
     @functools.cached_property
+    def branch_coordinates(self) -> dict[int, float]:
+        """The located coalescence coordinate at each merge sample whose
+        table holds one group of two sheets, on an interval or circle base
+        with a polynomial.  Each is a 70-round ternary search for the least
+        root gap over [c - 1.5h, c + 1.5h], c the sample's coordinate and h
+        the edge length (clipped to [0, 1] on an interval); each round
+        solves the two points of every sample in one call."""
+        base = self.base
+        samples = [s for s, groups in self.merge_clusters.items()
+                   if len(groups) == 1 and len(groups[0]) == 2]
+        if self.poly is None or base.kind not in ("interval", "circle") or not samples:
+            return {}
+        c = base.coords[samples]
+        lo, hi = c - 1.5 * base.spacing, c + 1.5 * base.spacing
+        if base.kind == "interval":
+            lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+        for _ in range(70):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            points = base.wrap(np.column_stack([m1, m2]).ravel())
+            gap = _min_fiber_gap(solve_fiber(self.poly.coeffs_at(points), self.tol))
+            left = gap[0::2] <= gap[1::2]
+            lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+        return dict(zip(samples, (0.5 * (lo + hi)).tolist()))
+
+    @functools.cached_property
     def local_motion(self) -> np.ndarray:
         """(S,) largest sheet movement along the edges at each sample."""
         tails, heads = self.base.edges.T

@@ -26,8 +26,8 @@ import numpy as np
 from . import monodromy as monod
 from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
-                     _inverse_rows, _min_fiber_gap, build_bundle, is_admissible,
-                     pullback_polynomial, solve_fiber)
+                     _inverse_rows, build_bundle, is_admissible, pullback_polynomial,
+                     solve_fiber)
 
 MAX_LIFTS = 4096         # lifts decide_subalgebra probes before it answers "inconclusive"
 
@@ -626,9 +626,10 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     """Finiteness probe for the two-sheet divided quotient at a branch.
 
     Follows the coalescing sheet pair (and its image pair) on a dyadic
-    sequence of points converging to the located branch coordinate, from
-    both sides; divergent when the quotient magnitude grows monotonically
-    past the divergence bound, finite when the tail is Cauchy.
+    sequence of points converging to the branch coordinate located in
+    :attr:`RootBundle.branch_coordinates`, from both sides; divergent when
+    the quotient magnitude grows monotonically past the divergence bound,
+    finite when the tail is Cauchy.
     """
     base = problem.base
     if base.kind not in ("interval", "circle"):
@@ -644,17 +645,8 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
             f"branch structure at sample {sample} is not two-sheeted")
     pair_slots = clusters[0]
 
-    if base.kind == "interval":
-        h = 1.0 / (base.n_samples - 1)
-    else:
-        h = 2.0 * math.pi / base.n_samples
-
-    def wrap(y):
-        if base.kind == "circle":
-            return np.mod(y, 2.0 * math.pi)
-        return np.clip(y, 0.0, 1.0)
-
-    y0 = _locate_branch(problem, sample, h, wrap)
+    h = base.spacing
+    y0 = A.branch_coordinates[sample]
 
     root_scale = 1.0 + float(np.max(np.abs(A.fibers[sample])))
     min_gap = 32.0 * np.finfo(float).eps * root_scale
@@ -667,7 +659,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
         start = y0 + side * 2.0 * h
         if base.kind == "interval" and not (0.0 <= start <= 1.0):
             continue
-        u = int(base.nearest_samples(*base.coordinate_locations([wrap(start)]))[0])
+        u = int(base.nearest_samples(*base.coordinate_locations([base.wrap(start)]))[0])
         slots = _transport_slots(A, sample, u, pair_slots)
         targets = witness.assignments[u][slots]
         if targets[0] == targets[1]:
@@ -679,7 +671,7 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
         b_pair = B.fibers[u][targets]
         qs: list[complex] = []
         # the dyadic probe points, solved at once; tracked until the pair coalesces
-        ys = wrap(y0 + side * (2.0 * h * 0.5 ** np.arange(60)))
+        ys = base.wrap(y0 + side * (2.0 * h * 0.5 ** np.arange(60)))
         fibersA = solve_fiber(A.poly.coeffs_at(ys), tol)
         fibersB = solve_fiber(B.poly.coeffs_at(ys), tol)
         for fA, fB in zip(fibersA, fibersB):
@@ -702,35 +694,6 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     else:
         verdict = "inconclusive"
     return QuotientReport(verdict, sample, y0, quotients_all)
-
-
-def _locate_branch(problem: LiftProblem, sample: int, h: float, wrap) -> float:
-    """Ternary search for the true coalescence coordinate near a flagged
-    sample; cached per (problem, sample)."""
-    cache = getattr(problem, "_branch_coords", None)
-    if cache is None:
-        cache = problem._branch_coords = {}
-    if sample in cache:
-        return cache[sample]
-    A = problem.source
-    base = problem.base
-    c_star = float(base.coords[sample])
-
-    lo, hi = c_star - 1.5 * h, c_star + 1.5 * h
-    if base.kind == "interval":
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-    for _ in range(70):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        fibers = solve_fiber(A.poly.coeffs_at(wrap(np.array([m1, m2]))), problem.tol)
-        gap1, gap2 = _min_fiber_gap(fibers)
-        if gap1 <= gap2:
-            hi = m2
-        else:
-            lo = m1
-    y0 = 0.5 * (lo + hi)
-    cache[sample] = y0
-    return y0
 
 
 def _transport_slots(bundle: RootBundle, src: int, dst: int, slots) -> list[int]:

@@ -94,9 +94,6 @@ class Piecewise:
     other: object
 
 
-Expr = (Num, Var, Neg, Bin, Pow, Call, Piecewise)
-
-
 # -- lexer -------------------------------------------------------------------
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")", ","}

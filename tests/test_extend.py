@@ -11,7 +11,7 @@ from instancegen import (edge_endpoint, random_admissible_poly, random_circle_se
 from rootlift import (build_bundle, identity_selfmap, make_circle, make_graph,
                       make_interval, make_torus2, poly_from_exprs,
                       poly_from_roots, poly_from_values, pullback, sample_selfmap)
-from rootlift import bundle, cli, closedness, extend, figures, monodromy
+from rootlift import _kernels, bundle, cli, closedness, extend, figures, monodromy
 from rootlift.bundle import Tolerances
 from rootlift.extend import (ExtendError, InadmissibleError, LiftProblem,
                              LiftWitness, Verdict, ah_extendable, ah_fit,
@@ -126,6 +126,31 @@ def test_projection_lift_quotient_is_one():
     rep = divided_quotient_test(problem, ident, s)
     assert rep.verdict == "finite"
     assert abs(rep.quotients[-1] - 1.0) < 1e-6
+
+
+def test_branch_coordinates_are_located_once_per_bundle(monkeypatch):
+    # two lift problems share the source bundle: a probe in the second reads
+    # the coordinates the first one's probe located, and solves only its points
+    problem, _, _ = _square_pair_problem()
+    A = problem.source
+    twin = LiftProblem(A, A)
+    s = min(A.merge_clusters)
+    rows = []
+    solve = _kernels.solve_fibers
+    monkeypatch.setattr(_kernels, "solve_fibers",
+                        lambda coeffs: rows.append(len(coeffs)) or solve(coeffs))
+
+    def probe(prob):
+        rows.clear()
+        divided_quotient_test(prob, prob.enumerate()[0], s)
+        return list(rows)
+
+    first = probe(problem)
+    # 70 rounds, each one solve of two points per two-sheet merge sample
+    assert sorted(A.branch_coordinates) == sorted(A.merge_clusters)
+    assert first[:70] == [2 * len(A.merge_clusters)] * 70
+    assert first[70:] == probe(problem)
+    assert probe(twin) == probe(twin)
 
 
 def test_ah_fit_accepts_constant_rejects_sheetwise():

@@ -348,10 +348,13 @@ def _ref_probe(problem, witness, sample, tol=DEFAULT_TOL):
     return y0, quotients
 
 
-@pytest.mark.parametrize("case", ["interval-flip", "circle-time-warp", "circle-time-warp-8000"])
+@pytest.mark.parametrize("case", ["interval-flip", "interval-flip-8001", "circle-time-warp",
+                                  "circle-time-warp-8000"])
 def test_quotient_probes_match_the_one_point_loops(case):
-    if case == "interval-flip":
-        base = make_interval(301)
+    if case.startswith("interval-flip"):
+        # at 8001 samples four adjacent samples are flagged, and their
+        # branch coordinates are searched in one batch
+        base = make_interval(8001 if case.endswith("8001") else 301)
         problem = lift_problem(interval_square_pair(base), flip_map(base))
     else:
         # at 8000 samples the batched probe also solves many rows past the
