@@ -42,8 +42,9 @@ class BaseSpace:
     kind: str                      # interval | circle | graph | torus2
     coords: np.ndarray             # (S,) float for interval/circle, (S,2) for torus2/graph
     edges: np.ndarray              # (E, 2) intp oriented (tail, head) sample indices
-    loop_basis: list[list[tuple[int, int]]] = field(default_factory=list)
-    # each loop is a closed walk of (edge_id, direction) with direction +-1
+    loop_basis: list[np.ndarray] = field(default_factory=list)
+    # each loop is a closed walk: an (L, 2) intp array of (edge_id, direction)
+    # steps, direction +-1
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -70,7 +71,7 @@ class BaseSpace:
 
     def _check_loops(self):
         for loop in self.loop_basis:
-            if not loop:
+            if not len(loop):
                 raise BaseSpaceError("empty loop in loop_basis")
             walk = self.walk_samples(loop)
             if walk[0] != walk[-1]:
@@ -86,8 +87,9 @@ class BaseSpace:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def walk_samples(self, walk: list[tuple[int, int]]) -> list[int]:
-        """Sample sequence visited by a walk of (edge_id, direction) steps."""
+    def walk_samples(self, walk) -> np.ndarray:
+        """(L + 1,) samples visited by a walk of L (edge_id, direction)
+        steps, given as an (L, 2) array or a sequence of pairs."""
         steps = np.asarray(walk, dtype=np.intp).reshape(-1, 2)
         ends = self.edges[steps[:, 0]]
         forward = steps[:, 1] > 0
@@ -95,7 +97,7 @@ class BaseSpace:
         heads = np.where(forward, ends[:, 1], ends[:, 0])
         if np.any(tails[1:] != heads[:-1]):
             raise BaseSpaceError("walk is not edge-connected")
-        return [int(tails[0])] + heads.tolist()
+        return np.concatenate([tails[:1], heads])
 
     def bfs(self, sources) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first search from one sample or a sequence of samples.
@@ -242,12 +244,18 @@ def node_components(n: int, pairs) -> list[np.ndarray]:
     order of smallest node."""
     if n == 0:
         return []
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    _, labels = node_labels(n, pairs)
     nodes = np.argsort(labels, kind="stable")       # ascending within each label
     groups = np.split(nodes, np.cumsum(np.bincount(labels))[:-1])
     return sorted(groups, key=lambda g: int(g[0]))
+
+
+def node_labels(n: int, pairs) -> tuple[int, np.ndarray]:
+    """The component count and (n,) component label of each node of the
+    graph on nodes ``0..n-1`` whose edges are the rows of ``pairs``."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 @dataclass
@@ -367,7 +375,7 @@ def make_circle(n: int) -> BaseSpace:
         raise BaseSpaceError("circle needs at least 3 samples")
     coords = TWO_PI * np.arange(n) / n
     edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-    loop = [(i, +1) for i in range(n)]
+    loop = _forward_walk(np.arange(n))
     return BaseSpace("circle", coords, edges, [loop])
 
 
@@ -388,8 +396,8 @@ def make_torus2(n: int, m: int) -> BaseSpace:
     edges[:, 0] = np.repeat(np.arange(n * m), 2)
     edges[0::2, 1] = ((i + 1) % n) * m + j
     edges[1::2, 1] = i * m + (j + 1) % m
-    loop1 = [(2 * i * m, +1) for i in range(n)]
-    loop2 = [(2 * j + 1, +1) for j in range(m)]
+    loop1 = _forward_walk(2 * m * np.arange(n))
+    loop2 = _forward_walk(2 * np.arange(m) + 1)
     return BaseSpace("torus2", coords, edges, [loop1, loop2], meta={"shape": (n, m)})
 
 
@@ -418,41 +426,46 @@ def make_graph(n_vertices: int, cedges: list[tuple[int, int]], samples_per_edge:
         edges.append((prev, v))
     base = BaseSpace("graph", np.array(coords), edges, meta={"cedges": list(cedges)})
     tree, _ = base.spanning_tree(0)   # also checks connectivity
-    tree = tree.tolist()
-    in_tree = {eid for _, eid, _ in tree}
-    parent = {s: (eid, direction) for s, eid, direction in tree}
-    loops = []
-    for eid, (a, b) in enumerate(edges):
-        if eid in in_tree:
-            continue
-        loops.append(_fundamental_cycle(base, parent, eid, a, b))
-    base.loop_basis = loops
+    nodes, tree_edges, dirs = tree.T
+    pred = np.full(base.n_samples, -1, dtype=np.intp)      # tree parent, -1 at the root
+    pred[nodes] = base.edges[tree_edges, (dirs < 0).astype(np.intp)]
+    step = np.zeros((base.n_samples, 2), dtype=np.intp)   # the step parent -> sample
+    step[nodes] = tree[:, 1:]
+    in_tree = np.zeros(base.n_edges, dtype=bool)
+    in_tree[tree_edges] = True
+    parent = pred.tolist()
+    base.loop_basis = [_fundamental_cycle(parent, step, eid, *base.edges[eid].tolist())
+                       for eid in np.flatnonzero(~in_tree).tolist()]
     base._check_loops()
     return base
 
 
-def _fundamental_cycle(base, parent, eid, a, b):
-    """Closed walk: co-tree edge a->b, then the tree path b -> LCA -> a."""
-    chain_a = []                                 # tree edges from a upward
-    ancestors = {a: 0}
-    s = a
-    while s in parent:
-        peid, pdir = parent[s]
-        chain_a.append((peid, pdir))
-        s = int(base.edges[peid, int(pdir < 0)])     # the tree parent of s
-        ancestors[s] = len(chain_a)
-    chain_b = []                                 # tree edges from b up to the LCA
-    s = b
-    while s not in ancestors:
-        peid, pdir = parent[s]
-        chain_b.append((peid, pdir))
-        s = int(base.edges[peid, int(pdir < 0)])
-    walk = [(eid, +1)]
-    for peid, pdir in chain_b:                   # descend from b to the LCA
-        walk.append((peid, -pdir))
-    for peid, pdir in reversed(chain_a[: ancestors[s]]):   # LCA back down to a
-        walk.append((peid, pdir))
-    return walk
+def _forward_walk(edge_ids) -> np.ndarray:
+    """(L, 2) walk along the given edges, each traversed tail -> head."""
+    return np.column_stack([edge_ids, np.ones_like(edge_ids)]).astype(np.intp, copy=False)
+
+
+def _fundamental_cycle(parent, step, eid, a, b) -> np.ndarray:
+    """Closed (L, 2) walk: co-tree edge a->b, then the tree path b -> LCA -> a.
+
+    ``parent`` lists each sample's tree parent (-1 at the root) and the
+    array ``step`` holds the (edge_id, direction) step from the parent to
+    the sample."""
+    def to_root(s):
+        path = [s]
+        while parent[s] >= 0:
+            s = parent[s]
+            path.append(s)
+        return np.array(path, dtype=np.intp)
+
+    up_a, up_b = to_root(a), to_root(b)
+    # both paths end at the root and agree from their lowest common ancestor on
+    k = min(len(up_a), len(up_b))
+    shared = int(np.count_nonzero(up_a[len(up_a) - k:] == up_b[len(up_b) - k:]))
+    below_a, below_b = up_a[:len(up_a) - shared], up_b[:len(up_b) - shared]
+    return np.concatenate([[(eid, 1)],
+                           step[below_b] * np.array([1, -1]),   # up from b to the LCA
+                           step[below_a[::-1]]])                 # down from the LCA to a
 
 
 # -- self-map sampling --------------------------------------------------------

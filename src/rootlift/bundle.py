@@ -298,6 +298,36 @@ def _first_least_assignment(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _ternary_rounds(lo, hi, rounds, gap_at):
+    """``rounds`` rounds of a ternary search for the least gap on each
+    interval [lo[k], hi[k]], from one ``gap_at`` call.
+
+    A round probes m1 = lo + (hi - lo)/3 and m2 = hi - (hi - lo)/3 and
+    keeps [lo, m2] where gap(m1) <= gap(m2), else [m1, hi].  Level r holds
+    the 2^r intervals that r rounds can reach, breadth first, each child
+    computed from its own parent as the round computes it, so the search
+    keeps every bit of a round-by-round one; ``gap_at`` gets the two
+    probes of every interval of every level, 2^(rounds+1) - 2 points per
+    search, and each search then walks its outcomes down the levels."""
+    K = len(lo)
+    los, his, points = [lo[:, None]], [hi[:, None]], []
+    for _ in range(rounds):
+        a, b = los[-1], his[-1]
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        points.append(np.stack([m1, m2], axis=2).reshape(K, -1))
+        los.append(np.stack([a, m1], axis=2).reshape(K, -1))     # children 2j, 2j + 1
+        his.append(np.stack([m2, b], axis=2).reshape(K, -1))
+    gap = gap_at(np.concatenate(points, axis=1).ravel()).reshape(K, -1)
+    rows, node, offset = np.arange(K), np.zeros(K, dtype=np.intp), 0
+    for r in range(rounds):
+        at = offset + 2 * node
+        # written as ~(<=) so that a NaN gap keeps the right part, as a round does
+        node = 2 * node + ~(gap[rows, at] <= gap[rows, at + 1])
+        offset += 2 << r
+    return los[-1][rows, node], his[-1][rows, node]
+
+
 def _inverse_rows(perms: np.ndarray) -> np.ndarray:
     """Row-wise inverse permutations."""
     inv = np.empty_like(perms)
@@ -349,8 +379,9 @@ class RootBundle:
         table holds one group of two sheets, on an interval or circle base
         with a polynomial.  Each is a 70-round ternary search for the least
         root gap over [c - 1.5h, c + 1.5h], c the sample's coordinate and h
-        the edge length (clipped to [0, 1] on an interval); each round
-        solves the two points of every sample in one call."""
+        the edge length (clipped to [0, 1] on an interval); one call solves
+        the points of up to four rounds of every sample (see
+        :func:`_ternary_rounds`)."""
         base = self.base
         samples = [s for s, groups in self.merge_clusters.items()
                    if len(groups) == 1 and len(groups[0]) == 2]
@@ -360,13 +391,13 @@ class RootBundle:
         lo, hi = c - 1.5 * base.spacing, c + 1.5 * base.spacing
         if base.kind == "interval":
             lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-        for _ in range(70):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            points = base.wrap(np.column_stack([m1, m2]).ravel())
-            gap = _min_fiber_gap(solve_fiber(self.poly.coeffs_at(points), self.tol))
-            left = gap[0::2] <= gap[1::2]
-            lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+
+        def gap_at(points):
+            coeffs = self.poly.coeffs_at(base.wrap(points))
+            return _min_fiber_gap(solve_fiber(coeffs, self.tol))
+
+        for done in range(0, 70, 4):
+            lo, hi = _ternary_rounds(lo, hi, min(4, 70 - done), gap_at)
         return dict(zip(samples, (0.5 * (lo + hi)).tolist()))
 
     @functools.cached_property

@@ -317,7 +317,7 @@ def _analyze(config: dict, factor: int, override: int | None,
             "branch_samples": [int(s) for s in
                                np.flatnonzero(bundle_a.branch_flags)],
             "residual_max": res_a,
-            "components": len(monodromy.components(bundle_a)),
+            "components": monodromy.component_count(bundle_a),
         }
         if out_dir:
             write_bundle_csv(bundle_a, os.path.join(out_dir, "bundle_p.csv"))

@@ -82,7 +82,7 @@ def contains_circle(base: BaseSpace) -> GraphReport:
     if base.kind != "graph":
         raise ExtendError("circle detection is defined for graph bases")
     has_cycle = len(base.loop_basis) > 0
-    witness = [[eid, d] for eid, d in base.loop_basis[0]] if has_cycle else None
+    witness = base.loop_basis[0].tolist() if has_cycle else None
     return GraphReport(has_cycle, witness, not has_cycle)
 
 
@@ -95,7 +95,7 @@ def winding_function(base: BaseSpace, loop) -> np.ndarray:
     samples = base.walk_samples(loop)[:-1]
     L = len(samples)
     values = np.zeros(base.n_samples, dtype=complex)
-    for k, s in enumerate(samples):
+    for k, s in enumerate(samples.tolist()):
         values[s] = np.exp(2j * math.pi * k / L)
     order, pred = base.bfs(samples)
     if len(order) != base.n_samples:

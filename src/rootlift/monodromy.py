@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseSpaceError, node_components
+from .base import BaseSpaceError, node_components, node_labels
 from .bundle import RootBundle
 
 
@@ -39,13 +39,18 @@ def permutation_cycles(perm: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def loop_monodromy(bundle: RootBundle, loop) -> np.ndarray:
-    """Composition of edge permutations along a closed walk."""
-    base = bundle.base
-    samples = base.walk_samples(loop)
+    """Composition of edge permutations along a closed walk, an (L, 2)
+    array of (edge_id, direction) steps or a sequence of pairs; a step
+    whose permutation is the identity is skipped."""
+    steps = np.asarray(loop, dtype=np.intp).reshape(-1, 2)
+    samples = bundle.base.walk_samples(steps)
     if samples[0] != samples[-1]:
         raise BaseSpaceError("monodromy walk is not closed")
-    steps = np.asarray(loop, dtype=np.intp).reshape(-1, 2)
-    perm = np.arange(bundle.degree, dtype=np.intp)
+    n = bundle.degree
+    # a permutation is the identity exactly when its inverse is, so the
+    # test needs no direction
+    steps = steps[(bundle.edge_perms[steps[:, 0]] != np.arange(n)).any(axis=1)]
+    perm = np.arange(n, dtype=np.intp)
     for step in bundle.directed_perms(steps[:, 0], steps[:, 1]):
         perm = step[perm]
     return perm
@@ -60,23 +65,32 @@ def strips(bundle: RootBundle) -> StripDecomposition:
     return StripDecomposition([(cyc, len(cyc)) for cyc in cycles])
 
 
-def components(bundle: RootBundle) -> list[set[tuple[int, int]]]:
-    """Connected components of bundle points (sample, slot).
-
-    Edge-matched slots are connected; slots that coincide in value at a
-    branch-flagged sample are also connected there.
-    """
+def _point_graph(bundle: RootBundle) -> tuple[int, np.ndarray]:
+    """The graph on bundle points (sample, slot), point (s, i) as node
+    s * n + i: edge-matched slots are joined, and so are slots that
+    coincide in value at a branch-flagged sample.  Returns the node count
+    and the (P, 2) joined pairs."""
     n = bundle.degree
     edges = bundle.base.edges
-    # bundle point (s, i) is node s * n + i
     matched = np.column_stack([(edges[:, 0, None] * n + np.arange(n)).ravel(),
                                (edges[:, 1, None] * n + bundle.edge_perms).ravel()])
     merged = [(s * n + cluster[0], s * n + i)
               for s, clusters in bundle.merge_clusters.items()
               for cluster in clusters for i in cluster[1:]]
     pairs = np.concatenate([matched, np.asarray(merged, dtype=np.intp).reshape(-1, 2)])
+    return bundle.base.n_samples * n, pairs
+
+
+def components(bundle: RootBundle) -> list[set[tuple[int, int]]]:
+    """Connected components of bundle points (sample, slot), as sets, in
+    order of smallest point (see :func:`_point_graph`)."""
     out = []
-    for g in node_components(bundle.base.n_samples * n, pairs):
-        samples, slots = divmod(g, n)
+    for g in node_components(*_point_graph(bundle)):
+        samples, slots = divmod(g, bundle.degree)
         out.append(set(zip(samples.tolist(), slots.tolist())))
     return out
+
+
+def component_count(bundle: RootBundle) -> int:
+    """``len(components(bundle))``, read from the component labels alone."""
+    return node_labels(*_point_graph(bundle))[0]

@@ -507,3 +507,41 @@ def test_tracked_fibers_keep_every_branch_decision(monkeypatch, n):
         assert a.refinement == b.refinement
         checked += np.count_nonzero(near)
     assert checked      # some sample, or its image, lies on the touch at pi
+
+
+def _one_sample_ternary_search(bundle, s):
+    """Sample s's branch coordinate, one ternary round per two-point solve,
+    on Python floats: the search that ``branch_coordinates`` batches."""
+    base = bundle.base
+    c = float(base.coords[s])
+    lo, hi = c - 1.5 * base.spacing, c + 1.5 * base.spacing
+    if base.kind == "interval":
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+    for _ in range(70):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        fibers = solve_fiber(bundle.poly.coeffs_at(base.wrap(np.array([m1, m2]))))
+        g1, g2 = (min(abs(f[i] - f[j]) for i in range(len(f)) for j in range(i))
+                  for f in fibers)
+        if g1 <= g2:
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind, n, located", [
+    # the window of 5335 misses the touch at 2/3 and returns its own edge
+    ("interval-pair", 8001, [5332, 5333, 5334, 5335]),
+    ("quintic", 2000, [1000]),
+    ("quintic", 16001, [7999, 8000, 8001, 8002]),
+    ("interval-pair", 301, [100, 200]),
+])
+def test_branch_coordinates_equal_one_sample_ternary_search(kind, n, located):
+    if kind == "quintic":
+        bundle = build_bundle(crossing_quintic(make_circle(n)))
+    else:
+        bundle = build_bundle(interval_square_pair(make_interval(n)))
+    table = bundle.branch_coordinates
+    assert set(located) <= set(table)
+    assert table == {s: _one_sample_ternary_search(bundle, s) for s in table}

@@ -312,6 +312,19 @@ def test_cross_checks_build_each_bundle_once(tmp_path, monkeypatch, name, sample
     assert doc["analyses"]["cross_checks"]["root_implies_ah"]["consistent"]
 
 
+def test_verdict_component_count_is_the_number_of_component_sets(tmp_path, monkeypatch):
+    from rootlift import monodromy
+
+    counted = []
+    original = monodromy.component_count
+    monkeypatch.setattr(monodromy, "component_count",
+                        lambda bundle: counted.append(bundle) or original(bundle))
+    assert run_scenario(scenarios.builtin_scenario("example3", samples=200), str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "verdict.json").read_text())
+    assert len(counted) == 1
+    assert doc["analyses"]["bundle"]["components"] == len(monodromy.components(counted[0]))
+
+
 def test_inadmissible_polynomial_exits_one(tmp_path, capsys):
     cfg = {"name": "flat", "base": {"kind": "circle", "samples": 24},
            "polynomial": {"coefficients": ["0", "0"]}, "selfmap": {"identity": True},

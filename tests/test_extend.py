@@ -146,10 +146,12 @@ def test_branch_coordinates_are_located_once_per_bundle(monkeypatch):
         return list(rows)
 
     first = probe(problem)
-    # 70 rounds, each one solve of two points per two-sheet merge sample
+    # 70 rounds, four to a solve: 30 points per two-sheet merge sample for
+    # each of 17 solves, then 6 for the last two rounds
+    K = len(A.merge_clusters)
     assert sorted(A.branch_coordinates) == sorted(A.merge_clusters)
-    assert first[:70] == [2 * len(A.merge_clusters)] * 70
-    assert first[70:] == probe(problem)
+    assert first[:18] == [30 * K] * 17 + [6 * K]
+    assert first[18:] == probe(problem)
     assert probe(twin) == probe(twin)
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootlift import (build_bundle, make_circle, make_interval,
+from rootlift import (build_bundle, make_circle, make_graph, make_interval, make_torus2,
                       poly_from_exprs, pullback)
+from rootlift.bundle import RootBundle
 from instancegen import bundle_monodromy, synthetic_strip_bundle
 from rootlift.monodromy import components, loop_monodromy, permutation_cycles, strips
 from rootlift.scenarios import (crossing_quintic, interval_square_pair,
@@ -109,7 +112,7 @@ def test_cycle_type_invariant_under_basepoint_change():
     b = build_bundle(crossing_quintic(base))
     loop = base.loop_basis[0]
     t1 = sorted(len(c) for c in permutation_cycles(loop_monodromy(b, loop)))
-    rotated = loop[10:] + loop[:10]
+    rotated = np.roll(loop, -10, axis=0)       # the same walk from sample 10
     t2 = sorted(len(c) for c in permutation_cycles(loop_monodromy(b, rotated)))
     assert t1 == t2
 
@@ -159,3 +162,41 @@ def test_monodromy_object_cycle_types():
     b = build_bundle(crossing_quintic(base))
     mono = bundle_monodromy(b)
     assert mono.cycle_types() == [(2, 3)]
+
+
+_LOOP_BASES = {
+    "circle": make_circle(40),
+    "torus": make_torus2(5, 7),
+    "graph": make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 3),
+}
+
+
+def _every_step_monodromy(bundle, loop):
+    """The composition of every step's permutation, one step at a time."""
+    perm = list(range(bundle.degree))
+    for eid, direction in np.asarray(loop).tolist():
+        row = bundle.edge_perms[eid].tolist()
+        if direction < 0:
+            row = [row.index(i) for i in range(len(row))]
+        perm = [row[i] for i in perm]
+    return perm
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_LOOP_BASES)), st.integers(2, 6),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+def test_loop_monodromy_of_moving_steps_equals_every_step(name, degree, share, seed):
+    # random edge permutations, the identity on all but a share of the edges;
+    # each basis loop is also walked backwards and from another start
+    base = _LOOP_BASES[name]
+    rng = np.random.default_rng(seed)
+    perms = np.tile(np.arange(degree), (base.n_edges, 1))
+    moving = rng.random(base.n_edges) < share
+    perms[moving] = np.argsort(rng.random((int(moving.sum()), degree)), axis=1)
+    S = base.n_samples
+    bundle = RootBundle(base, degree, np.zeros((S, degree), dtype=complex), perms,
+                        np.zeros(S, dtype=bool))
+    for loop in base.loop_basis:
+        backwards = loop[::-1] * np.array([1, -1])
+        for walk in (loop, backwards, np.roll(loop, -2, axis=0)):
+            assert loop_monodromy(bundle, walk).tolist() == _every_step_monodromy(bundle, walk)

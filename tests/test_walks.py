@@ -12,13 +12,15 @@ import pytest
 
 from instancegen import (edge_endpoint, incident, random_admissible_poly,
                          random_circle_selfmap, synthetic_strip_bundle)
-from rootlift import (build_bundle, make_circle, make_graph, make_interval,
-                      make_torus2, poly_from_values, pullback, sample_selfmap)
+from rootlift import (build_bundle, cli, make_circle, make_graph, make_interval,
+                      make_torus2, poly_from_exprs, poly_from_roots, poly_from_values,
+                      pullback, sample_selfmap)
 from rootlift.base import BaseSpaceError, _hop_distances
 from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
 from rootlift.closedness import winding_function
-from rootlift.extend import _transport_slots, ah_fit
-from rootlift.monodromy import components
+from rootlift.extend import _transport_slots, ah_fit, lift_problem
+from rootlift.monodromy import component_count, components
+from rootlift.scenarios import builtin_scenario
 
 # -- the reference walks --------------------------------------------------------
 
@@ -399,6 +401,25 @@ def test_merge_clusters_and_components_match_reference(name, bundle):
     assert list(bundle.merge_clusters) == flagged
     assert bundle.merge_clusters == {s: _ref_merge_clusters(bundle, s) for s in flagged}
     assert components(bundle) == _ref_bundle_components(bundle)
+
+
+def _builtin_bundles():
+    """The source and pullback bundles of every builtin with a polynomial,
+    at small sizes, built as ``run_scenario`` builds them."""
+    for name, n in (("example1", 301), ("example2", 240), ("example3", 200), ("torus", 16)):
+        config = builtin_scenario(name, n)
+        base = cli._scaled_base(config["base"], 1, None)
+        spec = config["polynomial"]
+        poly = (poly_from_roots(base, spec["roots"]) if "roots" in spec
+                else poly_from_exprs(base, spec["coefficients"]))
+        problem = lift_problem(poly, cli._build_selfmap(base, config["selfmap"]))
+        yield f"{name}-source", problem.source
+        yield f"{name}-pullback", problem.target
+
+
+@pytest.mark.parametrize("name, bundle", list(_all_bundles()) + list(_builtin_bundles()))
+def test_component_count_equals_component_sets(name, bundle):
+    assert component_count(bundle) == len(components(bundle))
 
 
 @pytest.mark.parametrize("name, bundle", list(_all_bundles()))
