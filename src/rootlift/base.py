@@ -6,8 +6,10 @@ Samples carry coordinates, oriented edges carry the adjacency, and
 ``loop_basis`` generates the discrete fundamental group.  Edges and the
 adjacency are arrays, and every graph walk (breadth-first search, hop
 distances, connected components) runs on them in ``scipy.sparse.csgraph``.
-A :class:`SelfMap` stores each sample's image as a location (edge +
-parameter) in arrays, so images need not land on sample points.
+A :class:`SelfMap` on a base with a coordinate chart (interval, circle,
+torus) is its coordinate expressions and their exact values at the samples;
+on a graph, which has no chart, it is each sample's image location (edge +
+parameter).  Images need not land on sample points.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
+
+from . import funcspec
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,16 +193,13 @@ class BaseSpace:
     def location_coordinates(self, edges, params) -> np.ndarray:
         """Exact coordinates of locations given as edge and parameter arrays.
 
-        Shape (K,) on interval and circle, (K, 2) on torus2 and graph (a
-        graph reports the combinatorial edge id and the global parameter).
-        Endpoint parameters return the sample coordinate bit-exactly, so a
-        snapped sample location evaluates like the sample itself.
+        Shape (K,) on interval and circle, (K, 2) on torus2.  Endpoint
+        parameters return the sample coordinate bit-exactly, so a snapped
+        sample location evaluates like the sample itself.
         """
         ends = self.edges[np.asarray(edges, dtype=np.intp)]
         t = np.asarray(params, dtype=float)
         ca, cb = self.coords[ends[:, 0]], self.coords[ends[:, 1]]
-        if self.kind == "graph":
-            return np.column_stack([ca[:, 0], ca[:, 1] + t * (cb[:, 1] - ca[:, 1])])
         if self.kind == "torus2":
             t = t[:, None]
         if self.kind == "interval":
@@ -260,48 +261,28 @@ def node_labels(n: int, pairs) -> tuple[int, np.ndarray]:
 
 @dataclass
 class SelfMap:
-    """A continuous self-map of a base, sampled as per-sample image locations.
+    """A continuous self-map of a base, sampled at every sample.
 
-    Sample ``s`` maps to parameter ``image_params[s]`` along edge
-    ``image_edges[s]``.  ``image_coords`` holds those points' exact
-    coordinates (see :meth:`BaseSpace.location_coordinates`), computed
-    once: shape (S,) on interval and circle, (S, 2) on torus2 and graph.
-    ``exprs`` are the parsed coordinate expressions, when the map has them.
+    On interval, circle and torus2 bases the map is its parsed coordinate
+    expressions ``exprs``, and ``image_coords`` holds their values at the
+    samples as :meth:`image_coords_array` computes them: shape (S,) on
+    interval and circle, (S, 2) on torus2.  A graph base has no chart, so
+    there the map is a location table: sample ``s`` maps to parameter
+    ``image_params[s]`` along edge ``image_edges[s]``.
     """
 
     base: BaseSpace
-    image_edges: np.ndarray
-    image_params: np.ndarray
     exprs: tuple | None = None
-    image_coords: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.image_edges = np.asarray(self.image_edges, dtype=np.intp)
-        self.image_params = np.asarray(self.image_params, dtype=float)
-        self.image_coords = self.base.location_coordinates(self.image_edges,
-                                                           self.image_params)
+    image_coords: np.ndarray | None = field(default=None, repr=False)
+    image_edges: np.ndarray | None = None
+    image_params: np.ndarray | None = None
 
     def image_coords_array(self, coords: np.ndarray) -> np.ndarray:
-        """Image coordinates at a coordinate array: exact for expression
-        maps, interpolated between sample images otherwise (on torus2 the
-        coordinates must lie on grid lines, as the points of edges do)."""
-        coords = np.asarray(coords, dtype=float)
-        if self.exprs is not None:
-            images, checks = _expression_images(self.base.kind, self.exprs, coords)
-            _raise_first(checks)
-            return images
-        base = self.base
-        if base.kind == "torus2":
-            e, t, _ = _torus_grid_locations(base, coords)
-            t = t[:, None]
-        else:
-            e, t = base.coordinate_locations(coords)
-        ends = base.edges[e]
-        ca, cb = self.image_coords[ends[:, 0]], self.image_coords[ends[:, 1]]
-        if base.kind == "interval":
-            return ca + t * (cb - ca)
-        d = (cb - ca + math.pi) % TWO_PI - math.pi   # shortest signed arc
-        return (ca + t * d) % TWO_PI
+        """Exact image coordinates of the expressions at a coordinate array."""
+        images, checks = _expression_images(self.base.kind, self.exprs,
+                                            np.asarray(coords, dtype=float))
+        _raise_first(checks)
+        return images
 
 
 def _raise_first(checks) -> None:
@@ -328,8 +309,6 @@ def _expression_images(kind: str, exprs, coords: np.ndarray):
     [0, 1] (:class:`BaseSpaceError`).  Images are clamped to [0, 1] on the
     interval and reduced mod 2*pi on circle coordinates.
     """
-    from . import funcspec
-
     names = funcspec.COORDINATES.get(kind)
     if names is None:
         raise BaseSpaceError(f"expression self-maps unsupported on kind {kind!r}")
@@ -382,8 +361,7 @@ def make_circle(n: int) -> BaseSpace:
 def make_torus2(n: int, m: int) -> BaseSpace:
     """n x m wraparound grid with the two generator loops.
 
-    Sample ``s = i*m + j`` sits at (2*pi*i/n, 2*pi*j/m).  Edge layout, an
-    invariant that :func:`sample_selfmap` relies on: edge ``2s`` is the
+    Sample ``s = i*m + j`` sits at (2*pi*i/n, 2*pi*j/m).  Edge ``2s`` is the
     right edge of sample ``s`` (to ``((i+1) % n)*m + j``) and edge ``2s+1``
     its up edge (to ``i*m + (j+1) % m``), both with ``s`` as the tail.
     """
@@ -474,64 +452,30 @@ def _fundamental_cycle(parent, step, eid, a, b) -> np.ndarray:
 def sample_selfmap(base: BaseSpace, spec, continuity_bound: float = 2.0) -> SelfMap:
     """Sample a self-map given as coordinate expression(s) or a location table.
 
-    ``spec`` may be an expression string (interval/circle), a pair of
-    expression strings (torus2), a tuple of arrays ``(image_edges,
-    image_params)``, or a list of image coordinates (interval/circle).
-    Expressions are evaluated once over all samples; every
-    image must be finite and real, inside [0, 1] on the interval, and on
-    the sample grid lines on the torus.  Images of adjacent samples must
-    stay within ``continuity_bound`` edge lengths of each other.
+    Interval and circle bases take one expression string, torus2 bases a
+    pair; they are evaluated once over all samples, and every image must be
+    finite and real, and inside [0, 1] on the interval.  A graph base takes
+    a location table ``(image_edges, image_params)``.  Images of adjacent
+    samples must stay within ``continuity_bound`` edge lengths of each other.
     """
     if isinstance(spec, str) or (isinstance(spec, (tuple, list)) and spec
                                  and all(isinstance(s, str) for s in spec)):
-        from . import funcspec
-
         texts = [spec] if isinstance(spec, str) else list(spec)
         exprs = tuple(funcspec.parse(t) for t in texts)
         images, checks = _expression_images(base.kind, exprs, base.coords)
-        if base.kind == "torus2":
-            edges, params, off_grid = _torus_grid_locations(base, images)
-            checks.append((off_grid, lambda s: BaseSpaceError(
-                "torus self-map image does not lie on the sample grid lines")))
-            _raise_first(checks)
-        else:
-            _raise_first(checks)
-            edges, params = base.coordinate_locations(images)
-        smap = SelfMap(base, edges, params, exprs)
+        _raise_first(checks)
+        smap = SelfMap(base, exprs, images)
+    elif base.kind != "graph":
+        raise BaseSpaceError(f"a {base.kind} base takes coordinate expressions; "
+                             "location tables are for graph bases")
     else:
-        edges, params = spec if isinstance(spec, tuple) else base.coordinate_locations(spec)
+        edges, params = spec
         if len(edges) != base.n_samples:
             raise BaseSpaceError("self-map table length differs from sample count")
-        smap = SelfMap(base, edges, params)
+        smap = SelfMap(base, image_edges=np.asarray(edges, dtype=np.intp),
+                       image_params=np.asarray(params, dtype=float))
     _check_discrete_continuity(smap, continuity_bound)
     return smap
-
-
-def _torus_grid_locations(base, images, snap=1e-9):
-    """Locations of torus points, which must lie on the sample grid lines.
-
-    Returns ``(edges, params, off_grid)``; the locations are meaningful
-    only where ``off_grid`` is False.  Uses :func:`make_torus2`'s edge
-    layout (right edge ``2s``, up edge ``2s+1``).
-    """
-    n, m = base.meta["shape"]
-    with np.errstate(invalid="ignore"):
-        i = (images[:, 0] / TWO_PI * n) % n
-        j = (images[:, 1] / TWO_PI * m) % m
-        ri, rj = np.rint(i), np.rint(j)
-        i_int = np.abs(i - ri) < snap * n
-        j_int = np.abs(j - rj) < snap * m
-        off_grid = ~(i_int | j_int)
-        i_near, j_near = ri.astype(np.intp) % n, rj.astype(np.intp) % m
-        i_low, j_low = i.astype(np.intp), j.astype(np.intp)
-    # on a vertical grid line: up edge of (i_near, j_low); on a horizontal
-    # one: right edge of (i_low, j_near); at a crossing: the sample itself
-    vertical = i_int & ~j_int
-    row = np.where(i_int, i_near, i_low % n)
-    col = np.where(vertical, j_low % m, j_near)
-    edges = 2 * (row * m + col) + vertical
-    params = np.where(vertical, j - j_low, np.where(i_int, 0.0, i - i_low))
-    return edges, params, off_grid
 
 
 def _check_discrete_continuity(smap: SelfMap, bound: float):
@@ -587,5 +531,10 @@ def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b,
 
 
 def identity_selfmap(base: BaseSpace) -> SelfMap:
-    """The identity map, snapped exactly onto sample locations."""
-    return SelfMap(base, *base.sample_locations())
+    """The identity map: the coordinate variables on a chart base, whose
+    images are the sample coordinates bit for bit, and the sample locations
+    on a graph."""
+    if base.kind == "graph":
+        edges, params = base.sample_locations()
+        return SelfMap(base, image_edges=edges, image_params=params)
+    return sample_selfmap(base, funcspec.COORDINATES[base.kind])

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels, figures, monodromy, scenarios
+from . import _kernels, figures, funcspec, monodromy, scenarios
 from .base import identity_selfmap, make_circle, make_graph, make_interval, make_torus2, sample_selfmap
 from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, poly_from_exprs,
                      poly_from_roots)
@@ -131,6 +131,19 @@ def validate_config(config: dict) -> None:
                 f"$.selfmap: '{other}' does not fit a {kind} base, which takes '{key}'")
         if key not in selfmap:
             raise ScenarioError(f"$.selfmap: a {kind} base needs '{key}' or 'identity'")
+    # every expression parses here, before a run touches its output directory
+    texts = [(f"$.polynomial.{key}[{k}]", text)
+             for key, column in config.get("polynomial", {}).items()
+             for k, text in enumerate(column)]
+    spec = config.get("selfmap", {})
+    if "expr" in spec:
+        texts.append(("$.selfmap.expr", spec["expr"]))
+    texts += [(f"$.selfmap.exprs[{k}]", text) for k, text in enumerate(spec.get("exprs", []))]
+    for path, text in texts:
+        try:
+            funcspec.parse(text)
+        except funcspec.ParseError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _scaled_base(spec: dict, factor: int, override: int | None):

@@ -14,7 +14,8 @@ Numbers are decimal with optional exponent; an ``i`` suffix makes an
 imaginary literal (``1i``, ``0.5i``).  Variables are ``x`` on the
 interval, ``theta`` on the circle and ``theta1``/``theta2`` on the
 torus.  Functions: sin, cos, exp, sqrt (principal branch), abs.
-Exponents must be nonnegative integer literals.  Evaluation is pure;
+Exponents must be integer literals from 0 to ``MAX_EXPONENT`` (64), so an
+evaluation takes at most that many products.  Evaluation is pure;
 the same AST and coordinate always give the bit-identical value.
 
 One evaluator, ``_eval`` on arrays of points, produces every value: the
@@ -35,6 +36,7 @@ import numpy as np
 COORDINATES = {"interval": ("x",), "circle": ("theta",), "torus2": ("theta1", "theta2")}
 VARIABLES = tuple(name for names in COORDINATES.values() for name in names)
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -224,9 +226,10 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "^":
             self.next()
             tok = self.next()
-            if tok.kind != "num" or tok.value != int(tok.value):
-                raise ParseError("exponent must be a nonnegative integer literal",
-                                 tok.line, tok.col)
+            # ``not <=`` also rejects an exponent literal that overflows to inf
+            if tok.kind != "num" or not tok.value <= MAX_EXPONENT or tok.value % 1:
+                raise ParseError("exponent must be an integer literal from 0 to "
+                                 f"{MAX_EXPONENT}", tok.line, tok.col)
             node = Pow(node, int(tok.value))
             if self.peek().kind == "op" and self.peek().text == "^":
                 tok = self.peek()

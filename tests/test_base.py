@@ -100,13 +100,20 @@ def test_loop_basis_walks_are_closed():
 
 
 def test_identity_selfmap_snaps_to_samples():
-    base = make_interval(9)
+    # on a chart base the identity is the coordinate variables, whose images
+    # are the sample coordinates bit for bit
+    for base in (make_interval(9), make_interval(200), make_circle(7), make_circle(2000),
+                 make_torus2(6, 5), make_torus2(33, 33)):
+        smap = identity_selfmap(base)
+        assert np.array_equal(smap.image_coords, base.coords)
+        assert np.array_equal(smap.image_coords_array(base.coords), base.coords)
+    # a graph has no chart: its identity is each sample's own location
+    base = make_graph(3, [(0, 1), (1, 2), (2, 0)], 4)
     smap = identity_selfmap(base)
     nearest = base.nearest_samples(smap.image_edges, smap.image_params)
     for s, t in enumerate(smap.image_params):
         assert t in (0.0, 1.0)
         assert nearest[s] == s
-    assert np.array_equal(smap.image_coords, base.coords)
 
 
 def test_sample_selfmap_flip():
@@ -142,11 +149,22 @@ def test_time_warp_bound_is_tight_at_even_and_odd_n(n):
         sample_selfmap(base, time_warp_text(), continuity_bound=bound - 3)
 
 
-def test_selfmap_rejects_discontinuous_table():
+def test_interval_selfmap_rejects_jump():
     base = make_interval(11)
-    images = [0.0 if s < 5 else 1.0 for s in range(11)]
-    with pytest.raises(BaseSpaceError):
-        sample_selfmap(base, images)
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(base, "piecewise(x<=0.45, 0, 1)")
+    # samples 4 (x = 0.4) and 5 (x = 0.5) map to the two ends
+    assert str(err.value) == ("self-map violates discrete continuity on edge 4: "
+                              "image distance 10.000 edges exceeds bound 2.0")
+
+
+@pytest.mark.parametrize("base", [make_interval(11), make_circle(12), make_torus2(6, 6)],
+                         ids=["interval", "circle", "torus"])
+def test_chart_selfmap_rejects_tables(base):
+    with pytest.raises(BaseSpaceError, match="takes coordinate expressions"):
+        sample_selfmap(base, base.coords.tolist())
+    with pytest.raises(BaseSpaceError, match="takes coordinate expressions"):
+        sample_selfmap(base, base.sample_locations())
 
 
 def test_selfmap_rejects_image_outside_base():
@@ -232,10 +250,15 @@ def test_torus_edge_layout_invariant():
 # -- torus self-map checks ----------------------------------------------------------
 
 
-def test_torus_selfmap_off_grid_rejected():
-    base = make_torus2(6, 6)
-    with pytest.raises(BaseSpaceError, match="does not lie on the sample grid lines"):
-        sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))
+def test_torus_selfmap_off_grid_lines_accepted():
+    # images inside grid squares are kept exactly as the expressions give them
+    for n in (6, 33):
+        base = make_torus2(n, n)
+        smap = sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))
+        assert np.array_equal(smap.image_coords,
+                              (base.coords[:, ::-1] + 0.1) % (2 * math.pi))
+        half = sample_selfmap(base, (f"theta1+{math.pi!r}", f"theta2+{math.pi!r}"))
+        assert np.array_equal(half.image_coords, (base.coords + math.pi) % (2 * math.pi))
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -243,24 +266,19 @@ def test_torus_selfmap_on_grid_lines_between_samples(axis):
     base = make_torus2(6, 6)
     spec = ("theta1+0.25", "theta2") if axis == 0 else ("theta1", "theta2+0.25")
     smap = sample_selfmap(base, spec)
-    # shifted along one axis, every image sits inside a right (axis 0) or
-    # an up (axis 1) edge of the sample grid
-    assert np.all(smap.image_edges % 2 == axis)
-    assert np.all((smap.image_params > 0.0) & (smap.image_params < 1.0))
     shifted = (base.coords[:, axis] + 0.25) % (2 * math.pi)
-    assert np.allclose(smap.image_coords[:, axis], shifted)
+    assert np.array_equal(smap.image_coords[:, axis], shifted)
     assert np.array_equal(smap.image_coords[:, 1 - axis], base.coords[:, 1 - axis])
 
 
-def test_torus_selfmap_rejects_discontinuous_table():
+def test_torus_selfmap_rejects_jump():
     base = make_torus2(6, 6)
-    table = (2 * np.arange(36), np.zeros(36))
-    table[0][14] = 2 * 33                      # sample (2,2) jumps to (5,3)
     with pytest.raises(BaseSpaceError) as err:
-        sample_selfmap(base, table)
-    # the first violating edge is 16, from (1,2) into (2,2)
-    assert str(err.value) == ("self-map violates discrete continuity on edge 16: "
-                              "image distance 3.000 edges exceeds bound 2.0")
+        sample_selfmap(base, ("theta1", "piecewise(theta2<=2, theta2, theta2+2)"))
+    # theta2 jumps by 2 rad between j = 1 and j = 2; the first violating
+    # edge is 3, the up edge of sample (0,1)
+    assert str(err.value) == ("self-map violates discrete continuity on edge 3: "
+                              "image distance 2.910 edges exceeds bound 2.0")
 
 
 def test_graph_selfmap_rejects_jumping_table():

@@ -147,7 +147,7 @@ TORUS_TABLE_MAP = {"name": "t", "base": {"kind": "torus2", "shape": [8, 8]},
 
 
 def test_torus_table_map_bisects_its_pullback(tmp_path):
-    # a table map's off-sample images lie on the grid lines that edges do
+    # the identity's off-sample images are the bisection points themselves
     cfg_path = tmp_path / "t.json"
     cfg_path.write_text(json.dumps(TORUS_TABLE_MAP))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
@@ -391,3 +391,32 @@ def test_graph_base_takes_no_polynomial(tmp_path, capsys, polynomial):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: $.polynomial: a graph base")
+
+
+@pytest.mark.parametrize("path, edit", [
+    ("$.polynomial.coefficients[1]",
+     lambda cfg: cfg["polynomial"]["coefficients"].__setitem__(1, "(1+2*x")),
+    ("$.selfmap.expr", lambda cfg: cfg["selfmap"].__setitem__("expr", "(1+2*x")),
+], ids=["coefficient", "expr"])
+def test_malformed_expression_names_its_path_and_keeps_artifacts(tmp_path, capsys, path, edit):
+    out = tmp_path / "out"
+    cfg = scenarios.builtin_scenario("example1", samples=201)
+    assert run_scenario(cfg, str(out)) == 0
+    before = (out / "verdict.json").read_bytes()
+    edit(cfg)
+    with pytest.raises(ScenarioError) as err:
+        validate_config(cfg)
+    assert str(err.value) == f"{path}: expected ')', found 'end of input' (line 1, column 7)"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert (out / "verdict.json").read_bytes() == before
+
+
+def test_malformed_torus_expression_names_its_index():
+    cfg = scenarios.builtin_scenario("torus", samples=8)
+    cfg["selfmap"]["exprs"][0] = "theta2+"
+    with pytest.raises(ScenarioError, match=r"^\$\.selfmap\.exprs\[0\]: unexpected "
+                       r"'end of input' \(line 1, column 8\)$"):
+        validate_config(cfg)

@@ -405,6 +405,19 @@ def _torus_swap_problems(n=64):
             LiftProblem(A, pullback(p, identity_selfmap(base))))
 
 
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_torus_maps_off_the_grid_lines(n):
+    # (theta1 + pi, theta2 + pi) pulls lambda^2 - e^{i theta1} back to
+    # lambda^2 + e^{i theta1}, lifted by i*lambda; the swap moves the
+    # transposition onto the other generator, so no lift exists
+    base = make_torus2(n, n)
+    p = poly_from_exprs(base, ["-exp(1i*theta1)", "0"])
+    half = sample_selfmap(base, (f"theta1+{math.pi!r}", f"theta2+{math.pi!r}"))
+    swap = sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))
+    assert cole_extendable(p, half).answer == "yes"
+    assert cole_extendable(p, swap).answer == "no"
+
+
 def test_lift_problem_matches_reference_on_random_instances():
     import sys
     sys.path.insert(0, "tests")

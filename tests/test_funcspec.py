@@ -60,6 +60,18 @@ def test_exponent_must_be_integer_literal():
         parse("x^x")
 
 
+@pytest.mark.parametrize("text", ["x^1e400", "x^1e20", "x^65"])
+def test_exponent_above_maximum_is_a_parse_error(text):
+    # 1e400 overflows to inf; 1e20 and 65 are finite but above the maximum
+    with pytest.raises(ParseError, match="from 0 to 64") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
+def test_maximum_exponent_parses():
+    assert parse("x^64") == funcspec.Pow(funcspec.Var("x"), 64)
+
+
 def test_evaluate_constant_one():
     base = make_interval(7)
     vals = evaluate(parse("1+0i"), base).values

@@ -235,6 +235,19 @@ def test_coeffs_at_sample_coordinates_are_the_sampled_values(p):
     assert np.array_equal(p.coeffs_at_locations(edges, params), p.coeff_values)
 
 
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_pullback_coeffs_at_sample_coordinates_are_the_sampled_values(n):
+    # a chart self-map keeps its images as its expressions give them, so a
+    # pullback's source reproduces every sampled row bit for bit
+    circle, interval = make_circle(n), make_interval(n // 10)
+    quintic, square = crossing_quintic(circle), interval_square_pair(interval)
+    for p, smap in ((quintic, time_warp_map(circle)), (quintic, half_turn_map(circle)),
+                    (quintic, identity_selfmap(circle)), (square, flip_map(interval)),
+                    (square, identity_selfmap(interval))):
+        q = pullback_polynomial(p, smap)
+        assert np.array_equal(q.coeffs_at(p.base.coords), q.coeff_values)
+
+
 def test_sourceless_coefficients_interpolate_along_edges():
     base = make_circle(12)
     p = poly_from_values(base, [np.arange(12.0) ** 2, 1j * np.arange(12.0)])
