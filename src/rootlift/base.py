@@ -449,14 +449,15 @@ def _fundamental_cycle(parent, step, eid, a, b) -> np.ndarray:
 # -- self-map sampling --------------------------------------------------------
 
 
-def sample_selfmap(base: BaseSpace, spec, continuity_bound: float = 2.0) -> SelfMap:
+def sample_selfmap(base: BaseSpace, spec) -> SelfMap:
     """Sample a self-map given as coordinate expression(s) or a location table.
 
     Interval and circle bases take one expression string, torus2 bases a
-    pair; they are evaluated once over all samples, and every image must be
-    finite and real, and inside [0, 1] on the interval.  A graph base takes
-    a location table ``(image_edges, image_params)``.  Images of adjacent
-    samples must stay within ``continuity_bound`` edge lengths of each other.
+    pair; they are evaluated once over all samples, every image must be
+    finite and real, and inside [0, 1] on the interval, and the expressions
+    must pass :func:`_check_expression_continuity`.  A graph base takes a
+    location table ``(image_edges, image_params)``, where the images of
+    adjacent samples must lie within ``_HOP_BOUND`` edge lengths.
     """
     if isinstance(spec, str) or (isinstance(spec, (tuple, list)) and spec
                                  and all(isinstance(s, str) for s in spec)):
@@ -465,49 +466,69 @@ def sample_selfmap(base: BaseSpace, spec, continuity_bound: float = 2.0) -> Self
         images, checks = _expression_images(base.kind, exprs, base.coords)
         _raise_first(checks)
         smap = SelfMap(base, exprs, images)
-    elif base.kind != "graph":
+        _check_expression_continuity(smap)
+        return smap
+    if base.kind != "graph":
         raise BaseSpaceError(f"a {base.kind} base takes coordinate expressions; "
                              "location tables are for graph bases")
-    else:
-        edges, params = spec
-        if len(edges) != base.n_samples:
-            raise BaseSpaceError("self-map table length differs from sample count")
-        smap = SelfMap(base, image_edges=np.asarray(edges, dtype=np.intp),
-                       image_params=np.asarray(params, dtype=float))
-    _check_discrete_continuity(smap, continuity_bound)
-    return smap
-
-
-def _check_discrete_continuity(smap: SelfMap, bound: float):
-    """Adjacent samples' images must be within ``bound`` edge lengths."""
-    base = smap.base
-    if base.kind == "graph":
-        x, y = base.edges.T
-        ends = (smap.image_edges[x], smap.image_params[x],
-                smap.image_edges[y], smap.image_params[y])
-        dist = _hop_distances(base, *ends, limit=bound)
-    else:
-        c = smap.image_coords
-        diff = np.abs(c[base.edges[:, 0]] - c[base.edges[:, 1]])
-        if base.kind == "interval":
-            dist = diff * (base.n_samples - 1)
-        else:
-            d = diff % TWO_PI
-            arc = np.minimum(d, TWO_PI - d) / TWO_PI
-            if base.kind == "circle":
-                dist = arc * base.n_samples
-            else:
-                n, m = base.meta["shape"]
-                dist = arc[:, 0] * n + arc[:, 1] * m
-    bad = np.flatnonzero(dist > bound + 1e-9)
+    edges, params = spec
+    edges, params = np.asarray(edges, dtype=np.intp), np.asarray(params, dtype=float)
+    if len(edges) != base.n_samples:
+        raise BaseSpaceError("self-map table length differs from sample count")
+    x, y = base.edges.T
+    ends = (edges[x], params[x], edges[y], params[y])
+    bad = np.flatnonzero(_hop_distances(base, *ends, limit=_HOP_BOUND) > _HOP_BOUND + 1e-9)
     if bad.size:
         eid = int(bad[0])
-        if base.kind == "graph":      # the exact distance, for the message
-            dist[eid] = _hop_distances(base, *(a[eid:eid + 1] for a in ends))[0]
-        raise BaseSpaceError(
-            f"self-map violates discrete continuity on edge {eid}: "
-            f"image distance {dist[eid]:.3f} edges exceeds bound {bound}"
-        )
+        dist = _hop_distances(base, *(a[eid:eid + 1] for a in ends))[0]   # the exact distance
+        raise BaseSpaceError(f"self-map violates discrete continuity on edge {eid}: "
+                             f"image distance {dist:.3f} edges exceeds bound {_HOP_BOUND}")
+    return SelfMap(base, image_edges=edges, image_params=params)
+
+
+_HALVINGS = 12        # as the default ``Tolerances.max_refine_depth``
+_SHRINK = 0.9         # admits every Hölder exponent above log2(10/9) ~ 0.15
+_HOP_BOUND = 2.0
+
+
+def _check_expression_continuity(smap: SelfMap):
+    """Halve each checked edge ``_HALVINGS`` times, keeping the half whose
+    end images lie farther apart; the edge is a discontinuity when the last
+    halving kept more than ``_SHRINK`` of that image span.  Sums, products,
+    powers, sin, cos, exp and abs are continuous in the chart, so without a
+    piecewise, a division or a sqrt only the edges across the chart's seam
+    (where a coordinate wraps from 2*pi to 0) are checked."""
+    base = smap.base
+    tails, heads = base.edges.T
+    if any(isinstance(node, funcspec.Piecewise) or getattr(node, "op", "") == "/"
+           or getattr(node, "func", "") == "sqrt"
+           for expr in smap.exprs for node in funcspec.walk(expr)):
+        ids = np.arange(base.n_edges)
+    else:
+        wraps = base.coords[heads] < base.coords[tails]
+        ids = np.flatnonzero(wraps.reshape(base.n_edges, -1).any(axis=1))
+
+    def span_of(a, b):          # largest coordinate difference, short way round on circles
+        d = np.abs(a - b)
+        return (d if base.kind == "interval" else np.minimum(d, TWO_PI - d)).max(axis=1)
+
+    images = smap.image_coords.reshape(base.n_samples, -1)
+    a, b = images[tails[ids]], images[heads[ids]]
+    lo, span = np.zeros(len(ids)), span_of(a, b)
+    for k in range(1, _HALVINGS + 1):
+        mid = lo + 0.5 ** k
+        m = smap.image_coords_array(base.location_coordinates(ids, mid)).reshape(a.shape)
+        left, right = span_of(a, m), span_of(m, b)
+        last, span, keep = span, np.maximum(left, right), left >= right
+        lo = np.where(keep, lo, mid)
+        a, b = np.where(keep[:, None], a, m), np.where(keep[:, None], m, b)
+    bad = np.flatnonzero(span > _SHRINK * last)
+    if bad.size:
+        i = int(bad[0])
+        point = base.location_coordinates(ids[i:i + 1], lo[i:i + 1] + 0.5 ** (_HALVINGS + 1))
+        at = dict(zip(funcspec.COORDINATES[base.kind], point.ravel().tolist()))
+        raise BaseSpaceError(f"self-map is discontinuous on edge {int(ids[i])}: its image "
+                             f"jumps by {span[i]:.3g} at {at}")
 
 
 def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b,

@@ -70,7 +70,6 @@ SCHEMA = {
                 "exprs": {"type": "array", "minItems": 2, "maxItems": 2,
                           "items": {"type": "string"}},
                 "identity": {"type": "boolean"},
-                "continuity_bound": {"type": "number"},
             },
         },
         "analyses": {
@@ -131,7 +130,8 @@ def validate_config(config: dict) -> None:
                 f"$.selfmap: '{other}' does not fit a {kind} base, which takes '{key}'")
         if key not in selfmap:
             raise ScenarioError(f"$.selfmap: a {kind} base needs '{key}' or 'identity'")
-    # every expression parses here, before a run touches its output directory
+    # every expression parses and uses only its base's variables here, before
+    # a run touches its output directory
     texts = [(f"$.polynomial.{key}[{k}]", text)
              for key, column in config.get("polynomial", {}).items()
              for k, text in enumerate(column)]
@@ -139,11 +139,16 @@ def validate_config(config: dict) -> None:
     if "expr" in spec:
         texts.append(("$.selfmap.expr", spec["expr"]))
     texts += [(f"$.selfmap.exprs[{k}]", text) for k, text in enumerate(spec.get("exprs", []))]
+    names = funcspec.COORDINATES.get(kind, ())
     for path, text in texts:
         try:
-            funcspec.parse(text)
+            tree = funcspec.parse(text)
         except funcspec.ParseError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
+        for node in funcspec.walk(tree):
+            name = node.name if isinstance(node, funcspec.Var) else getattr(node, "var", None)
+            if name is not None and name not in names:
+                raise ScenarioError(f"{path}: variable {name!r} is not defined on the {kind} base")
 
 
 def _scaled_base(spec: dict, factor: int, override: int | None):
@@ -187,14 +192,7 @@ def _check_coefficient_continuity(poly):
 def _build_selfmap(base, spec: dict):
     if spec.get("identity"):
         return identity_selfmap(base)
-    bound = spec.get("continuity_bound", 2.0)
-    if base.kind == "circle" and "expr" in spec:
-        # square-root-steep warps need a resolution-scaled bound
-        bound = max(bound, scenarios.time_warp_bound(base.n_samples)
-                    if "sqrt" in spec["expr"] else bound)
-    if "exprs" in spec:
-        return sample_selfmap(base, tuple(spec["exprs"]), continuity_bound=bound)
-    return sample_selfmap(base, spec["expr"], continuity_bound=bound)
+    return sample_selfmap(base, tuple(spec["exprs"]) if "exprs" in spec else spec["expr"])
 
 
 def _coord_columns(base):

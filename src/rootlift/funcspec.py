@@ -96,6 +96,14 @@ class Piecewise:
     other: object
 
 
+def walk(node):
+    """``node`` and every node below it, each parent before its children."""
+    yield node
+    for child in vars(node).values():
+        if isinstance(child, (Num, Var, Neg, Bin, Pow, Call, Piecewise)):
+            yield from walk(child)
+
+
 # -- lexer -------------------------------------------------------------------
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")", ","}

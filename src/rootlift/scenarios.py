@@ -80,14 +80,6 @@ def half_turn_text() -> str:
     return f"theta+{_f(PI)}"
 
 
-def time_warp_bound(n: int) -> int:
-    """Discrete-continuity bound: the warp has square-root steepness at pi.
-    With h = 2 pi / n, the edge ending at pi (even n) maps its ends sqrt(h),
-    or sqrt(n / 2 pi) edges, apart; the edge straddling pi (odd n) maps them
-    2 sqrt(h / 2), or sqrt(n / pi) edges, apart."""
-    return math.ceil(math.sqrt(n / (PI if n % 2 else 2 * PI))) + 2
-
-
 def crossing_quintic(circle: BaseSpace) -> MonicPolynomial:
     return poly_from_roots(circle, quintic_root_texts())
 
@@ -97,8 +89,7 @@ def half_turn_map(circle: BaseSpace):
 
 
 def time_warp_map(circle: BaseSpace):
-    return sample_selfmap(circle, time_warp_text(),
-                          continuity_bound=time_warp_bound(circle.n_samples))
+    return sample_selfmap(circle, time_warp_text())
 
 
 def verify_crossing_configuration(grid: int = 4096) -> list[dict]:
@@ -185,9 +176,7 @@ def builtin_scenario(name: str, samples: int | None = None) -> dict:
             "seed": 0,
             "base": {"kind": "circle", "samples": n},
             "polynomial": {"roots": quintic_root_texts()},
-            # below 2 samples the schema rejects the base and names the bound
-            "selfmap": {"expr": time_warp_text(),
-                        "continuity_bound": time_warp_bound(max(n, 2))},
+            "selfmap": {"expr": time_warp_text()},
             "analyses": ["bundle", "strips", "cole", "ah", "cross_checks"],
             "assertions": "crossing_quintic",
             "expect": {"cole": "yes", "ah": "no"},

