@@ -390,19 +390,21 @@ def make_graph(n_vertices: int, cedges: list[tuple[int, int]], samples_per_edge:
         raise BaseSpaceError("samples_per_edge must be at least 2")
     if n_vertices < 1:
         raise BaseSpaceError("graph needs at least one vertex")
-    coords: list[tuple[float, float]] = [(-1.0, float(v)) for v in range(n_vertices)]
-    edges: list[tuple[int, int]] = []
-    for ceid, (u, v) in enumerate(cedges):
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise BaseSpaceError(f"combinatorial edge {ceid} references unknown vertex")
-        prev = u
-        for k in range(1, samples_per_edge):
-            coords.append((float(ceid), k / samples_per_edge))
-            cur = len(coords) - 1
-            edges.append((prev, cur))
-            prev = cur
-        edges.append((prev, v))
-    base = BaseSpace("graph", np.array(coords), edges, meta={"cedges": list(cedges)})
+    ends = np.asarray(cedges, dtype=np.intp).reshape(-1, 2)
+    unknown = np.flatnonzero(((ends < 0) | (ends >= n_vertices)).any(axis=1))
+    if unknown.size:
+        raise BaseSpaceError(f"combinatorial edge {unknown[0]} references unknown vertex")
+    # the vertices, then edge c's inner samples k = 1 .. m - 1 at (c, k/m),
+    # joined in a chain from its first vertex to its second
+    C, m = len(ends), samples_per_edge
+    inner = n_vertices + np.arange(C * (m - 1)).reshape(C, m - 1)
+    chains = np.column_stack([ends[:, 0], inner, ends[:, 1]])
+    coords = np.concatenate([
+        np.column_stack([np.full(n_vertices, -1.0), np.arange(n_vertices, dtype=float)]),
+        np.column_stack([np.repeat(np.arange(C, dtype=float), m - 1),
+                         np.tile(np.arange(1, m) / m, C)])])
+    edges = np.stack([chains[:, :-1], chains[:, 1:]], axis=2).reshape(-1, 2)
+    base = BaseSpace("graph", coords, edges, meta={"cedges": list(cedges)})
     tree, _ = base.spanning_tree(0)   # also checks connectivity
     nodes, tree_edges, dirs = tree.T
     pred = np.full(base.n_samples, -1, dtype=np.intp)      # tree parent, -1 at the root
@@ -496,39 +498,57 @@ def _check_expression_continuity(smap: SelfMap):
     end images lie farther apart; the edge is a discontinuity when the last
     halving kept more than ``_SHRINK`` of that image span.  Sums, products,
     powers, sin, cos, exp and abs are continuous in the chart, so without a
-    piecewise, a division or a sqrt only the edges across the chart's seam
-    (where a coordinate wraps from 2*pi to 0) are checked."""
+    piecewise, a division or a sqrt only the seam is checked, by
+    :func:`seam_breaks`."""
     base = smap.base
     tails, heads = base.edges.T
-    if any(isinstance(node, funcspec.Piecewise) or getattr(node, "op", "") == "/"
-           or getattr(node, "func", "") == "sqrt"
-           for expr in smap.exprs for node in funcspec.walk(expr)):
-        ids = np.arange(base.n_edges)
-    else:
-        wraps = base.coords[heads] < base.coords[tails]
-        ids = np.flatnonzero(wraps.reshape(base.n_edges, -1).any(axis=1))
 
     def span_of(a, b):          # largest coordinate difference, short way round on circles
         d = np.abs(a - b)
         return (d if base.kind == "interval" else np.minimum(d, TWO_PI - d)).max(axis=1)
 
     images = smap.image_coords.reshape(base.n_samples, -1)
-    a, b = images[tails[ids]], images[heads[ids]]
-    lo, span = np.zeros(len(ids)), span_of(a, b)
-    for k in range(1, _HALVINGS + 1):
-        mid = lo + 0.5 ** k
-        m = smap.image_coords_array(base.location_coordinates(ids, mid)).reshape(a.shape)
-        left, right = span_of(a, m), span_of(m, b)
-        last, span, keep = span, np.maximum(left, right), left >= right
-        lo = np.where(keep, lo, mid)
-        a, b = np.where(keep[:, None], a, m), np.where(keep[:, None], m, b)
-    bad = np.flatnonzero(span > _SHRINK * last)
+    if not any(isinstance(node, funcspec.Piecewise) or getattr(node, "op", "") == "/"
+               or getattr(node, "func", "") == "sqrt"
+               for expr in smap.exprs for node in funcspec.walk(expr)):
+        ids, span = seam_breaks(base, images, smap.image_coords_array, span_of)
+        lo, bad = np.full(len(ids), 1.0 - 0.5 ** _HALVINGS), np.arange(len(ids))
+    else:
+        ids = np.arange(base.n_edges)
+        a, b = images[tails], images[heads]
+        lo, span = np.zeros(len(ids)), span_of(a, b)
+        for k in range(1, _HALVINGS + 1):
+            mid = lo + 0.5 ** k
+            m = smap.image_coords_array(base.location_coordinates(ids, mid)).reshape(a.shape)
+            left, right = span_of(a, m), span_of(m, b)
+            last, span, keep = span, np.maximum(left, right), left >= right
+            lo = np.where(keep, lo, mid)
+            a, b = np.where(keep[:, None], a, m), np.where(keep[:, None], m, b)
+        bad = np.flatnonzero(span > _SHRINK * last)
     if bad.size:
         i = int(bad[0])
         point = base.location_coordinates(ids[i:i + 1], lo[i:i + 1] + 0.5 ** (_HALVINGS + 1))
         at = dict(zip(funcspec.COORDINATES[base.kind], point.ravel().tolist()))
         raise BaseSpaceError(f"self-map is discontinuous on edge {int(ids[i])}: its image "
                              f"jumps by {span[i]:.3g} at {at}")
+
+
+def seam_breaks(base: BaseSpace, values, values_at, span_of):
+    """The edges across the chart's seam (a coordinate wrapping from 2*pi to
+    0) on which the sampled (S, m) ``values`` break, and the jump on each.
+    Continuous inside the chart, an expression breaks there only at the
+    seam, the edge's head, so ``values_at`` is evaluated at t = 1 - 2^-11 and
+    1 - 2^-12 in one call: an edge breaks where ``span_of`` from the head
+    keeps more than ``_SHRINK`` of the first span at the second point."""
+    tails, heads = base.edges.T
+    wraps = np.take(base.coords, heads, axis=0) < np.take(base.coords, tails, axis=0)
+    ids = np.unique(np.flatnonzero(wraps) // (wraps.size // base.n_edges))   # a row per edge
+    t = np.tile([1.0 - 0.5 ** (_HALVINGS - 1), 1.0 - 0.5 ** _HALVINGS], len(ids))
+    near = values_at(base.location_coordinates(np.repeat(ids, 2), t))
+    first, second = (span_of(v, values[heads[ids]])
+                     for v in near.reshape(len(ids), 2, values.shape[1]).transpose(1, 0, 2))
+    bad = second > _SHRINK * first
+    return ids[bad], second[bad]
 
 
 def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b,

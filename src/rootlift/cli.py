@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import _kernels, figures, funcspec, monodromy, scenarios
-from .base import identity_selfmap, make_circle, make_graph, make_interval, make_torus2, sample_selfmap
+from .base import (identity_selfmap, make_circle, make_graph, make_interval, make_torus2,
+                   sample_selfmap, seam_breaks)
 from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, poly_from_exprs,
                      poly_from_roots)
 from .closedness import closedness_report
@@ -306,8 +307,20 @@ def _analyze(config: dict, factor: int, override: int | None,
             _check_coefficient_continuity(poly)
         else:
             poly = poly_from_exprs(base, pspec["coefficients"])
+        edges, jumps = seam_breaks(base, poly.coeff_values, poly.coeffs_at,
+                                   lambda a, b: np.abs(a - b).max(axis=1))
+        if edges.size:
+            raise ScenarioError(f"$.polynomial: the coefficients are discontinuous on edge "
+                                f"{edges[0]}: they jump by {jumps[0]:.3g} at the seam")
     if "selfmap" in config:
         smap = _build_selfmap(base, config["selfmap"])
+    if out_dir is not None:
+        # once the inputs pass their checks, an earlier run's artifacts go;
+        # every other file is left alone
+        os.makedirs(out_dir, exist_ok=True)
+        for name in _ARTIFACTS:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
 
     problem = None
     bundle_a = bundle_b = None
@@ -431,12 +444,6 @@ def run_scenario(config: dict, out_dir: str, samples: int | None = None,
     if seed is not None:
         config = dict(config)
         config["seed"] = seed
-    os.makedirs(out_dir, exist_ok=True)
-    # an earlier run into the same directory may have written artifacts that
-    # this one does not; every other file is left alone
-    for name in _ARTIFACTS:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
     results = _analyze(config, 1, samples, out_dir, svg, tol)
 
     doc = {

@@ -26,8 +26,8 @@ import numpy as np
 from . import monodromy as monod
 from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
-                     _inverse_rows, build_bundle, is_admissible, pullback_polynomial,
-                     solve_fiber)
+                     _inverse_rows, _match_edges, build_bundle, is_admissible,
+                     pullback_polynomial, solve_fiber)
 
 MAX_LIFTS = 4096         # lifts decide_subalgebra probes before it answers "inconclusive"
 
@@ -101,6 +101,7 @@ class LiftProblem:
         self._build_loop_constraints(*self._build_transports())
         self._build_orbits()
         self._build_merge_constraints()
+        self._probes: dict[int, _QuotientProbe] = {}     # filled by divided_quotient_test
 
     # most-merged sample first: it carries the strongest unary pruning
     def _pick_basepoint(self) -> int:
@@ -218,10 +219,7 @@ class LiftProblem:
                 for x, y in itertools.combinations(slots, 2):
                     key = (min(x, y), max(x, y))
                     mat = allowed if x < y else allowed.T
-                    if key in combined:
-                        combined[key] = combined[key] & mat
-                    else:
-                        combined[key] = mat.copy()
+                    combined[key] = combined[key] & mat if key in combined else mat.copy()
         self.merge_pairs = [(a, b, m) for (a, b), m in sorted(combined.items())]
 
     # -- enumeration ------------------------------------------------------------
@@ -605,22 +603,6 @@ class QuotientReport:
     detail: str = ""
 
 
-def _track_pair(fiber: np.ndarray, prev_pair: np.ndarray) -> np.ndarray:
-    """Continue an ordered root pair to the nearest pair in a new fiber."""
-    d0 = np.abs(fiber - prev_pair[0])
-    d1 = np.abs(fiber - prev_pair[1])
-    i0 = int(np.argmin(d0))
-    i1 = int(np.argmin(d1))
-    if i0 == i1:
-        alt0 = np.argsort(d0)
-        alt1 = np.argsort(d1)
-        if d0[alt0[1]] + d1[i1] <= d0[i0] + d1[alt1[1]]:
-            i0 = int(alt0[1])
-        else:
-            i1 = int(alt1[1])
-    return np.array([fiber[i0], fiber[i1]])
-
-
 def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
                           sample: int) -> QuotientReport:
     """Finiteness probe for the two-sheet divided quotient at a branch.
@@ -629,71 +611,89 @@ def divided_quotient_test(problem: LiftProblem, witness: LiftWitness,
     sequence of points converging to the branch coordinate located in
     :attr:`RootBundle.branch_coordinates`, from both sides; divergent when
     the quotient magnitude grows monotonically past the divergence bound,
-    finite when the tail is Cauchy.
+    finite when the tail is Cauchy.  The rest is the problem's
+    :class:`_QuotientProbe` at ``sample``: a lift only picks the image pair.
     """
-    base = problem.base
-    if base.kind not in ("interval", "circle"):
+    if problem.base.kind not in ("interval", "circle"):
         return QuotientReport("inconclusive", sample, None, [],
                               "quotient probing needs an interval or circle base")
-    A, B, tol = problem.source, problem.target, problem.tol
-    if A.poly is None or B.poly is None:
+    if problem.source.poly is None or problem.target.poly is None:
         return QuotientReport("inconclusive", sample, None, [],
                               "no exact coefficient source available")
-    clusters = A.merge_clusters.get(sample, [])
+    clusters = problem.source.merge_clusters.get(sample, [])
     if len(clusters) != 1 or len(clusters[0]) != 2:
-        raise ExtendError(
-            f"branch structure at sample {sample} is not two-sheeted")
-    pair_slots = clusters[0]
-
-    h = base.spacing
-    y0 = A.branch_coordinates[sample]
-
-    root_scale = 1.0 + float(np.max(np.abs(A.fibers[sample])))
-    min_gap = 32.0 * np.finfo(float).eps * root_scale
-    # below this, an image-pair difference is root-solver noise, not signal
-    b_floor = 32.0 * np.finfo(float).eps * (
-        1.0 + float(np.max(np.abs(B.fibers[sample]))))
-    quotients_all: list[float] = []
-    side_verdicts = []
-    for side in (+1.0, -1.0):
-        start = y0 + side * 2.0 * h
-        if base.kind == "interval" and not (0.0 <= start <= 1.0):
-            continue
-        u = int(base.nearest_samples(*base.coordinate_locations([base.wrap(start)]))[0])
-        slots = _transport_slots(A, sample, u, pair_slots)
+        raise ExtendError(f"branch structure at sample {sample} is not two-sheeted")
+    probe = problem._probes.get(sample)
+    if probe is None:
+        probe = problem._probes[sample] = _QuotientProbe(problem, sample)
+    quotients_all, side_verdicts = [], []
+    for j, (_, u, slots) in enumerate(probe.sides):
         targets = witness.assignments[u][slots]
         if targets[0] == targets[1]:
             # both branches ride one target sheet: the quotient vanishes
             side_verdicts.append("finite")
             quotients_all.extend([0.0] * 8)
             continue
-        a_pair = A.fibers[u][slots]
-        b_pair = B.fibers[u][targets]
-        qs: list[complex] = []
-        # the dyadic probe points, solved at once; tracked until the pair coalesces
-        ys = base.wrap(y0 + side * (2.0 * h * 0.5 ** np.arange(60)))
-        fibersA = solve_fiber(A.poly.coeffs_at(ys), tol)
-        fibersB = solve_fiber(B.poly.coeffs_at(ys), tol)
-        for fA, fB in zip(fibersA, fibersB):
-            a_pair = _track_pair(fA, a_pair)
-            b_pair = _track_pair(fB, b_pair)
-            denom = a_pair[0] - a_pair[1]
-            if abs(denom) < min_gap:
-                break
-            numer = b_pair[0] - b_pair[1]
-            qs.append(numer / denom if abs(numer) >= b_floor else 0.0)
-        side_verdicts.append(_classify_quotients(qs, tol))
-        quotients_all.extend(abs(q) for q in qs)
+        valuesA, valuesB = probe.tracks
+        denom = valuesA[j, :, slots[0]] - valuesA[j, :, slots[1]]
+        numer = valuesB[j, :, targets[0]] - valuesB[j, :, targets[1]]
+        # np.hypot is the scalar complex abs bit for bit, where the vector
+        # loop of np.abs is not; the pair is followed until it coalesces
+        apart = np.logical_and.accumulate(np.hypot(denom.real, denom.imag) >= probe.min_gap)
+        numer, denom = numer[apart], denom[apart]
+        qs = np.where(np.hypot(numer.real, numer.imag) >= probe.b_floor, numer / denom, 0.0)
+        side_verdicts.append(_classify_quotients(qs.tolist(), problem.tol))
+        quotients_all.extend(np.hypot(qs.real, qs.imag).tolist())
     if not side_verdicts:
-        return QuotientReport("inconclusive", sample, y0, quotients_all,
+        return QuotientReport("inconclusive", sample, probe.y0, quotients_all,
                               "no side of the branch could be probed")
-    if "divergent" in side_verdicts:
-        verdict = "divergent"
-    elif all(v == "finite" for v in side_verdicts):
-        verdict = "finite"
-    else:
-        verdict = "inconclusive"
-    return QuotientReport(verdict, sample, y0, quotients_all)
+    verdict = ("divergent" if "divergent" in side_verdicts
+               else "finite" if all(v == "finite" for v in side_verdicts) else "inconclusive")
+    return QuotientReport(verdict, sample, probe.y0, quotients_all)
+
+
+class _QuotientProbe:
+    """The lift-independent half of :func:`divided_quotient_test` at a
+    two-sheet merge sample.  ``sides`` holds (side, u, slots) for each side
+    ±1 whose start y0 ± 2h lies in the chart: u is the sample nearest it and
+    slots the coalescing pair's source slots at u.  Below ``min_gap``
+    (``b_floor``) a source (target) pair difference is solver noise."""
+
+    def __init__(self, problem: LiftProblem, sample: int):
+        A, B, base = problem.source, problem.target, problem.base
+        self.problem, self.y0 = problem, A.branch_coordinates[sample]
+        self.sides = []
+        for side in (+1.0, -1.0):
+            start = self.y0 + side * 2.0 * base.spacing
+            if base.kind == "interval" and not (0.0 <= start <= 1.0):
+                continue
+            u = int(base.nearest_samples(*base.coordinate_locations([base.wrap(start)]))[0])
+            self.sides.append((side, u, _transport_slots(A, sample, u, A.merge_clusters[sample][0])))
+        self.min_gap, self.b_floor = (
+            32.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(bundle.fibers[sample]))))
+            for bundle in (A, B))
+
+    @functools.cached_property
+    def tracks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per bundle, ``values[j, k, i]``: at the dyadic point y0 ± 2h·2^-k
+        of side j, the value of the sheet at slot i of u, continued point by
+        point by :func:`_match_edges`.  Both sides' 60 points are solved in
+        one call per bundle, when a lift's pair first lands on two sheets."""
+        problem, base = self.problem, self.problem.base
+        steps = 2.0 * base.spacing * 0.5 ** np.arange(60)
+        points = base.wrap(np.concatenate([self.y0 + side * steps for side, _, _ in self.sides]))
+        starts = [u for _, u, _ in self.sides]
+        tracks = []
+        for bundle in (problem.source, problem.target):
+            n = bundle.degree
+            heads = solve_fiber(bundle.poly.coeffs_at(points), problem.tol).reshape(-1, 60, n)
+            tails = np.concatenate([bundle.fibers[starts][:, None], heads[:, :-1]], axis=1)
+            perms = _match_edges(tails.reshape(-1, n), heads.reshape(-1, n),
+                                 problem.tol.match_margin)[0].reshape(heads.shape)
+            for k in range(1, 60):                  # slot at point k of u's slot i
+                perms[:, k] = np.take_along_axis(perms[:, k], perms[:, k - 1], axis=1)
+            tracks.append(np.take_along_axis(heads, perms, axis=2))
+        return tuple(tracks)
 
 
 def _transport_slots(bundle: RootBundle, src: int, dst: int, slots) -> list[int]:

@@ -7,7 +7,7 @@ import pytest
 
 from instancegen import edge_endpoint, incident
 from rootlift import funcspec
-from rootlift.base import (BaseSpaceError, identity_selfmap,
+from rootlift.base import (BaseSpace, BaseSpaceError, _fundamental_cycle, identity_selfmap,
                            make_circle, make_graph, make_interval,
                            make_torus2, sample_selfmap)
 from rootlift.funcspec import EvalError
@@ -69,6 +69,51 @@ def test_graph_path_no_loops():
 def test_graph_figure_eight():
     base = make_graph(1, [(0, 0), (0, 0)], 8)
     assert len(base.loop_basis) == 2        # 2 - 1 + 1
+
+
+def _loop_graph(n_vertices, cedges, samples_per_edge):
+    """``make_graph``'s base with the coordinates and edges laid out one
+    subdivision sample at a time, and its loop basis built from them."""
+    coords, edges = [(-1.0, float(v)) for v in range(n_vertices)], []
+    for ceid, (u, v) in enumerate(cedges):
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise BaseSpaceError(f"combinatorial edge {ceid} references unknown vertex")
+        prev = u
+        for k in range(1, samples_per_edge):
+            coords.append((float(ceid), k / samples_per_edge))
+            edges.append((prev, len(coords) - 1))
+            prev = len(coords) - 1
+        edges.append((prev, v))
+    base = BaseSpace("graph", np.array(coords), edges)
+    tree, _ = base.spanning_tree(0)
+    pred = np.full(base.n_samples, -1, dtype=np.intp)
+    pred[tree[:, 0]] = base.edges[tree[:, 1], (tree[:, 2] < 0).astype(np.intp)]
+    step = np.zeros((base.n_samples, 2), dtype=np.intp)
+    step[tree[:, 0]] = tree[:, 1:]
+    cotree = sorted(set(range(base.n_edges)) - set(tree[:, 1].tolist()))
+    base.loop_basis = [_fundamental_cycle(pred.tolist(), step, eid, *base.edges[eid].tolist())
+                       for eid in cotree]
+    return base
+
+
+@pytest.mark.parametrize("graph", [
+    (1, [(0, 0), (0, 0)], 8), (3, [(0, 1), (1, 2), (2, 0), (0, 2)], 5),
+    (3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 2), (4, [(0, 1), (1, 2), (1, 3)], 7),
+], ids=["figure-eight", "theta", "parallel", "tree"])
+def test_graph_layout_matches_the_per_sample_loop(graph):
+    base, want = make_graph(*graph), _loop_graph(*graph)
+    assert base.coords.dtype == want.coords.dtype
+    assert np.array_equal(base.coords, want.coords)
+    assert np.array_equal(base.edges, want.edges)
+    assert len(base.loop_basis) == len(want.loop_basis)
+    assert all(np.array_equal(a, b) for a, b in zip(base.loop_basis, want.loop_basis))
+
+
+def test_graph_rejects_unknown_vertex():
+    with pytest.raises(BaseSpaceError, match="^combinatorial edge 2 references unknown vertex$"):
+        make_graph(3, [(0, 1), (1, 2), (2, 3), (-1, 0)], 4)
+    with pytest.raises(BaseSpaceError, match="^combinatorial edge 0 references unknown vertex$"):
+        make_graph(2, [(-1, 0)], 4)
 
 
 def test_graph_rejects_disconnected():

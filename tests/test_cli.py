@@ -436,6 +436,32 @@ def test_foreign_variable_names_its_path_and_keeps_artifacts(tmp_path, capsys, p
     assert (out / "verdict.json").read_bytes() == before
 
 
+@pytest.mark.parametrize("base, coefficients, message", [
+    ({"kind": "circle", "samples": 2000}, ["-exp(0.5i*theta)", "0"],
+     "edge 1999: they jump by 2 "),
+    ({"kind": "circle", "samples": 2000}, ["-exp(1i*theta)+0.1*theta", "0"],
+     "edge 1999: they jump by 0.628 "),
+    ({"kind": "torus2", "shape": [16, 16]}, ["-exp(0.5i*theta1)", "0"],
+     "edge 480: they jump by 2 "),
+], ids=["half-winding", "ramp", "torus"])
+def test_coefficients_that_break_at_the_seam_are_rejected(tmp_path, capsys, base, coefficients,
+                                                          message):
+    # each coefficient is continuous inside the chart and jumps where the
+    # coordinate wraps from 2*pi to 0; on the torus the first seam edge is the
+    # right edge of sample (15, 0)
+    out = tmp_path / "out"
+    assert run_scenario(scenarios.builtin_scenario("example1", samples=201), str(out)) == 0
+    before = (out / "verdict.json").read_bytes()
+    cfg = {"name": "seam", "base": base, "polynomial": {"coefficients": coefficients},
+           "selfmap": {"identity": True}, "analyses": ["cole", "ah"]}
+    cfg_path = tmp_path / "seam.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: $.polynomial: the coefficients are discontinuous "
+                                       f"on {message}at the seam\n")
+    assert (out / "verdict.json").read_bytes() == before
+
+
 def test_schema_rejects_the_old_bound_key():
     # continuity is checked on the expressions, so the schema dropped the
     # bound's key; it is spelled in two parts so that a search of the tree

@@ -20,7 +20,7 @@ from rootlift.extend import (ExtendError, InadmissibleError, LiftProblem,
                              divided_quotient_test, lift_problem,
                              validate_witness)
 from rootlift.scenarios import (crossing_quintic, flip_map, half_turn_map,
-                                interval_square_pair, time_warp_map)
+                                interval_square_pair, quintic_root_texts, time_warp_map)
 
 
 def _square_pair_problem(n=301):
@@ -128,31 +128,66 @@ def test_projection_lift_quotient_is_one():
     assert abs(rep.quotients[-1] - 1.0) < 1e-6
 
 
-def test_branch_coordinates_are_located_once_per_bundle(monkeypatch):
-    # two lift problems share the source bundle: a probe in the second reads
-    # the coordinates the first one's probe located, and solves only its points
-    problem, _, _ = _square_pair_problem()
-    A = problem.source
-    twin = LiftProblem(A, A)
-    s = min(A.merge_clusters)
+def _count_solves(monkeypatch):
+    """The row count of every ``solve_fibers`` call from now on, in order."""
     rows = []
     solve = _kernels.solve_fibers
     monkeypatch.setattr(_kernels, "solve_fibers",
                         lambda coeffs: rows.append(len(coeffs)) or solve(coeffs))
+    return rows
 
-    def probe(prob):
+
+def test_branch_coordinates_are_located_once_per_bundle(monkeypatch):
+    # two lift problems share the source bundle: a probe in the second reads
+    # the coordinates the first one's probe located; a problem solves a
+    # sample's probe points once, when a lift's pair first lands on two
+    # target sheets there: lift 0 (0, 0) rides one sheet, lift 1 (0, 1)
+    # does not, and lift 2 (1, 0) reads lift 1's points
+    problem, _, _ = _square_pair_problem()
+    A = problem.source
+    twin = LiftProblem(A, A)
+    s = min(A.merge_clusters)
+    rows = _count_solves(monkeypatch)
+
+    def probe(prob, k):
         rows.clear()
-        divided_quotient_test(prob, prob.enumerate()[0], s)
+        divided_quotient_test(prob, prob.enumerate()[k], s)
         return list(rows)
 
-    first = probe(problem)
+    first = probe(problem, 1)
     # 70 rounds, four to a solve: 30 points per two-sheet merge sample for
-    # each of 17 solves, then 6 for the last two rounds
+    # each of 17 solves, then 6 for the last two rounds; then both sides' 60
+    # points, in one solve per bundle
     K = len(A.merge_clusters)
     assert sorted(A.branch_coordinates) == sorted(A.merge_clusters)
-    assert first[:18] == [30 * K] * 17 + [6 * K]
-    assert first[18:] == probe(problem)
-    assert probe(twin) == probe(twin)
+    assert first == [30 * K] * 17 + [6 * K] + [120, 120]
+    assert probe(problem, 2) == probe(problem, 1) == probe(problem, 0) == []
+    assert probe(twin, 0) == []
+    assert probe(twin, 1) == [120, 120]
+    assert probe(twin, 2) == []
+
+
+def _band_problem():
+    """Example 2's quintic times two winding-2 bands (t - C)^2 - e^(i theta),
+    C = 10 and 20, under the time warp at 2000 samples: degree 9, 36 lifts,
+    and every pair lands on one pair of target sheets at the merge sample."""
+    base = make_circle(2000)
+    texts = quintic_root_texts() + [f"{c}{sign}exp(0.5i*theta)"
+                                    for c in (10, 20) for sign in "+-"]
+    return lift_problem(poly_from_roots(base, texts), time_warp_map(base))
+
+
+def test_band_decision_probes_its_merge_sample_once(monkeypatch):
+    problem = _band_problem()
+    problem.source.branch_coordinates          # the branch search
+    rows = _count_solves(monkeypatch)
+    verdict = decide_subalgebra(problem)
+    assert rows == [120, 120]
+    want = _eager_decide_subalgebra(problem, extend.MAX_LIFTS)
+    assert (verdict.answer, verdict.certificate) == (want.answer, want.certificate)
+    assert verdict.answer == "no"
+    assert verdict.certificate["kind"] == "all_lifts_refused"
+    assert len(verdict.certificate["refusals"]) == 36
 
 
 def test_ah_fit_accepts_constant_rejects_sheetwise():

@@ -23,8 +23,7 @@ from rootlift import (_kernels, build_bundle, cli, funcspec, identity_selfmap,
                       poly_from_values, pullback_polynomial)
 from rootlift.bundle import (DEFAULT_TOL, AmbiguousMatchError, BundleError, Tolerances,
                              _min_fiber_gap, poly_from_exprs, poly_from_roots, solve_fiber)
-from rootlift.extend import (_track_pair, _transport_slots, divided_quotient_test,
-                             lift_problem)
+from rootlift.extend import _transport_slots, divided_quotient_test, lift_problem
 from rootlift.funcspec import EvalError, parse
 from rootlift.scenarios import (builtin_scenario, crossing_quintic, flip_map,
                                 half_turn_map, interval_square_pair, time_warp_map)
@@ -301,9 +300,26 @@ def test_first_non_finite_point_is_named_whichever_expression_fails():
 # -- branch location and quotient probes against the one-point loops -------------
 
 
+def _track_pair(fiber: np.ndarray, prev_pair: np.ndarray) -> np.ndarray:
+    """Continue an ordered root pair to the nearest pair in a new fiber."""
+    d0 = np.abs(fiber - prev_pair[0])
+    d1 = np.abs(fiber - prev_pair[1])
+    i0 = int(np.argmin(d0))
+    i1 = int(np.argmin(d1))
+    if i0 == i1:
+        alt0 = np.argsort(d0)
+        alt1 = np.argsort(d1)
+        if d0[alt0[1]] + d1[i1] <= d0[i0] + d1[alt1[1]]:
+            i0 = int(alt0[1])
+        else:
+            i1 = int(alt1[1])
+    return np.array([fiber[i0], fiber[i1]])
+
+
 def _ref_probe(problem, witness, sample, tol=DEFAULT_TOL):
     """Branch coordinate and quotients of ``divided_quotient_test``, one
-    point per coefficient evaluation and the pairwise gap loop."""
+    point per coefficient evaluation and the pairwise gap loop, the pair
+    continued by :func:`_track_pair`, the nearest-pair rule."""
     A, B, base = problem.source, problem.target, problem.base
     h = 2.0 * math.pi / base.n_samples if base.kind == "circle" else 1.0 / (base.n_samples - 1)
 
