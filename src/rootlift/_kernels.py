@@ -23,6 +23,20 @@ _SWEEPS = 8            # Weierstrass sweeps before a row falls back to solve_fib
 _RADIUS = 1e-10        # largest accepted disc radius, relative to max(1, |z|)
 
 
+def _reduce_slots(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` of a (rows, n) array, n >= 1, one column
+    at a time: numpy's reduction over a short trailing axis costs several
+    times the work it reduces.  Bit for bit with ``np.logical_or`` and
+    ``np.logical_and``, and with ``np.maximum`` and ``np.minimum`` on
+    non-negative floats and NaN; where +0.0 and -0.0 meet, numpy's order
+    can pick the other zero from n = 8.  Sums stay with numpy, which adds
+    pairwise from n = 8."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
 def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Monic p at z, one array updated in place; coeffs are c_0..c_{n-1} per row."""
     p = np.ones(z.shape, dtype=np.result_type(coeffs, z))
@@ -35,7 +49,8 @@ def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 def polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray:
     """Guarded Newton sweeps; steps are skipped where p' underflows, and
     where a step reaches half way to the root's nearest neighbour in the
-    input row: near a multiple root Newton can throw one copy far off."""
+    input row: near a multiple root Newton can throw one copy far off.
+    Every sweep runs in place on the arrays allocated once here."""
     z = roots.copy()
     half_gap = np.full(z.shape, np.inf)
     for i in range(z.shape[1]):
@@ -43,16 +58,26 @@ def polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray
             gap = 0.5 * np.abs(z[:, i] - z[:, j])
             np.minimum(half_gap[:, i], gap, out=half_gap[:, i])
             np.minimum(half_gap[:, j], gap, out=half_gap[:, j])
+    p, dp, step = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    bound, size = np.empty(z.shape), np.empty(z.shape)
+    ok = np.empty(z.shape, dtype=bool)
     for _ in range(sweeps):
-        p, dp = np.ones_like(z), np.zeros_like(z)    # p and p' by Horner's rule
+        p.fill(1.0)                 # p and p' by Horner's rule
+        dp.fill(0.0)
         for k in range(coeffs.shape[1] - 1, -1, -1):
-            dp = dp * z + p
-            p = p * z + coeffs[:, k, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        bound = np.minimum(0.5 * (1.0 + np.abs(z)), half_gap)
-        ok = (np.abs(dp) > 1e-300) & (np.abs(step) < bound)
-        z = np.where(ok, z - step, z)
+            dp *= z
+            dp += p
+            p *= z
+            p += coeffs[:, k, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(p, dp, out=step)       # a step too large is skipped below
+        np.abs(z, out=bound)        # min(0.5 (1 + |z|), half_gap)
+        bound += 1.0
+        bound *= 0.5
+        np.minimum(bound, half_gap, out=bound)
+        np.greater(np.abs(dp, out=size), 1e-300, out=ok)
+        ok &= np.less(np.abs(step, out=size), bound)
+        np.subtract(z, step, out=z, where=ok)
     return z
 
 
@@ -122,18 +147,19 @@ def track_fibers(coeffs: np.ndarray) -> np.ndarray:
                 q *= d
             w = p / q
             lim = _RADIUS * np.maximum(1.0, np.abs(z))
-            ok = np.all(n * np.abs(w) <= lim, axis=1)
+            ok = _reduce_slots(np.logical_and, n * np.abs(w) <= lim)
             # where the discs are small, |p| plus Horner's rounding bound
             # 4n eps Σ|c_k||z|^k must keep them small, and disjoint
             k = np.flatnonzero(ok)
             zk = z[k]
             radius = n * (np.abs(p[k]) + 4 * n * np.finfo(float).eps
                           * horner(np.abs(c[k]), np.abs(zk))) / np.abs(q[k])
-            ok[k] = np.all(radius <= lim[k], axis=1)
+            fits = radius <= lim[k]
             for j in range(n):
                 apart = np.abs(zk - zk[:, j, None]) > radius + radius[:, j, None]
                 apart[:, j] = True
-                ok[k] &= np.all(apart, axis=1)
+                fits &= apart
+            ok[k] = np.all(fits, axis=1)     # on these few rows numpy measured as fast
         z -= w
         roots[rows[ok]], done[rows[ok]] = z[ok], True
         rows, z, c = rows[~ok], z[~ok], c[~ok]

@@ -71,6 +71,7 @@ class BaseSpace:
         np.cumsum(np.bincount(rows, minlength=S), out=indptr[1:])
         self.adjacency = csr_matrix(
             (np.ones(2 * E), edges[:, ::-1].ravel()[order], indptr), shape=(S, S))
+        self._trees: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # spanning_tree by root
         self._check_loops()
 
     def _check_loops(self):
@@ -158,7 +159,11 @@ class BaseSpace:
         that order, giving the edge used to reach it (direction +1 means
         traversed tail->head).  Neighbours are visited in edge-id order and
         the parent edge is the lowest-id edge from the BFS predecessor.
+        The pair is built once per root and kept, both arrays read-only.
         """
+        root = int(root)
+        if root in self._trees:
+            return self._trees[root]
         S = self.n_samples
         order, pred = self.bfs(root)
         if len(order) != S:
@@ -173,6 +178,8 @@ class BaseSpace:
         nodes = order[1:]
         entry = hits[first[nodes]]
         tree = np.column_stack([nodes, self.adj_edge[entry], self.adj_dir[entry]])
+        tree.flags.writeable = order.flags.writeable = False
+        self._trees[root] = tree, order
         return tree, order
 
     # -- coordinates -------------------------------------------------------

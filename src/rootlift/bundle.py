@@ -208,8 +208,9 @@ def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
     is a sample when the rows are a base's, and its worst failing residual."""
     res = _kernels.residuals(coeffs, roots)
     # written as ~(res <= allowance) so that a NaN residual fails
-    bad = ~(res <= tol.root_residual * np.maximum(1.0, np.max(np.abs(coeffs), axis=1))[:, None])
-    rows = np.flatnonzero(bad.any(axis=1))
+    scale = np.maximum(1.0, _kernels._reduce_slots(np.maximum, np.abs(coeffs)))
+    bad = ~(res <= tol.root_residual * scale[:, None])
+    rows = np.flatnonzero(_kernels._reduce_slots(np.logical_or, bad))
     if rows.size:               # the Horner bound, only where the coefficient scale fails
         horner_bound = _kernels.horner(np.abs(coeffs[rows]), np.abs(roots[rows]))
         bad[rows] &= ~(res[rows] <= tol.root_residual * horner_bound)
@@ -264,7 +265,7 @@ def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float, leaf=True)
         g1, g2 = np.minimum(g1, g), np.minimum(g2, np.maximum(g1, g))
     gap = g1 + g2
     bound = best + gap
-    clear = np.all(np.sort(near, axis=0) == np.arange(n)[:, None], axis=0) & (gap > 1e-9 * best)
+    clear = _permutation_columns(near) & (gap > 1e-9 * best)
     settled = clear & (bound * (1.0 - 1e-9) >= margin * best)
     perms = np.ascontiguousarray(near.T)
     search = ~clear & leaf
@@ -274,6 +275,15 @@ def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float, leaf=True)
     for e in np.flatnonzero(search & ~first):
         perms[e] = _first_least_assignment(dist[:, :, e])
     return perms, settled, best, bound
+
+
+def _permutation_columns(near: np.ndarray) -> np.ndarray:
+    """Which columns of an (n, m) array of slots 0..n-1 are permutations:
+    those whose n entries hit every slot, marked slot by slot."""
+    n, m = near.shape
+    hit = np.zeros((n, m), dtype=bool)
+    hit[near, np.arange(m)] = True
+    return hit.all(axis=0)
 
 
 def _first_least_assignment(cost: np.ndarray) -> np.ndarray:
@@ -404,8 +414,8 @@ class RootBundle:
     def local_motion(self) -> np.ndarray:
         """(S,) largest sheet movement along the edges at each sample."""
         tails, heads = self.base.edges.T
-        move = np.max(np.abs(self.fibers[heads[:, None], self.edge_perms]
-                             - self.fibers[tails]), axis=1)
+        move = _kernels._reduce_slots(np.maximum, np.abs(
+            self.fibers[heads[:, None], self.edge_perms] - self.fibers[tails]))
         out = np.zeros(self.base.n_samples)
         np.maximum.at(out, tails, move)
         np.maximum.at(out, heads, move)

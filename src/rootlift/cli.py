@@ -179,7 +179,7 @@ def _check_coefficient_continuity(poly):
     """
     pv = poly.coeff_values
     edges = poly.base.edges
-    jumps = np.max(np.abs(pv[edges[:, 1]] - pv[edges[:, 0]]), axis=1)
+    jumps = _kernels._reduce_slots(np.maximum, np.abs(pv[edges[:, 1]] - pv[edges[:, 0]]))
     scale = 1.0 + float(np.max(np.abs(pv)))
     typical = float(np.quantile(jumps, 0.9))
     worst = int(np.argmax(jumps))

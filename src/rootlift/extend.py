@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import monodromy as monod
+from ._kernels import _reduce_slots
 from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
                      _inverse_rows, _match_edges, build_bundle, is_admissible,
@@ -128,7 +129,7 @@ class LiftProblem:
         # test needs no direction
         moving = np.zeros(base.n_edges, dtype=bool)
         for bundle in (self.source, self.target):
-            moving |= (bundle.edge_perms != np.arange(bundle.degree)).any(axis=1)
+            moving |= _reduce_slots(np.logical_or, bundle.edge_perms != np.arange(bundle.degree))
         owner, (FA, FB) = _tree_transports((self.source, self.target),
                                            nodes, tree_edges, dirs, pred, moving)
         self.TA, self.TB = FA[owner], FB[owner]
@@ -561,7 +562,7 @@ def ah_fit(bundle: RootBundle, values: np.ndarray) -> FitResult:
     bound = tol.fit_jump_factor * osc * n + 1e-8 * (1.0 + float(np.max(np.abs(values))))
 
     fitted = np.flatnonzero(fit_mask[edges[:, 0]] & fit_mask[edges[:, 1]])
-    jumps = np.max(np.abs(coeffs[edges[fitted, 1]] - coeffs[edges[fitted, 0]]), axis=1)
+    jumps = _reduce_slots(np.maximum, np.abs(coeffs[edges[fitted, 1]] - coeffs[edges[fitted, 0]]))
     over = np.flatnonzero(jumps > bound)
     if over.size:
         eid = int(fitted[over[0]])
@@ -697,21 +698,24 @@ class _QuotientProbe:
 
 
 def _transport_slots(bundle: RootBundle, src: int, dst: int, slots) -> list[int]:
-    """Follow slots from sample src to sample dst along a shortest sample
-    path: the path from src in its BFS spanning tree."""
-    base = bundle.base
-    tree, _ = base.spanning_tree(src)
-    parent = np.empty((base.n_samples, 2), dtype=np.intp)   # (edge, direction) into a sample
-    parent[tree[:, 0]] = tree[:, 1:]
-    steps = []
-    cur = dst
-    while cur != src:
-        eid, direction = parent[cur].tolist()
-        steps.append((eid, direction))
-        cur = int(base.edges[eid, int(direction < 0)])
-    eids, dirs = np.array(steps[::-1], dtype=np.intp).reshape(-1, 2).T
+    """Follow slots from sample src to sample dst of an interval or circle
+    along a shortest sample path.  Edge k joins samples k and k + 1 (mod
+    n), so the path is a run of consecutive edges, walked the shorter way
+    round a circle; where both ways are as short, it is the path the BFS
+    spanning tree from src takes: backward, but forward from sample 0,
+    whose lower-id edge leads forward."""
+    n = bundle.base.n_samples
+    ahead = dst - src
+    if bundle.base.kind == "circle":
+        ahead %= n
+        if 2 * ahead > n or (2 * ahead == n and src != 0):
+            ahead -= n
+    if ahead >= 0:
+        eids, way = src + np.arange(ahead), 1               # edges src, src + 1, ...
+    else:
+        eids, way = src - 1 - np.arange(-ahead), -1         # edges src - 1, src - 2, ...
     out = np.asarray(slots, dtype=np.intp)
-    for perm in bundle.directed_perms(eids, dirs):
+    for perm in bundle.directed_perms(eids % n, np.full(len(eids), way)):
         out = perm[out]
     return out.tolist()
 

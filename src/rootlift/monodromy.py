@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _reduce_slots
 from .base import BaseSpaceError, node_components, node_labels
 from .bundle import RootBundle
 
@@ -49,7 +50,7 @@ def loop_monodromy(bundle: RootBundle, loop) -> np.ndarray:
     n = bundle.degree
     # a permutation is the identity exactly when its inverse is, so the
     # test needs no direction
-    steps = steps[(bundle.edge_perms[steps[:, 0]] != np.arange(n)).any(axis=1)]
+    steps = steps[_reduce_slots(np.logical_or, bundle.edge_perms[steps[:, 0]] != np.arange(n))]
     perm = np.arange(n, dtype=np.intp)
     for step in bundle.directed_perms(steps[:, 0], steps[:, 1]):
         perm = step[perm]

@@ -201,6 +201,25 @@ def test_interval_selfmap_rejects_jump():
                               "at {'x': 0.45001220703125}")
 
 
+_BACKWARD_STEP = "piecewise(x<=0.5, x, x-0.001)"    # jumps back by 0.001 at x = 0.5
+
+
+def test_backward_step_rejected_at_2001_samples():
+    # edge 1000 runs from x = 0.5 to 0.5005, its image back from 0.5 to 0.4995
+    with pytest.raises(BaseSpaceError, match="discontinuous on edge 1000: its image jumps "
+                                             "by 0.001 at"):
+        sample_selfmap(make_interval(2001), _BACKWARD_STEP)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the halvings keep the half whose end images lie farther apart, so a jump back "
+    "against the image's motion that is smaller than the motion of the rest of its "
+    "edge goes unseen: at 201 samples an edge spans 0.005, five times the jump"))
+def test_backward_step_rejected_at_201_samples():
+    with pytest.raises(BaseSpaceError, match="discontinuous"):
+        sample_selfmap(make_interval(201), _BACKWARD_STEP)
+
+
 def _jump_text(jump):
     """The circle map theta -> theta + jump on (3, 5], theta elsewhere."""
     return f"piecewise(theta<=3, theta, piecewise(theta<=5, theta+{jump}, theta))"
@@ -309,6 +328,25 @@ def test_spanning_tree_matches_deque_bfs(base):
         ref_tree, ref_order = _deque_bfs_tree(base, root)
         assert order.tolist() == ref_order
         assert [tuple(row) for row in tree.tolist()] == ref_tree
+
+
+@pytest.mark.parametrize("make", [lambda: make_circle(9), lambda: make_torus2(5, 4),
+                                  lambda: make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0)], 3)],
+                         ids=["circle9", "torus5x4", "graph"])
+def test_spanning_tree_is_kept_per_root_read_only(make):
+    base, fresh = make(), make()
+    for root in (0, 3, base.n_samples - 1):
+        tree, order = base.spanning_tree(root)
+        assert not tree.flags.writeable and not order.flags.writeable
+        with pytest.raises(ValueError):
+            tree[0, 0] = -1
+        again = base.spanning_tree(np.intp(root))
+        assert again[0] is tree and again[1] is order
+        # a fresh base builds its tree for the first time
+        want_tree, want_order = fresh.spanning_tree(root)
+        assert np.array_equal(tree, want_tree) and np.array_equal(order, want_order)
+        assert tree.dtype == np.intp and tree.shape == (base.n_samples - 1, 3)
+    assert base.spanning_tree(3)[0] is not base.spanning_tree(0)[0]
 
 
 def test_adjacency_rows_in_edge_id_order():

@@ -6,7 +6,8 @@ from rootlift import (build_bundle, identity_selfmap, is_admissible, make_circle
                       make_interval, make_torus2, poly_from_exprs, poly_from_roots,
                       poly_from_values, pullback, sample_selfmap, solve_fiber)
 from rootlift.bundle import (DEFAULT_TOL, AmbiguousMatchError, BundleError, MonicPolynomial,
-                             Tolerances, _min_fiber_gap, discriminant, pullback_polynomial)
+                             Tolerances, _min_fiber_gap, _permutation_columns, discriminant,
+                             pullback_polynomial)
 from rootlift.scenarios import (crossing_quintic, cubic_contact_text, interval_square_pair,
                                 time_warp_map)
 
@@ -545,3 +546,20 @@ def test_branch_coordinates_equal_one_sample_ternary_search(kind, n, located):
     table = bundle.branch_coordinates
     assert set(located) <= set(table)
     assert table == {s: _one_sample_ternary_search(bundle, s) for s in table}
+
+
+def _sorted_permutation_columns(near):
+    """The sort-based test the slot marking replaced, kept as its reference."""
+    return np.all(np.sort(near, axis=0) == np.arange(len(near))[:, None], axis=0)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_permutation_columns_equal_the_sorted_reference(n):
+    rng = np.random.default_rng(n)
+    m = 2000
+    perms = np.argsort(rng.random((n, m)), axis=0)       # every column a permutation
+    near = np.where(rng.random((n, m)) < 0.1, rng.integers(0, n, (n, m)), perms)
+    got = _permutation_columns(near)
+    assert np.array_equal(got, _sorted_permutation_columns(near))
+    assert got.any() and (n == 1 or not got.all())
+    assert _permutation_columns(near[:, :0]).shape == (0,)

@@ -7,6 +7,7 @@ import pytest
 
 from rootlift import (build_bundle, cli, identity_selfmap, make_torus2, poly_from_exprs,
                       pullback, scenarios)
+from rootlift.base import BaseSpace
 from rootlift.cli import ScenarioError, main, run_scenario, validate_config
 
 
@@ -460,6 +461,34 @@ def test_coefficients_that_break_at_the_seam_are_rejected(tmp_path, capsys, base
     assert capsys.readouterr().err == (f"error: $.polynomial: the coefficients are discontinuous "
                                        f"on {message}at the seam\n")
     assert (out / "verdict.json").read_bytes() == before
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "seam_breaks looks only at the seam, and coefficient expressions with a piecewise, "
+    "a / or a sqrt get no bisection, so a coefficient that jumps by 0.5 at theta = 3 "
+    "and back at theta = 4 is accepted and decided: cole yes, ah yes"))
+def test_coefficient_jump_inside_the_chart_is_rejected(tmp_path):
+    jumping = ("piecewise(theta<=3, -exp(1i*theta), "
+               "piecewise(theta<=4, -exp(1i*theta)+0.5, -exp(1i*theta)))")
+    cfg = {"name": "chart-jump", "base": {"kind": "circle", "samples": 2000},
+           "polynomial": {"coefficients": [jumping, "0"]},
+           "selfmap": {"identity": True}, "analyses": ["cole", "ah"]}
+    cfg_path = tmp_path / "chart-jump.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_torus_swap_and_identity_control_share_one_tree(tmp_path, monkeypatch):
+    # both problems take their basepoint from the one source bundle, so the
+    # identity control reads the swap problem's spanning tree
+    calls = []
+    bfs = BaseSpace.bfs
+    monkeypatch.setattr(BaseSpace, "bfs", lambda self, sources: calls.append(sources)
+                        or bfs(self, sources))
+    assert main(["builtin", "torus", "--out", str(tmp_path / "out")]) == 0
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert verdict["analyses"]["torus_controls"]["identity_cole"]["answer"] == "yes"
+    assert len(calls) == 1
 
 
 def test_schema_rejects_the_old_bound_key():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,107 @@ def test_wide_disjoint_discs_are_never_accepted(monkeypatch):
     _check_residuals(coeffs, got, DEFAULT_TOL)
     assert np.count_nonzero(~by_solve[trap]) >= 3
     _assert_same_roots(coeffs[~by_solve], got[~by_solve], want[~by_solve])
+
+
+# -- slot reductions and the in-place polish against their references ----------------
+
+@pytest.mark.parametrize("ufunc", [np.maximum, np.logical_or, np.logical_and])
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+def test_reduce_slots_equals_numpy_reduce_bit_for_bit(ufunc, n, rows):
+    # maximum reduces non-negative magnitudes, some NaN, as every caller does
+    rng = np.random.default_rng(n * 1000 + rows)
+    if ufunc is np.maximum:
+        a = np.abs(rng.standard_normal((rows, n)))
+        a[rng.random(a.shape) < 0.1] = np.nan
+        a[rng.random(a.shape) < 0.1] = 0.0
+    else:
+        a = rng.random((rows, n)) < rng.random()
+    want = ufunc.reduce(a, axis=1)
+    got = _kernels._reduce_slots(ufunc, a)
+    assert got.dtype == want.dtype and got.shape == (rows,)
+    assert got.tobytes() == want.tobytes()
+    # a strided view, as the slot axis of a transposed array
+    assert _kernels._reduce_slots(ufunc, a.T.copy().T).tobytes() == want.tobytes()
+
+
+def _ref_polish(coeffs, roots, sweeps=3):
+    """The allocating form of the guarded Newton sweeps, kept as the reference."""
+    z = roots.copy()
+    half_gap = np.full(z.shape, np.inf)
+    for i in range(z.shape[1]):
+        for j in range(i + 1, z.shape[1]):
+            gap = 0.5 * np.abs(z[:, i] - z[:, j])
+            np.minimum(half_gap[:, i], gap, out=half_gap[:, i])
+            np.minimum(half_gap[:, j], gap, out=half_gap[:, j])
+    for _ in range(sweeps):
+        p, dp = np.ones_like(z), np.zeros_like(z)
+        for k in range(coeffs.shape[1] - 1, -1, -1):
+            dp = dp * z + p
+            p = p * z + coeffs[:, k, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p / dp
+        bound = np.minimum(0.5 * (1.0 + np.abs(z)), half_gap)
+        ok = (np.abs(dp) > 1e-300) & (np.abs(step) < bound)
+        z = np.where(ok, z - step, z)
+    return z
+
+
+def _polish_rows(n, rng):
+    """Coefficient rows of degree n, unpolished starting roots, and the
+    roots that no step may move.  Random fibers, started near their roots
+    and far from them, where the step bounds skip many steps; fibers with
+    a near-double root; fibers that start on an exact double root, whose
+    two copies the half-gap guard holds; tiny fibers, roots near
+    10^(-310/(n-1)), where p' underflows to 0 or a subnormal; and
+    t^n + 1e-301 t + 1e-303 from 1e-302, where p' is 1e-301 plus
+    rounding and the step, 0.01 or so, would pass every other guard."""
+    def expand(roots):
+        return np.array([np.poly(r)[1:][::-1] for r in roots], dtype=complex)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rand = noise((300, n))
+    near = noise((200, n))
+    near[:, 1] = near[:, 0] + 10.0 ** rng.uniform(-12, -5, 200) * noise(200)
+    double = noise((50, n))
+    double[:, 0] = double[:, 1] = np.round(double[:, 0].real, 1)
+    tiny = noise((50, n)) * 10.0 ** (-310 / (n - 1))
+    flat = np.zeros((1, n), dtype=complex)
+    flat[0, :2] = 1e-303, 1e-301
+    flat_start = np.exp(2j * np.pi * np.arange(n) / n)[None, :]
+    flat_start[0, 0] = 1e-302
+    coeffs = np.concatenate([expand(rand), expand(rand), expand(near), expand(double),
+                             expand(tiny), flat])
+    start = np.concatenate([rand + 1e-7 * noise(rand.shape), rand + 0.3 * noise(rand.shape),
+                            near + 1e-9 * noise(near.shape), double, tiny, flat_start])
+    frozen = np.zeros(start.shape, dtype=bool)
+    frozen[800:850, :2] = frozen[850:900] = frozen[900, 0] = True
+    return coeffs, start, frozen
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_polish_in_place_equals_the_allocating_reference(n):
+    coeffs, start, frozen = _polish_rows(n, np.random.default_rng(n))
+    with np.errstate(over="ignore"):        # p / p' where p' is subnormal
+        want = _ref_polish(coeffs, start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.polish(coeffs, start)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(want[frozen], start[frozen])
+    assert not np.array_equal(want[:800], start[:800])
+
+
+def test_polish_in_place_equals_the_reference_on_quintic_fibers():
+    coeffs = _quintic_rows(400)
+    n = coeffs.shape[1]
+    comp = np.zeros((len(coeffs), n, n), dtype=complex)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[:, :, n - 1] = -coeffs
+    start = np.linalg.eigvals(comp)              # the touches at pi hold near-double roots
+    got = _kernels.polish(coeffs, start)
+    assert got.tobytes() == _ref_polish(coeffs, start).tobytes()
+    assert not np.array_equal(got, start)

@@ -18,7 +18,7 @@ from rootlift import (build_bundle, cli, make_circle, make_graph, make_interval,
 from rootlift.base import BaseSpaceError, _hop_distances
 from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
 from rootlift.closedness import winding_function
-from rootlift.extend import _transport_slots, ah_fit, lift_problem
+from rootlift.extend import _QuotientProbe, _transport_slots, ah_fit, lift_problem
 from rootlift.monodromy import component_count, components
 from rootlift.scenarios import builtin_scenario
 
@@ -403,16 +403,22 @@ def test_merge_clusters_and_components_match_reference(name, bundle):
     assert components(bundle) == _ref_bundle_components(bundle)
 
 
+def _builtin_problem(name, n):
+    """The lift problem of a builtin at n samples, built as ``run_scenario``
+    builds it."""
+    config = builtin_scenario(name, n)
+    base = cli._scaled_base(config["base"], 1, None)
+    spec = config["polynomial"]
+    poly = (poly_from_roots(base, spec["roots"]) if "roots" in spec
+            else poly_from_exprs(base, spec["coefficients"]))
+    return lift_problem(poly, cli._build_selfmap(base, config["selfmap"]))
+
+
 def _builtin_bundles():
     """The source and pullback bundles of every builtin with a polynomial,
-    at small sizes, built as ``run_scenario`` builds them."""
+    at small sizes."""
     for name, n in (("example1", 301), ("example2", 240), ("example3", 200), ("torus", 16)):
-        config = builtin_scenario(name, n)
-        base = cli._scaled_base(config["base"], 1, None)
-        spec = config["polynomial"]
-        poly = (poly_from_roots(base, spec["roots"]) if "roots" in spec
-                else poly_from_exprs(base, spec["coefficients"]))
-        problem = lift_problem(poly, cli._build_selfmap(base, config["selfmap"]))
+        problem = _builtin_problem(name, n)
         yield f"{name}-source", problem.source
         yield f"{name}-pullback", problem.target
 
@@ -442,7 +448,9 @@ def test_directed_perms_match_the_scalar_step(name, bundle):
         assert np.array_equal(row, bundle.directed_perms([e], [d])[0])
 
 
-@pytest.mark.parametrize("name, bundle", list(_all_bundles()))
+# quotient probes, the one caller, run on interval and circle bases only
+@pytest.mark.parametrize("name, bundle", [(name, bundle) for name, bundle in _all_bundles()
+                                          if bundle.base.kind in ("interval", "circle")])
 def test_transport_slots_match_reference_walk(name, bundle):
     S, n = bundle.base.n_samples, bundle.degree
     rng = np.random.default_rng(S)
@@ -451,6 +459,57 @@ def test_transport_slots_match_reference_walk(name, bundle):
         for dst in range(S):
             assert (_transport_slots(bundle, src, dst, slots)
                     == _ref_transport_slots(bundle, src, dst, slots))
+
+
+def _tree_transport_slots(bundle, src, dst, slots):
+    """Follow slots from src to dst along the path from src in its BFS
+    spanning tree: the form the chart walk replaced, kept as its reference."""
+    base = bundle.base
+    tree, _ = base.spanning_tree(src)
+    parent = np.empty((base.n_samples, 2), dtype=np.intp)   # (edge, direction) into a sample
+    parent[tree[:, 0]] = tree[:, 1:]
+    steps = []
+    cur = dst
+    while cur != src:
+        eid, direction = parent[cur].tolist()
+        steps.append((eid, direction))
+        cur = int(base.edges[eid, int(direction < 0)])
+    eids, dirs = np.array(steps[::-1], dtype=np.intp).reshape(-1, 2).T
+    out = np.asarray(slots, dtype=np.intp)
+    for perm in bundle.directed_perms(eids, dirs):
+        out = perm[out]
+    return out.tolist()
+
+
+@pytest.mark.parametrize("base", [make_interval(n) for n in (2, 3, 4, 7)]
+                         + [make_circle(n) for n in range(3, 13)],
+                         ids=lambda base: f"{base.kind}{base.n_samples}")
+def test_transport_slots_walk_the_chart_like_the_tree(base):
+    """Every (src, dst) pair, whole fibers of random sheet permutations."""
+    rng = np.random.default_rng(base.n_samples)
+    perms = np.array([rng.permutation(4) for _ in range(base.n_edges)], dtype=np.intp)
+    bundle = RootBundle(base, 4, np.zeros((base.n_samples, 4), dtype=complex), perms,
+                        np.zeros(base.n_samples, dtype=bool))
+    for src in range(base.n_samples):
+        for dst in range(base.n_samples):
+            assert (_transport_slots(bundle, src, dst, [0, 1, 2, 3])
+                    == _tree_transport_slots(bundle, src, dst, [0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("name, samples", [("example1", 8001), ("example2", 8000)])
+def test_transport_slots_of_builtin_probes_match_the_tree(name, samples):
+    """The pair of every two-sheet merge sample, followed to each side's
+    start sample, as the quotient probes follow it."""
+    problem = _builtin_problem(name, samples)
+    A = problem.source
+    probed = 0
+    for sample, groups in A.merge_clusters.items():
+        if len(groups) != 1 or len(groups[0]) != 2:
+            continue
+        for _, u, slots in _QuotientProbe(problem, sample).sides:
+            assert slots == _tree_transport_slots(A, sample, u, groups[0])
+            probed += 1
+    assert probed >= 2
 
 
 def _fit_cases():
