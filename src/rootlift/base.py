@@ -286,35 +286,16 @@ class SelfMap:
 
     def image_coords_array(self, coords: np.ndarray) -> np.ndarray:
         """Exact image coordinates of the expressions at a coordinate array."""
-        images, checks = _expression_images(self.base.kind, self.exprs,
-                                            np.asarray(coords, dtype=float))
-        _raise_first(checks)
-        return images
-
-
-def _raise_first(checks) -> None:
-    """Raise the error of the first failing check at the first failing point.
-
-    ``checks`` is an ordered list of ``(mask, make_error)``; points are
-    checked in index order and, at one point, in list order.
-    """
-    if not checks:
-        return
-    bad = np.stack([mask for mask, _ in checks])
-    hits = np.flatnonzero(bad.any(axis=0))
-    if hits.size:
-        s = int(hits[0])
-        raise checks[int(np.argmax(bad[:, s]))][1](s)
+        return _expression_images(self.base.kind, self.exprs, np.asarray(coords, dtype=float))
 
 
 def _expression_images(kind: str, exprs, coords: np.ndarray):
-    """Image coordinates of an expression self-map at ``coords``.
+    """Image coordinates of an expression self-map at ``coords``, clamped to
+    [0, 1] on the interval and reduced mod 2*pi on circle coordinates.
 
-    Returns the images and the per-point checks, unraised, in the order a
-    point is checked: each expression's value must be finite
-    (:class:`funcspec.EvalError`), real and, on the interval, inside
-    [0, 1] (:class:`BaseSpaceError`).  Images are clamped to [0, 1] on the
-    interval and reduced mod 2*pi on circle coordinates.
+    Each expression's value must be finite (:class:`funcspec.EvalError`),
+    real and, on the interval, inside [0, 1] (:class:`BaseSpaceError`); the
+    error raised is the first failing check at the first failing point.
     """
     names = funcspec.COORDINATES.get(kind)
     if names is None:
@@ -325,8 +306,7 @@ def _expression_images(kind: str, exprs, coords: np.ndarray):
             f"({', '.join(names)}), got {len(exprs)}")
     env = funcspec.coordinate_env(kind, coords)
     shape = coords.shape[:1]
-    checks = []
-    images = []
+    checks, images = [], []
     with np.errstate(invalid="ignore"):
         for expr in exprs:
             v = np.broadcast_to(np.asarray(funcspec._eval(expr, env), dtype=complex), shape)
@@ -340,7 +320,11 @@ def _expression_images(kind: str, exprs, coords: np.ndarray):
                 images.append(np.minimum(np.maximum(x, 0.0), 1.0))
             else:
                 images.append(x % TWO_PI)
-    return (images[0] if len(images) == 1 else np.stack(images, axis=-1)), checks
+    bad = np.stack([mask for mask, _ in checks])
+    hits = np.flatnonzero(bad.any(axis=0))
+    if hits.size:
+        raise checks[int(np.argmax(bad[:, hits[0]]))][1](int(hits[0]))
+    return images[0] if len(images) == 1 else np.stack(images, axis=-1)
 
 
 # -- constructors ------------------------------------------------------------
@@ -462,21 +446,21 @@ def sample_selfmap(base: BaseSpace, spec) -> SelfMap:
     """Sample a self-map given as coordinate expression(s) or a location table.
 
     Interval and circle bases take one expression string, torus2 bases a
-    pair; they are evaluated once over all samples, every image must be
-    finite and real, and inside [0, 1] on the interval, and the expressions
-    must pass :func:`_check_expression_continuity`.  A graph base takes a
+    pair, evaluated once over all samples: every image must be finite, real
+    and, on the interval, inside [0, 1], and a jump :func:`discontinuity`
+    finds is an error naming its coordinate and size.  A graph base takes a
     location table ``(image_edges, image_params)``, where the images of
     adjacent samples must lie within ``_HOP_BOUND`` edge lengths.
     """
     if isinstance(spec, str) or (isinstance(spec, (tuple, list)) and spec
                                  and all(isinstance(s, str) for s in spec)):
-        texts = [spec] if isinstance(spec, str) else list(spec)
-        exprs = tuple(funcspec.parse(t) for t in texts)
-        images, checks = _expression_images(base.kind, exprs, base.coords)
-        _raise_first(checks)
-        smap = SelfMap(base, exprs, images)
-        _check_expression_continuity(smap)
-        return smap
+        exprs = tuple(map(funcspec.parse, [spec] if isinstance(spec, str) else spec))
+        images = _expression_images(base.kind, exprs, base.coords)
+        found = discontinuity(base, exprs, angles=base.kind != "interval")
+        if found:
+            raise BaseSpaceError(f"self-map is discontinuous at {found[0]}: "
+                                 f"its image jumps by {found[1]:.3g}")
+        return SelfMap(base, exprs, images)
     if base.kind != "graph":
         raise BaseSpaceError(f"a {base.kind} base takes coordinate expressions; "
                              "location tables are for graph bases")
@@ -498,64 +482,87 @@ def sample_selfmap(base: BaseSpace, spec) -> SelfMap:
 _HALVINGS = 12        # as the default ``Tolerances.max_refine_depth``
 _SHRINK = 0.9         # admits every Hölder exponent above log2(10/9) ~ 0.15
 _HOP_BOUND = 2.0
+_JUMP = 1e-9          # relative: builtins differ by up to 1.2e-16, a 1e-5 step at 3 is 2.5e-6
 
 
-def _check_expression_continuity(smap: SelfMap):
-    """Halve each checked edge ``_HALVINGS`` times, keeping the half whose
-    end images lie farther apart; the edge is a discontinuity when the last
-    halving kept more than ``_SHRINK`` of that image span.  Sums, products,
-    powers, sin, cos, exp and abs are continuous in the chart, so without a
-    piecewise, a division or a sqrt only the seam is checked, by
-    :func:`seam_breaks`."""
-    base = smap.base
-    tails, heads = base.edges.T
+def discontinuity(base: BaseSpace, exprs, angles: bool = False, expand=None):
+    """The first point where expressions on a chart base jump, as ``(at,
+    jump)`` with ``at`` a dict of coordinates, or None.  The values compared
+    are the expressions' values, passed through ``expand`` when given (a root
+    list's coefficients, so a relabelling passes), with real parts modulo 2*pi
+    when ``angles``.  A ``piecewise`` switches only at its threshold, so
+    the two sides of each threshold inside the chart are compared, a chart
+    end's value with the side inside, and on a circle or torus the limit at
+    2*pi with the value at 0, on the torus at every sample and threshold of
+    the other coordinate; a jump exceeds ``_JUMP`` times one plus the values'
+    size.  A ``sqrt`` or a ``/`` whose denominator holds a variable can also
+    break between thresholds: then each edge is halved ``_HALVINGS`` times,
+    keeping the half whose end values lie farther apart, and is a jump when
+    the last halving kept more than ``_SHRINK`` of that span."""
+    names = funcspec.COORDINATES[base.kind]
+    coords = base.coords.reshape(base.n_samples, -1)
+    hi = 1.0 if base.kind == "interval" else TWO_PI
+    cuts = funcspec.breakpoints(exprs)
 
-    def span_of(a, b):          # largest coordinate difference, short way round on circles
-        d = np.abs(a - b)
-        return (d if base.kind == "interval" else np.minimum(d, TWO_PI - d)).max(axis=1)
+    def values(env, side=None):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v = np.column_stack([np.broadcast_to(funcspec._eval(e, env, side),
+                                                 env[names[0]].shape) for e in exprs])
+        return v if expand is None else expand(v)
 
-    images = smap.image_coords.reshape(base.n_samples, -1)
-    if not any(isinstance(node, funcspec.Piecewise) or getattr(node, "op", "") == "/"
-               or getattr(node, "func", "") == "sqrt"
-               for expr in smap.exprs for node in funcspec.walk(expr)):
-        ids, span = seam_breaks(base, images, smap.image_coords_array, span_of)
-        lo, bad = np.full(len(ids), 1.0 - 0.5 ** _HALVINGS), np.arange(len(ids))
-    else:
-        ids = np.arange(base.n_edges)
-        a, b = images[tails], images[heads]
-        lo, span = np.zeros(len(ids)), span_of(a, b)
-        for k in range(1, _HALVINGS + 1):
-            mid = lo + 0.5 ** k
-            m = smap.image_coords_array(base.location_coordinates(ids, mid)).reshape(a.shape)
-            left, right = span_of(a, m), span_of(m, b)
-            last, span, keep = span, np.maximum(left, right), left >= right
-            lo = np.where(keep, lo, mid)
-            a, b = np.where(keep[:, None], a, m), np.where(keep[:, None], m, b)
-        bad = np.flatnonzero(span > _SHRINK * last)
+    def gap(a, b):
+        d = a - b
+        return np.abs(d - TWO_PI * np.rint(d.real / TWO_PI) if angles else d).max(axis=1)
+
+    for k, name in enumerate(names):
+        t = cuts.get(name, np.empty(0))
+        # (coordinate, side) of both values of each comparison; a side acts only at a threshold
+        pairs = [((c, -1), (c, 1)) for c in t[(t > 0.0) & (t < hi)].tolist()]
+        if 0.0 in t:
+            pairs.insert(0, ((0.0, 0), (0.0, 1)))
+        if base.kind != "interval":
+            pairs.append(((hi, -1 if hi in t else 0), (0.0, 0)))
+        elif hi in t:
+            pairs.append(((hi, 0), (hi, -1)))
+        o = cuts.get(names[-1 - k], np.empty(0))     # the torus's other coordinate
+        grid = (np.union1d(coords[:, -1 - k], o[(o > 0.0) & (o < hi)]) if len(names) > 1
+                else np.zeros(1))
+        # the first values of every comparison, then the second, at every grid point
+        c, s = np.repeat(np.array([*zip(*pairs)], dtype=float).reshape(-1, 2), len(grid),
+                         axis=0).T
+        env = {names[-1 - k]: np.tile(grid, len(s) // len(grid)), name: c}
+        v = np.empty((len(s), len(exprs)), dtype=complex)
+        for side in np.unique(s).astype(int).tolist():      # each side evaluated once
+            at = s == side
+            v[at] = values({n: x[at] for n, x in env.items()}, {name: side} if side else None)
+        a, b = np.split(v, 2)
+        jumps = gap(a, b)
+        bad = np.flatnonzero(jumps > _JUMP * (1.0 + np.maximum(abs(a), abs(b)).max(axis=1)))
+        if bad.size:
+            i = int(bad[0])
+            return {n: float(env[n][len(a) + i]) for n in names}, float(jumps[i])
+
+    if not any(isinstance(node, funcspec.Call) and node.func == "sqrt"
+               or isinstance(node, funcspec.Bin) and node.op == "/"
+               and any(isinstance(n, funcspec.Var) for n in funcspec.walk(node.rhs))
+               for expr in exprs for node in funcspec.walk(expr)):
+        return None
+    ids = np.arange(base.n_edges)
+    a, b = values(dict(zip(names, coords.T)))[base.edges].transpose(1, 0, 2)
+    lo, span = np.zeros(len(ids)), gap(a, b)
+    for k in range(1, _HALVINGS + 1):
+        mid = lo + 0.5 ** k
+        m = values(dict(zip(names, base.location_coordinates(ids, mid).reshape(len(ids), -1).T)))
+        left, right = gap(a, m), gap(m, b)
+        last, span, keep = span, np.maximum(left, right), left >= right
+        lo = np.where(keep, lo, mid)
+        a, b = np.where(keep[:, None], a, m), np.where(keep[:, None], m, b)
+    bad = np.flatnonzero(span > _SHRINK * last)
     if bad.size:
         i = int(bad[0])
         point = base.location_coordinates(ids[i:i + 1], lo[i:i + 1] + 0.5 ** (_HALVINGS + 1))
-        at = dict(zip(funcspec.COORDINATES[base.kind], point.ravel().tolist()))
-        raise BaseSpaceError(f"self-map is discontinuous on edge {int(ids[i])}: its image "
-                             f"jumps by {span[i]:.3g} at {at}")
-
-
-def seam_breaks(base: BaseSpace, values, values_at, span_of):
-    """The edges across the chart's seam (a coordinate wrapping from 2*pi to
-    0) on which the sampled (S, m) ``values`` break, and the jump on each.
-    Continuous inside the chart, an expression breaks there only at the
-    seam, the edge's head, so ``values_at`` is evaluated at t = 1 - 2^-11 and
-    1 - 2^-12 in one call: an edge breaks where ``span_of`` from the head
-    keeps more than ``_SHRINK`` of the first span at the second point."""
-    tails, heads = base.edges.T
-    wraps = np.take(base.coords, heads, axis=0) < np.take(base.coords, tails, axis=0)
-    ids = np.unique(np.flatnonzero(wraps) // (wraps.size // base.n_edges))   # a row per edge
-    t = np.tile([1.0 - 0.5 ** (_HALVINGS - 1), 1.0 - 0.5 ** _HALVINGS], len(ids))
-    near = values_at(base.location_coordinates(np.repeat(ids, 2), t))
-    first, second = (span_of(v, values[heads[ids]])
-                     for v in near.reshape(len(ids), 2, values.shape[1]).transpose(1, 0, 2))
-    bad = second > _SHRINK * first
-    return ids[bad], second[bad]
+        return dict(zip(names, point.ravel().tolist())), float(span[i])
+    return None
 
 
 def _hop_distances(base: BaseSpace, edges_a, params_a, edges_b, params_b,

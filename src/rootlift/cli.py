@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from . import _kernels, figures, funcspec, monodromy, scenarios
-from .base import (identity_selfmap, make_circle, make_graph, make_interval, make_torus2,
-                   sample_selfmap, seam_breaks)
-from .bundle import (DEFAULT_TOL, Tolerances, build_bundle, poly_from_exprs,
+from .base import (discontinuity, identity_selfmap, make_circle, make_graph, make_interval,
+                   make_torus2, sample_selfmap)
+from .bundle import (DEFAULT_TOL, Tolerances, _expand_monic, build_bundle, poly_from_exprs,
                      poly_from_roots)
 from .closedness import closedness_report
 from .extend import (InadmissibleError, LiftProblem, _jsonable, cross_checks, decide_lift,
@@ -170,26 +170,6 @@ def _scaled_base(spec: dict, factor: int, override: int | None):
     raise ScenarioError(f"unknown base kind {kind!r}")
 
 
-def _check_coefficient_continuity(poly):
-    """Factored scenarios must expand to continuous sampled coefficients.
-
-    Root curves that fail to close up (the multiset at the seam differs)
-    leave an O(1) coefficient jump that would silently corrupt every
-    downstream verdict; reject them at load time instead.
-    """
-    pv = poly.coeff_values
-    edges = poly.base.edges
-    jumps = _kernels._reduce_slots(np.maximum, np.abs(pv[edges[:, 1]] - pv[edges[:, 0]]))
-    scale = 1.0 + float(np.max(np.abs(pv)))
-    typical = float(np.quantile(jumps, 0.9))
-    worst = int(np.argmax(jumps))
-    if jumps[worst] > max(25.0 * typical, 1e-6 * scale):
-        raise ScenarioError(
-            f"$.polynomial.roots: expanded coefficients jump by "
-            f"{jumps[worst]:.3g} across edge {worst} (typical {typical:.3g}); "
-            "the root curves do not close up into continuous coefficients")
-
-
 def _build_selfmap(base, spec: dict):
     if spec.get("identity"):
         return identity_selfmap(base)
@@ -302,16 +282,13 @@ def _analyze(config: dict, factor: int, override: int | None,
     poly = smap = None
     if "polynomial" in config:
         pspec = config["polynomial"]
-        if "roots" in pspec:
-            poly = poly_from_roots(base, pspec["roots"])
-            _check_coefficient_continuity(poly)
-        else:
-            poly = poly_from_exprs(base, pspec["coefficients"])
-        edges, jumps = seam_breaks(base, poly.coeff_values, poly.coeffs_at,
-                                   lambda a, b: np.abs(a - b).max(axis=1))
-        if edges.size:
-            raise ScenarioError(f"$.polynomial: the coefficients are discontinuous on edge "
-                                f"{edges[0]}: they jump by {jumps[0]:.3g} at the seam")
+        poly = (poly_from_roots(base, pspec["roots"]) if "roots" in pspec
+                else poly_from_exprs(base, pspec["coefficients"]))
+        found = discontinuity(base, poly.source.exprs,
+                              expand=_expand_monic if poly.source.roots else None)
+        if found:
+            raise ScenarioError(f"$.polynomial: the coefficients are discontinuous at "
+                                f"{found[0]}: they jump by {found[1]:.3g}")
     if "selfmap" in config:
         smap = _build_selfmap(base, config["selfmap"])
     if out_dir is not None:

@@ -23,7 +23,9 @@ sampled values (:func:`evaluate`), the off-sample values that polynomial
 sources and self-maps compute (:func:`eval_points`), and the one-point
 wrapper :func:`eval_scalar`.  It is the reference: a point at a sample
 coordinate reproduces that sample's value bit for bit, and a non-finite
-value off the samples is an :class:`EvalError` that names the point.
+value off the samples is an :class:`EvalError` that names the point.  Its
+``side`` takes the branch beside a ``piecewise`` threshold, and
+:func:`breakpoints` lists the thresholds where a value can jump.
 """
 
 from __future__ import annotations
@@ -357,10 +359,11 @@ def _fmt(x: float) -> str:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _eval(node, env):
+def _eval(node, env, side=None):
     """Value of ``node`` with each variable of ``env`` bound to an array of
     points; the result is an array (or a numpy scalar, for a constant)
-    that broadcasts over them."""
+    that broadcasts over them.  ``side`` maps a variable to -1 or +1: where
+    it equals a ``piecewise`` threshold, the branch just left or right of it."""
     if isinstance(node, Num):
         return np.complex128(node.value)
     if isinstance(node, Var):
@@ -368,10 +371,10 @@ def _eval(node, env):
             raise EvalError(f"variable {node.name!r} is not defined on this base")
         return env[node.name]
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
+        return -_eval(node.operand, env, side)
     if isinstance(node, Bin):
-        a = _eval(node.lhs, env)
-        b = _eval(node.rhs, env)
+        a = _eval(node.lhs, env, side)
+        b = _eval(node.rhs, env, side)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -381,13 +384,13 @@ def _eval(node, env):
         with np.errstate(divide="ignore", invalid="ignore"):
             return a / b
     if isinstance(node, Pow):
-        base = _eval(node.base, env)
+        base = _eval(node.base, env, side)
         out = np.ones_like(base)
         for _ in range(node.exponent):
             out = out * base
         return out
     if isinstance(node, Call):
-        arg = np.asarray(_eval(node.arg, env), dtype=complex)
+        arg = np.asarray(_eval(node.arg, env, side), dtype=complex)
         if node.func == "sin":
             return np.sin(arg)
         if node.func == "cos":
@@ -404,8 +407,20 @@ def _eval(node, env):
             raise EvalError(f"variable {node.var!r} is not defined on this base")
         v = np.real(env[node.var])
         cond = v <= node.threshold if node.rel == "<=" else v >= node.threshold
-        return np.where(cond, _eval(node.then, env), _eval(node.other, env))
+        if side and node.var in side:
+            # left of a "<=" threshold and right of a ">=" one the condition holds
+            cond = np.where(v == node.threshold, (side[node.var] < 0) == (node.rel == "<="), cond)
+        return np.where(cond, _eval(node.then, env, side), _eval(node.other, env, side))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def breakpoints(exprs) -> dict:
+    """Each variable's distinct ``piecewise`` thresholds in ``exprs``, as an
+    ascending array: the only coordinates where a branch can switch."""
+    cuts: dict = {}
+    for node in (node for expr in exprs for node in walk(expr) if isinstance(node, Piecewise)):
+        cuts.setdefault(node.var, set()).add(node.threshold)
+    return {var: np.array(sorted(ts)) for var, ts in cuts.items()}
 
 
 def not_finite(env: dict, k: int) -> EvalError:

@@ -1,5 +1,4 @@
 import math
-import re
 from collections import deque
 
 import numpy as np
@@ -195,29 +194,17 @@ def test_interval_selfmap_rejects_jump():
     base = make_interval(11)
     with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(base, "piecewise(x<=0.45, 0, 1)")
-    # edge 4 runs from x = 0.4 to x = 0.5; the halvings close in on 0.45
-    # from above, where every sub-edge maps its ends to 0 and 1
-    assert str(err.value) == ("self-map is discontinuous on edge 4: its image jumps by 1 "
-                              "at {'x': 0.45001220703125}")
+    # the two sides of the threshold at 0.45, between samples 4 and 5
+    assert str(err.value) == "self-map is discontinuous at {'x': 0.45}: its image jumps by 1"
 
 
-_BACKWARD_STEP = "piecewise(x<=0.5, x, x-0.001)"    # jumps back by 0.001 at x = 0.5
-
-
-def test_backward_step_rejected_at_2001_samples():
-    # edge 1000 runs from x = 0.5 to 0.5005, its image back from 0.5 to 0.4995
-    with pytest.raises(BaseSpaceError, match="discontinuous on edge 1000: its image jumps "
-                                             "by 0.001 at"):
-        sample_selfmap(make_interval(2001), _BACKWARD_STEP)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "the halvings keep the half whose end images lie farther apart, so a jump back "
-    "against the image's motion that is smaller than the motion of the rest of its "
-    "edge goes unseen: at 201 samples an edge spans 0.005, five times the jump"))
-def test_backward_step_rejected_at_201_samples():
-    with pytest.raises(BaseSpaceError, match="discontinuous"):
-        sample_selfmap(make_interval(201), _BACKWARD_STEP)
+@pytest.mark.parametrize("n", [201, 2001, 20001])
+def test_backward_step_rejected(n):
+    # the image jumps back by 0.001 at x = 0.5, against its motion; at 201
+    # samples an edge's image spans five times the jump
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(make_interval(n), "piecewise(x<=0.5, x, x-0.001)")
+    assert str(err.value) == "self-map is discontinuous at {'x': 0.5}: its image jumps by 0.001"
 
 
 def _jump_text(jump):
@@ -228,28 +215,52 @@ def _jump_text(jump):
 @pytest.mark.parametrize("jump", ["0.001", "0.00001"])
 @pytest.mark.parametrize("n", [2000, 2001, 4001, 8000, 8001, 16001, 20001])
 def test_circle_jump_rejected_at_every_resolution(n, jump):
-    with pytest.raises(BaseSpaceError, match="discontinuous") as err:
+    with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(make_circle(n), _jump_text(jump))
-    # the first edge checked that holds a jump is the one holding theta = 3,
-    # and the halvings end within a 2^-12 part of it
-    h = 2 * math.pi / n
-    found = re.fullmatch(r"self-map is discontinuous on edge (\d+): its image jumps by "
-                         r"\S+ at \{'theta': (\S+)\}", str(err.value))
-    assert int(found[1]) == math.floor(3 / h)
-    assert abs(float(found[2]) - 3) <= h * 2.0 ** -12
+    # the first threshold that holds a jump is theta = 3
+    assert str(err.value) == ("self-map is discontinuous at {'theta': 3.0}: its image jumps "
+                              f"by {float(jump):.3g}")
 
 
-@pytest.mark.parametrize("base, spec, edge", [
-    (make_circle(200), "0.5*theta", 199),
-    (make_torus2(16, 16), ("0.5*theta1", "theta2"), 480),
+@pytest.mark.parametrize("base, spec, at", [
+    (make_circle(200), "0.5*theta", "{'theta': 0.0}"),
+    (make_torus2(16, 16), ("0.5*theta1", "theta2"), "{'theta1': 0.0, 'theta2': 0.0}"),
 ], ids=["circle", "torus"])
-def test_seam_break_rejected(base, spec, edge):
+def test_seam_break_rejected(base, spec, at):
     # the expressions are continuous in the chart, but their images at 2*pi
-    # and at 0 differ by pi; only the edges across the seam are checked, and
-    # on the torus the first is the right edge of sample (15, 0)
-    with pytest.raises(BaseSpaceError, match=f"discontinuous on edge {edge}: its image "
-                                             "jumps by 3.14"):
+    # and at 0 differ by pi; on the torus the first theta2 compared is 0
+    with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(base, spec)
+    assert str(err.value) == f"self-map is discontinuous at {at}: its image jumps by 3.14"
+
+
+@pytest.mark.parametrize("base, text, message", [
+    (make_interval(201), "piecewise(x<=1, x, 5)", None),
+    (make_interval(201), "piecewise(x>=0, x, 5)", None),
+    (make_circle(200), "piecewise(theta>=0, theta, 7)", None),
+    (make_circle(200), "piecewise(theta<=7, theta, 1)", None),
+    (make_interval(201), "piecewise(x<=0, 0.5, x)", "{'x': 0.0}: its image jumps by 0.5"),
+    (make_interval(201), "piecewise(x>=1, 0.2, x)", "{'x': 1.0}: its image jumps by 0.8"),
+    (make_circle(200), "piecewise(theta<=0, 1, theta)", "{'theta': 0.0}: its image jumps by 1"),
+])
+def test_chart_end_thresholds(base, text, message):
+    # a threshold at a chart end compares the value there with the side
+    # inside the chart, and one outside the chart is never reached
+    if message is None:
+        sample_selfmap(base, text)
+    else:
+        with pytest.raises(BaseSpaceError) as err:
+            sample_selfmap(base, text)
+        assert str(err.value) == f"self-map is discontinuous at {message}"
+
+
+def test_circle_image_off_the_real_axis_between_samples_rejected():
+    # the image leaves the real axis on (3, 3.01], where no sample of 200 lies,
+    # so only the comparison at theta = 3 sees it
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(make_circle(200), "theta+1i*piecewise(theta<=3, 0, "
+                                         "piecewise(theta<=3.01, 1, 0))")
+    assert str(err.value) == "self-map is discontinuous at {'theta': 3.0}: its image jumps by 1"
 
 
 @pytest.mark.parametrize("text", ["sqrt(x)", "sqrt(sqrt(x))"])
@@ -258,6 +269,14 @@ def test_holder_continuous_interval_maps_pass(text, n):
     # Hölder exponents 1/2 and 1/4 shrink the span at 0 by 2^-1/2 and 2^-1/4
     # per halving, less than the 0.9 the rule admits
     sample_selfmap(make_interval(n), text)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "an expression holding a sqrt is bisected, and Hölder exponent 1/8 shrinks the span "
+    "at 0 by only 2^-1/8 ~ 0.917 per halving, more than the 0.9 the rule admits; the "
+    "outer sqrt's argument is not real by grammar, so no real-argument exemption clears it"))
+def test_eighth_root_passes():
+    sample_selfmap(make_interval(2001), "sqrt(sqrt(sqrt(x)))")
 
 
 @pytest.mark.parametrize("base", [make_interval(11), make_circle(12), make_torus2(6, 6)],
@@ -396,10 +415,26 @@ def test_torus_selfmap_rejects_jump():
     base = make_torus2(6, 6)
     with pytest.raises(BaseSpaceError) as err:
         sample_selfmap(base, ("theta1", "piecewise(theta2<=2, theta2, theta2+2)"))
-    # theta2 jumps by 2 rad at theta2 = 2, between j = 1 and j = 2; the first
-    # violating edge is 3, the up edge of sample (0,1)
-    assert str(err.value) == ("self-map is discontinuous on edge 3: its image jumps by 2 "
-                              "at {'theta1': 0.0, 'theta2': 1.9999274522059045}")
+    # theta2 jumps by 2 rad at theta2 = 2, between j = 1 and j = 2, at every theta1
+    assert str(err.value) == ("self-map is discontinuous at {'theta1': 0.0, 'theta2': 2.0}: "
+                              "its image jumps by 2")
+
+
+def test_torus_jump_on_part_of_a_threshold_line_rejected():
+    # theta1 jumps by 0.001 at theta1 = 2 only where theta2 <= 1, so only the
+    # samples theta2 = 0 and 0.698 and the threshold theta2 = 1 can show it
+    spec = ("piecewise(theta1<=2, theta1, piecewise(theta2<=1, theta1+0.001, theta1))", "theta2")
+    with pytest.raises(BaseSpaceError) as err:
+        sample_selfmap(make_torus2(9, 9), spec)
+    assert str(err.value) == ("self-map is discontinuous at {'theta1': 2.0, 'theta2': 0.0}: "
+                              "its image jumps by 0.001")
+
+
+def test_torus_threshold_at_the_other_coordinates_chart_end_passes():
+    # theta2 = 0 is a sample of theta2 at every theta1 threshold, and the
+    # side taken there applies to theta1 alone, so theta2 stays in the chart
+    sample_selfmap(make_torus2(6, 6), ("piecewise(theta1<=2, theta1, theta1)",
+                                       "piecewise(theta2>=0, theta2, 5)"))
 
 
 def test_graph_selfmap_rejects_jumping_table():

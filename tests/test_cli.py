@@ -1,6 +1,8 @@
 import filecmp
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -437,45 +439,77 @@ def test_foreign_variable_names_its_path_and_keeps_artifacts(tmp_path, capsys, p
     assert (out / "verdict.json").read_bytes() == before
 
 
+def _rejected_polynomial(tmp_path, capsys, base, polynomial):
+    """The error text of a run of ``polynomial`` under the identity map into
+    a directory that holds an earlier run's artifacts, which must survive."""
+    out = tmp_path / "out"
+    assert run_scenario(scenarios.builtin_scenario("example1", samples=201), str(out)) == 0
+    before = (out / "verdict.json").read_bytes()
+    cfg = {"name": "jump", "base": base, "polynomial": polynomial,
+           "selfmap": {"identity": True}, "analyses": ["cole", "ah"]}
+    cfg_path = tmp_path / "jump.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert (out / "verdict.json").read_bytes() == before
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("base, coefficients, message", [
     ({"kind": "circle", "samples": 2000}, ["-exp(0.5i*theta)", "0"],
-     "edge 1999: they jump by 2 "),
+     "{'theta': 0.0}: they jump by 2"),
     ({"kind": "circle", "samples": 2000}, ["-exp(1i*theta)+0.1*theta", "0"],
-     "edge 1999: they jump by 0.628 "),
+     "{'theta': 0.0}: they jump by 0.628"),
     ({"kind": "torus2", "shape": [16, 16]}, ["-exp(0.5i*theta1)", "0"],
-     "edge 480: they jump by 2 "),
+     "{'theta1': 0.0, 'theta2': 0.0}: they jump by 2"),
 ], ids=["half-winding", "ramp", "torus"])
 def test_coefficients_that_break_at_the_seam_are_rejected(tmp_path, capsys, base, coefficients,
                                                           message):
     # each coefficient is continuous inside the chart and jumps where the
-    # coordinate wraps from 2*pi to 0; on the torus the first seam edge is the
-    # right edge of sample (15, 0)
-    out = tmp_path / "out"
-    assert run_scenario(scenarios.builtin_scenario("example1", samples=201), str(out)) == 0
-    before = (out / "verdict.json").read_bytes()
-    cfg = {"name": "seam", "base": base, "polynomial": {"coefficients": coefficients},
-           "selfmap": {"identity": True}, "analyses": ["cole", "ah"]}
-    cfg_path = tmp_path / "seam.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (f"error: $.polynomial: the coefficients are discontinuous "
-                                       f"on {message}at the seam\n")
-    assert (out / "verdict.json").read_bytes() == before
+    # coordinate wraps from 2*pi to 0; on the torus the first theta2 compared is 0
+    err = _rejected_polynomial(tmp_path, capsys, base, {"coefficients": coefficients})
+    assert err == f"error: $.polynomial: the coefficients are discontinuous at {message}\n"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "seam_breaks looks only at the seam, and coefficient expressions with a piecewise, "
-    "a / or a sqrt get no bisection, so a coefficient that jumps by 0.5 at theta = 3 "
-    "and back at theta = 4 is accepted and decided: cole yes, ah yes"))
-def test_coefficient_jump_inside_the_chart_is_rejected(tmp_path):
+@pytest.mark.parametrize("n", [2000, 2001, 20001])
+def test_coefficient_jump_inside_the_chart_is_rejected(tmp_path, capsys, n):
+    # the coefficient jumps by 0.5 at theta = 3 and back at theta = 4, at no sample
     jumping = ("piecewise(theta<=3, -exp(1i*theta), "
                "piecewise(theta<=4, -exp(1i*theta)+0.5, -exp(1i*theta)))")
-    cfg = {"name": "chart-jump", "base": {"kind": "circle", "samples": 2000},
-           "polynomial": {"coefficients": [jumping, "0"]},
-           "selfmap": {"identity": True}, "analyses": ["cole", "ah"]}
-    cfg_path = tmp_path / "chart-jump.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = _rejected_polynomial(tmp_path, capsys, {"kind": "circle", "samples": n},
+                               {"coefficients": [jumping, "0"]})
+    assert err == ("error: $.polynomial: the coefficients are discontinuous at "
+                   "{'theta': 3.0}: they jump by 0.5\n")
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_coefficient_across_the_sqrt_cut_is_rejected(tmp_path, capsys, n):
+    # exp(i theta) crosses the negative real axis at theta = pi, where the
+    # principal sqrt jumps from i to -i; the halvings close in on it
+    err = _rejected_polynomial(tmp_path, capsys, {"kind": "circle", "samples": n},
+                               {"coefficients": ["-sqrt(exp(1i*theta))", "0"]})
+    found = re.fullmatch(r"error: \$\.polynomial: the coefficients are discontinuous at "
+                         r"\{'theta': (\S+)\}: they jump by 2\n", err)
+    assert abs(float(found[1]) - math.pi) <= 2 * math.pi / n * 2.0 ** -12
+
+
+def test_root_list_that_does_not_close_up_is_rejected(tmp_path, capsys):
+    # the root exp(i theta / 2) ends a turn at -1, not at 1, and 2 stays put,
+    # so the coefficient 2 exp(i theta / 2) jumps from -2 to 2 at the seam
+    err = _rejected_polynomial(tmp_path, capsys, {"kind": "circle", "samples": 2000},
+                               {"roots": ["exp(0.5i*theta)", "2"]})
+    assert err == ("error: $.polynomial: the coefficients are discontinuous at "
+                   "{'theta': 0.0}: they jump by 4\n")
+
+
+def test_relabelled_root_list_is_accepted(tmp_path):
+    # the roots 1 and -1 trade labels at theta = 3; the coefficients do not move
+    cfg = {"name": "relabel", "base": {"kind": "circle", "samples": 2000},
+           "polynomial": {"roots": ["piecewise(theta<=3, 1, -1)", "piecewise(theta<=3, -1, 1)"]},
+           "selfmap": {"identity": True}, "analyses": ["cole"]}
+    out = tmp_path / "out"
+    assert run_scenario(cfg, str(out)) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["analyses"]["cole"]["answer"] == "yes"
 
 
 def test_torus_swap_and_identity_control_share_one_tree(tmp_path, monkeypatch):

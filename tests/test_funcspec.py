@@ -144,6 +144,30 @@ def test_piecewise_selects_branches():
     assert np.allclose(vals, [0, 0.25, 0.5, 0.25, 0])
 
 
+def test_side_takes_the_branch_beside_each_threshold():
+    env = {"x": np.array([0.25, 0.5, 0.75])}
+    for rel, then_side in (("<=", -1), (">=", 1)):
+        expr = parse(f"piecewise(x{rel}0.5, 1, 2)")
+        plain = funcspec._eval(expr, env).real.tolist()
+        assert plain[1] == 1.0       # the condition holds at its threshold
+        for side in (-1, 1):
+            at = funcspec._eval(expr, env, {"x": side}).real.tolist()
+            assert at[::2] == plain[::2]      # away from the threshold nothing moves
+            assert at[1] == (1.0 if side == then_side else 2.0)
+    # a side for another variable leaves the condition as written
+    assert funcspec._eval(parse("piecewise(x<=0.5, 1, 2)"), env, {"theta": 1})[1] == 1.0
+
+
+def test_breakpoints_list_each_variables_distinct_thresholds():
+    exprs = [parse("piecewise(theta1<=3, piecewise(theta2>=-1, 1, 2), theta1)"),
+             parse("piecewise(theta1>=3, sqrt(theta1), piecewise(theta1<=0.5, 0, 1))"),
+             parse("theta2")]
+    cuts = funcspec.breakpoints(exprs)
+    assert {var: ts.tolist() for var, ts in cuts.items()} == {"theta1": [0.5, 3.0],
+                                                              "theta2": [-1.0]}
+    assert funcspec.breakpoints([parse("exp(1i*x)")]) == {}
+
+
 def test_walk_visits_every_node_parent_first():
     tree = parse("piecewise(theta2<=1, -sqrt(theta1)^2, 2/theta1)")
     assert [type(node).__name__ for node in funcspec.walk(tree)] == [
