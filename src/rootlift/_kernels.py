@@ -164,7 +164,8 @@ def track_fibers(coeffs: np.ndarray) -> np.ndarray:
         roots[rows[ok]], done[rows[ok]] = z[ok], True
         rows, z, c = rows[~ok], z[~ok], c[~ok]
     roots[done] = np.sort(polish(coeffs[done], roots[done]), axis=1)
-    roots[rows] = solve_fibers(coeffs[rows])
+    if rows.size:
+        roots[rows] = solve_fibers(coeffs[rows])
     return roots
 
 

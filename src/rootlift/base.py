@@ -9,11 +9,14 @@ distances, connected components) runs on them in ``scipy.sparse.csgraph``.
 A :class:`SelfMap` on a base with a coordinate chart (interval, circle,
 torus) is its coordinate expressions and their exact values at the samples;
 on a graph, which has no chart, it is each sample's image location (edge +
-parameter).  Images need not land on sample points.
+parameter).  Images need not land on sample points; ``image_samples``
+names the sample nearest each image, so a pullback can tell when the map
+only permutes the samples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -245,6 +248,23 @@ class BaseSpace:
         ends = self.edges[np.asarray(edges, dtype=np.intp)]
         return np.where(np.asarray(params) < 0.5, ends[..., 0], ends[..., 1])
 
+    def edge_ids(self, tails, heads) -> np.ndarray:
+        """The lowest-id edge with tail ``tails[k]`` and head ``heads[k]``,
+        or -1 where there is none: each tail's outgoing edges are tried in
+        edge-id order, one per pass."""
+        tails, heads = np.asarray(tails, dtype=np.intp), np.asarray(heads, dtype=np.intp)
+        out_edges = np.argsort(self.edges[:, 0], kind="stable")   # grouped by tail
+        first = np.zeros(self.n_samples + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.edges[:, 0], minlength=self.n_samples), out=first[1:])
+        start, count = first[tails], first[tails + 1] - first[tails]
+        found = np.full(len(tails), -1, dtype=np.intp)
+        edge_heads = self.edges[:, 1].copy()
+        for k in range(int(count.max(initial=0))):
+            e = np.take(out_edges, np.minimum(start + k, self.n_edges - 1))
+            hit = (k < count) & (np.take(edge_heads, e) == heads) & (found < 0)
+            found = np.where(hit, e, found)
+        return found
+
 
 def node_components(n: int, pairs) -> list[np.ndarray]:
     """Connected components of the graph on nodes ``0..n-1`` whose edges
@@ -275,7 +295,8 @@ class SelfMap:
     samples as :meth:`image_coords_array` computes them: shape (S,) on
     interval and circle, (S, 2) on torus2.  A graph base has no chart, so
     there the map is a location table: sample ``s`` maps to parameter
-    ``image_params[s]`` along edge ``image_edges[s]``.
+    ``image_params[s]`` along edge ``image_edges[s]``.  Images need not land
+    on sample points; :attr:`image_samples` is the sample nearest each.
     """
 
     base: BaseSpace
@@ -287,6 +308,21 @@ class SelfMap:
     def image_coords_array(self, coords: np.ndarray) -> np.ndarray:
         """Exact image coordinates of the expressions at a coordinate array."""
         return _expression_images(self.base.kind, self.exprs, np.asarray(coords, dtype=float))
+
+    @functools.cached_property
+    def image_samples(self) -> np.ndarray:
+        """(S,) the sample nearest each image: on a chart, each image
+        coordinate rounded to the grid (modulo the sample count on a
+        circle's or torus's coordinate); on a graph, the nearer end of the
+        image's edge."""
+        base = self.base
+        if base.kind == "graph":
+            return base.nearest_samples(self.image_edges, self.image_params)
+        if base.kind == "interval":
+            return np.rint(self.image_coords * (base.n_samples - 1)).astype(np.intp)
+        sides = base.meta.get("shape", (base.n_samples,))
+        steps = self.image_coords.reshape(base.n_samples, -1) / TWO_PI * np.array(sides)
+        return np.ravel_multi_index(tuple(np.rint(steps).astype(np.intp).T), sides, mode="wrap")
 
 
 def _expression_images(kind: str, exprs, coords: np.ndarray):
@@ -502,7 +538,7 @@ def discontinuity(base: BaseSpace, exprs, angles: bool = False, expand=None):
     names = funcspec.COORDINATES[base.kind]
     coords = base.coords.reshape(base.n_samples, -1)
     hi = 1.0 if base.kind == "interval" else TWO_PI
-    cuts = funcspec.breakpoints(exprs)
+    cuts, kinks = funcspec.survey(exprs)
 
     def values(env, side=None):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -542,10 +578,7 @@ def discontinuity(base: BaseSpace, exprs, angles: bool = False, expand=None):
             i = int(bad[0])
             return {n: float(env[n][len(a) + i]) for n in names}, float(jumps[i])
 
-    if not any(isinstance(node, funcspec.Call) and node.func == "sqrt"
-               or isinstance(node, funcspec.Bin) and node.op == "/"
-               and any(isinstance(n, funcspec.Var) for n in funcspec.walk(node.rhs))
-               for expr in exprs for node in funcspec.walk(expr)):
+    if not kinks:
         return None
     ids = np.arange(base.n_edges)
     a, b = values(dict(zip(names, coords.T)))[base.edges].transpose(1, 0, 2)

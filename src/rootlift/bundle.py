@@ -492,6 +492,40 @@ def _bisect(p, fibers, flags, tol):
     return perm, refinement
 
 
+def _reindexed(A: RootBundle, q: MonicPolynomial, smap: SelfMap) -> RootBundle | None:
+    """The bundle of ``q``, the pullback of ``A``'s polynomial by ``smap``,
+    as ``A`` re-indexed, or None where that could differ from
+    :func:`build_bundle`.
+
+    With φ the sample nearest each image (:attr:`SelfMap.image_samples`),
+    ``A`` is re-indexed when ``q``'s coefficient rows are the source's rows
+    at φ byte for byte, and each edge (a, b) maps onto an edge of the base
+    with tail φa and head φb that ``A`` did not bisect.  A build of ``q``
+    would then match (a, b) from the end fibers and merge flags ``A``
+    matched (φa, φb) from, so it would settle the edge, or take it as a
+    leaf, with the same permutation, and bisect no edge.  Fibers of degree
+    2 or less are solved row by row, and under the identity every row keeps
+    its place, so there the fibers are a build's bit for bit; a non-identity
+    φ at degree 3 or more takes ``A``'s solve of the same rows, where a
+    separate continuation solve can differ in the last bits.
+    """
+    p, base, tol = A.poly, A.base, A.tol
+    phi = smap.image_samples
+    if q.coeff_values.tobytes() != np.take(p.coeff_values, phi, axis=0).tobytes():
+        return None
+    tails, heads = base.edges.T
+    image = base.edge_ids(phi[tails], phi[heads])
+    bisected = np.zeros(base.n_edges, dtype=bool)
+    bisected[list(A.refinement)] = True
+    if np.any(image < 0) or np.any(bisected[image]):
+        return None
+    # np.take gathers whole rows several times faster than fancy indexing
+    fibers = np.take(A.fibers, phi, axis=0)
+    _check_residuals(q.coeff_values, fibers, tol)
+    return RootBundle(base, A.degree, fibers, np.take(A.edge_perms, image, axis=0),
+                      np.take(A.branch_flags, phi), refinement={}, poly=q, tol=tol)
+
+
 def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -> RootBundle:
     """Bundle of the coefficient-composed polynomial; its fiber over x is
     the fiber of ``p`` over the self-map image of x."""

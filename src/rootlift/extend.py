@@ -27,8 +27,8 @@ from . import monodromy as monod
 from ._kernels import _reduce_slots
 from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
-                     _inverse_rows, _match_edges, build_bundle, is_admissible,
-                     pullback_polynomial, solve_fiber)
+                     _inverse_rows, _match_edges, _reindexed, build_bundle,
+                     is_admissible, pullback_polynomial, solve_fiber)
 
 MAX_LIFTS = 4096         # lifts decide_subalgebra probes before it answers "inconclusive"
 
@@ -500,15 +500,18 @@ def decide_lift(problem: LiftProblem) -> Verdict:
 def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> LiftProblem:
     """The lift problem between the root bundles of ``p`` and of its
     pullback by ``smap``; raises :class:`InadmissibleError` first when
-    ``p`` is not admissible."""
+    ``p`` is not admissible.  Where ``smap`` permutes the samples, edges
+    onto edges, the pullback's bundle is the source's re-indexed (see
+    :func:`bundle._reindexed`); otherwise it is built like the source's."""
     report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
     if not report.admissible:
         raise InadmissibleError(
             f"polynomial is not admissible: {len(report.runs)} flat "
             f"discriminant run(s)")
     A = build_bundle(p, tol)
-    B = build_bundle(pullback_polynomial(p, smap), tol)
-    return LiftProblem(A, B)
+    q = pullback_polynomial(p, smap)
+    B = _reindexed(A, q, smap)
+    return LiftProblem(A, build_bundle(q, tol) if B is None else B)
 
 
 def cole_extendable(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> Verdict:

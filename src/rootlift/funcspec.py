@@ -25,7 +25,9 @@ wrapper :func:`eval_scalar`.  It is the reference: a point at a sample
 coordinate reproduces that sample's value bit for bit, and a non-finite
 value off the samples is an :class:`EvalError` that names the point.  Its
 ``side`` takes the branch beside a ``piecewise`` threshold, and
-:func:`breakpoints` lists the thresholds where a value can jump.
+:func:`breakpoints` lists the thresholds where a value can jump;
+:func:`survey` also tells whether a ``sqrt`` or a variable denominator can
+break one between them.
 """
 
 from __future__ import annotations
@@ -417,10 +419,35 @@ def _eval(node, env, side=None):
 def breakpoints(exprs) -> dict:
     """Each variable's distinct ``piecewise`` thresholds in ``exprs``, as an
     ascending array: the only coordinates where a branch can switch."""
+    return survey(exprs)[0]
+
+
+def survey(exprs) -> tuple[dict, bool]:
+    """:func:`breakpoints` of ``exprs``, and whether they hold a ``sqrt`` or
+    a ``/`` whose denominator holds a variable, either of which can also
+    break a value between thresholds: both from one walk of each
+    expression."""
     cuts: dict = {}
-    for node in (node for expr in exprs for node in walk(expr) if isinstance(node, Piecewise)):
+    kinks = [_survey(expr, cuts)[1] for expr in exprs]
+    return {var: np.array(sorted(ts)) for var, ts in cuts.items()}, any(kinks)
+
+
+def _survey(node, cuts: dict) -> tuple[bool, bool]:
+    """Adds the ``piecewise`` thresholds at and below ``node`` to ``cuts``
+    (variable -> set); returns whether a variable lies there, and whether a
+    ``sqrt`` or a ``/`` with a variable in its denominator does."""
+    if isinstance(node, Bin):
+        lhs_var, lhs_kink = _survey(node.lhs, cuts)
+        rhs_var, rhs_kink = _survey(node.rhs, cuts)
+        return lhs_var or rhs_var, lhs_kink or rhs_kink or (node.op == "/" and rhs_var)
+    if isinstance(node, Piecewise):
         cuts.setdefault(node.var, set()).add(node.threshold)
-    return {var: np.array(sorted(ts)) for var, ts in cuts.items()}
+    has_var, kink = isinstance(node, Var), isinstance(node, Call) and node.func == "sqrt"
+    for child in vars(node).values():
+        if isinstance(child, (Num, Var, Neg, Pow, Call, Piecewise, Bin)):
+            var, below = _survey(child, cuts)
+            has_var, kink = has_var or var, kink or below
+    return has_var, kink
 
 
 def not_finite(env: dict, k: int) -> EvalError:

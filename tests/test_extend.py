@@ -453,6 +453,125 @@ def test_torus_maps_off_the_grid_lines(n):
     assert cole_extendable(p, swap).answer == "no"
 
 
+def _counted_solves(monkeypatch):
+    """The row counts of every ``track_fibers`` call from now on, and of
+    every ``solve_fibers`` call (:func:`_count_solves`)."""
+    tracked, track = [], _kernels.track_fibers
+    monkeypatch.setattr(_kernels, "track_fibers",
+                        lambda coeffs: tracked.append(len(coeffs)) or track(coeffs))
+    return tracked, _count_solves(monkeypatch)
+
+
+def _assert_same_bundle(B, C):
+    assert B.poly.coeff_values.tobytes() == C.poly.coeff_values.tobytes()
+    assert B.fibers.tobytes() == C.fibers.tobytes()
+    assert np.array_equal(B.edge_perms, C.edge_perms)
+    assert np.array_equal(B.branch_flags, C.branch_flags)
+    assert B.refinement == C.refinement
+
+
+def _on(base, coeffs, smap):
+    """A polynomial from coefficient expressions, or from sampled values when
+    ``coeffs`` is a function of the base, and a self-map of the same base."""
+    p = (poly_from_values(base, coeffs(base)) if callable(coeffs)
+         else poly_from_exprs(base, coeffs))
+    return p, smap(base)
+
+
+def _graph_wobble(base):
+    wobble = 0.1 * np.exp(1j * np.arange(base.n_samples) / 7)
+    return [-1.0 - wobble, wobble]
+
+
+def _swap(base):
+    return sample_selfmap(base, ("theta2", "theta1"))
+
+
+def _interval_map(text):
+    return lambda: _on(make_interval(101), ["-1", "0"], lambda base: sample_selfmap(base, text))
+
+
+def test_image_samples_are_the_samples_nearest_the_images():
+    S = np.arange(12)
+    circle, interval, torus = make_circle(12), make_interval(12), make_torus2(4, 4)
+    graph = make_graph(2, [(0, 1), (1, 0)], 3)
+    assert np.array_equal(sample_selfmap(circle, f"theta+{math.pi!r}").image_samples,
+                          (S + 6) % 12)
+    assert np.array_equal(sample_selfmap(circle, "theta+0.25").image_samples, S)
+    assert np.array_equal(sample_selfmap(circle, "theta-0.3").image_samples, (S - 1) % 12)
+    assert np.array_equal(sample_selfmap(interval, "1-x").image_samples, S[::-1])
+    i, j = np.divmod(np.arange(16), 4)
+    assert np.array_equal(_swap(torus).image_samples, j * 4 + i)
+    assert np.array_equal(identity_selfmap(graph).image_samples, np.arange(graph.n_samples))
+
+
+# self-maps that permute the samples, edges onto edges in their orientation
+PERMUTING = [
+    *(pytest.param(lambda n=n: _on(make_torus2(n, n), ["-exp(1i*theta1)", "0"], _swap),
+                   id=f"torus-swap{n}") for n in (16, 33, 64)),
+    pytest.param(lambda: _on(make_interval(101), ["-1-x", "0", "0"],
+                             identity_selfmap), id="interval-identity"),
+    pytest.param(lambda: _on(make_circle(100), ["-exp(1i*theta)", "0", "0"], identity_selfmap),
+                 id="circle-identity"),
+    pytest.param(lambda: _on(make_torus2(16, 16), ["-exp(1i*theta1)", "0"], identity_selfmap),
+                 id="torus-identity"),
+    pytest.param(lambda: _on(make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0)], 6), _graph_wobble,
+                             identity_selfmap), id="graph-identity"),
+]
+
+
+@pytest.mark.parametrize("case", PERMUTING)
+def test_a_permuting_map_reindexes_the_source_bundle(monkeypatch, case):
+    p, smap = case()
+    S = p.base.n_samples
+    tracked, solved = _counted_solves(monkeypatch)
+    problem = lift_problem(p, smap)
+    # the source's fibers are the only ones solved
+    assert tracked == [S] and sum(solved) <= S
+    assert not problem.source.refinement
+    _assert_same_bundle(problem.target, pullback(p, smap))
+
+
+# self-maps whose pullback is built: coefficient rows that differ from the
+# source's at the nearest samples, image edges the source bisected, and
+# reversed and collapsed edges
+BUILT = [
+    pytest.param(lambda: _on(make_torus2(33, 33), ["-exp(1i*theta1)", "0"],
+                             lambda base: sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))),
+                 False, id="shifted-swap"),
+    pytest.param(lambda: _on(make_torus2(8, 8), ["-(sin(theta1)-0.65)^2", "0"], _swap),
+                 True, id="bisected-swap"),
+    pytest.param(_interval_map("1-x"), True, id="reversed"),
+    pytest.param(_interval_map("0.5"), True, id="collapsed"),
+]
+
+
+@pytest.mark.parametrize("case, same_rows", BUILT)
+def test_the_pullback_is_built_where_reindexing_could_differ(monkeypatch, case, same_rows):
+    p, smap = case()
+    q = bundle.pullback_polynomial(p, smap)
+    assert (q.coeff_values.tobytes()
+            == p.coeff_values[smap.image_samples].tobytes()) == same_rows
+    tracked, _ = _counted_solves(monkeypatch)
+    problem = lift_problem(p, smap)
+    assert len(tracked) == 2
+    _assert_same_bundle(problem.target, pullback(p, smap))
+
+
+def test_a_cubic_swap_decides_as_the_built_pullback():
+    # at degree 3 the continuation solve of the pullback can differ from the
+    # source's in the last bits; the decision cannot
+    base = make_torus2(33, 33)
+    p = poly_from_exprs(base, ["-exp(1i*theta1)", "0", "0"])
+    swap = sample_selfmap(base, ("theta2", "theta1"))
+    problem = lift_problem(p, swap)
+    built = LiftProblem(problem.source, pullback(p, swap))
+    assert not problem.target.refinement and not built.target.refinement
+    assert np.array_equal(problem.target.edge_perms, built.target.edge_perms)
+    assert decide_lift(problem).answer == decide_lift(built).answer == "no"
+    assert problem.solution_count() == built.solution_count()
+
+
 def test_lift_problem_matches_reference_on_random_instances():
     import sys
     sys.path.insert(0, "tests")

@@ -258,6 +258,18 @@ def test_track_fibers_leaves_degree_two_to_the_closed_form(monkeypatch):
     assert by_solve.all() and np.array_equal(got, want)
 
 
+def test_track_fibers_makes_no_empty_solve(monkeypatch):
+    # every row between the anchors of a smooth family certifies, which
+    # leaves no row for the fallback solve
+    coeffs = _smooth_rows(0)
+    sizes, solve = [], _kernels.solve_fibers
+    monkeypatch.setattr(_kernels, "solve_fibers",
+                        lambda rows: sizes.append(len(rows)) or solve(rows))
+    got = _kernels.track_fibers(coeffs)
+    assert sizes == [len(coeffs[::16])]
+    _check_residuals(coeffs, got, DEFAULT_TOL)
+
+
 def test_wide_disjoint_discs_are_never_accepted(monkeypatch):
     # the crossing quintic over 64 samples: a row starts up to 8 samples, an
     # eighth of a turn, from its nearest solved row, where several rows'

@@ -12,10 +12,10 @@ import pytest
 
 from instancegen import (edge_endpoint, incident, random_admissible_poly,
                          random_circle_selfmap, synthetic_strip_bundle)
-from rootlift import (build_bundle, cli, make_circle, make_graph, make_interval,
+from rootlift import (build_bundle, cli, funcspec, make_circle, make_graph, make_interval,
                       make_torus2, poly_from_exprs, poly_from_roots, poly_from_values,
                       pullback, sample_selfmap)
-from rootlift.base import BaseSpaceError, _hop_distances
+from rootlift.base import BaseSpace, BaseSpaceError, _hop_distances
 from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
 from rootlift.closedness import winding_function
 from rootlift.extend import _QuotientProbe, _transport_slots, ah_fit, lift_problem
@@ -244,6 +244,28 @@ def _ref_bundle_components(bundle):
     return sorted(groups.values(), key=min)
 
 
+def _ref_edge_ids(base):
+    """(tail, head) -> the lowest id of an edge from tail to head."""
+    ids = {}
+    for eid, pair in enumerate(map(tuple, base.edges.tolist())):
+        ids.setdefault(pair, eid)
+    return ids
+
+
+def _ref_survey(exprs):
+    """Thresholds and the sqrt / variable-denominator test, each by its own
+    walk, and a walk of every denominator."""
+    cuts = {}
+    for node in (node for expr in exprs for node in funcspec.walk(expr)):
+        if isinstance(node, funcspec.Piecewise):
+            cuts.setdefault(node.var, set()).add(node.threshold)
+    kinks = any(isinstance(node, funcspec.Call) and node.func == "sqrt"
+                or isinstance(node, funcspec.Bin) and node.op == "/"
+                and any(isinstance(n, funcspec.Var) for n in funcspec.walk(node.rhs))
+                for expr in exprs for node in funcspec.walk(expr))
+    return {var: sorted(ts) for var, ts in cuts.items()}, kinks
+
+
 # -- instances --------------------------------------------------------------------
 
 BASES = {
@@ -377,6 +399,32 @@ def test_bounded_hop_distances_match_unbounded(name):
         sample_selfmap(base, table)
     assert str(err.value) == (f"self-map violates discrete continuity on edge {eid}: "
                               f"image distance {dist[eid]:.3f} edges exceeds bound 2.0")
+
+
+@pytest.mark.parametrize("name", [*BASES, "parallel-edges"])
+def test_edge_ids_match_a_scan_of_the_edges(name):
+    # the last base has parallel edges, both ways round
+    base = BASES.get(name) or BaseSpace("graph", np.zeros((3, 2)),
+                                        [(0, 1), (1, 2), (0, 1), (2, 0), (1, 0), (1, 2)])
+    S = base.n_samples
+    tails, heads = np.divmod(np.arange(S * S), S)      # every ordered pair
+    ref = _ref_edge_ids(base)
+    got = base.edge_ids(tails, heads)
+    assert got.tolist() == [ref.get(pair, -1) for pair in zip(tails.tolist(), heads.tolist())]
+    assert np.count_nonzero(got >= 0) == len(ref)
+
+
+@pytest.mark.parametrize("texts", [
+    ["x"], ["1/x"], ["x/2"], ["2/(1+0*x)"], ["1/piecewise(x<=0.5, 1, 2)"],
+    ["-(1/(1/x))^2"], ["exp(1i*theta)/2", "abs(theta)", "sqrt(2)"],
+    ["piecewise(x<=0.5, 1/(2+sin(x)), 3)", "piecewise(x>=0.25, x, 1)"],
+    ["piecewise(theta1<=3, piecewise(theta2>=-1, 1, 2), theta1)",
+     "piecewise(theta1>=3, sqrt(theta1), piecewise(theta1<=0.5, 0, 1))", "theta2"],
+])
+def test_survey_matches_separate_walks(texts):
+    exprs = [funcspec.parse(t) for t in texts]
+    cuts, kinks = funcspec.survey(exprs)
+    assert ({var: ts.tolist() for var, ts in cuts.items()}, kinks) == _ref_survey(exprs)
 
 
 @pytest.mark.parametrize("name", [n for n in BASES if BASES[n].loop_basis])
