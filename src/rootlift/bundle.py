@@ -233,17 +233,17 @@ def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
 def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float, leaf=True):
     """Sheet matchings tail slot -> head slot per row, by a nearest-sheet bound.
 
-    Each tail slot i takes its nearest head, at squared distance d1(i),
-    with gap δ_i to its second-nearest.  ``best = Σ d1`` (summed in slot
-    order) is a lower bound on every assignment's cost.  When the nearest
-    heads form a permutation P, P costs ``best`` and any other permutation,
-    moving two slots or more off their nearest heads, at least ``bound =
-    best + δ_(1) + δ_(2)`` (the two smallest gaps); if those gaps exceed
-    1e-9·best, nothing ties P.  Such a row is ``settled`` when its bound
-    passes the margin test with a relative slack of 1e-9.  Any other row
-    that ``leaf`` marks (every row by default) takes the identity if that
-    ties ``best``, else :func:`_first_least_assignment`.  So each settled
-    or marked row, at every degree, gets the lexicographically first
+    Each tail slot i takes its nearest head, at squared distance d1(i), with
+    gap δ_i to its second-nearest.  ``best = Σ d1`` (summed over each row's
+    contiguous slots) is a lower bound on every assignment's cost.  When
+    the nearest heads form a permutation P, P costs ``best`` and any other
+    permutation, moving two slots or more off their nearest heads, at least
+    ``bound = best + δ_(1) + δ_(2)`` (the two smallest gaps); if those gaps
+    exceed 1e-9·best, nothing ties P.  Such a row is ``settled`` when its
+    bound passes the margin test with a relative slack of 1e-9.  Any other
+    row that ``leaf`` marks (every row by default) takes the identity if
+    that ties ``best``, else :func:`_first_least_assignment`.  So each
+    settled or marked row, at every degree, gets the lexicographically first
     least-cost assignment, costs within a relative 1e-12 tying; the rest
     keep their nearest heads, to be bisected.  The roots must be finite, as
     :func:`_check_residuals` ensures.
@@ -251,7 +251,9 @@ def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float, leaf=True)
     Returns ``(perms, settled, best, bound)``.
     """
     m, n = tails.shape
-    dist = np.abs(tails.T[:, None, :] - heads.T[None, :, :]) ** 2   # [tail slot, head slot, edge]
+    # built slot-major, so that its loops run over contiguous edges
+    dist = np.abs(np.ascontiguousarray(tails.T)[:, None, :]
+                  - np.ascontiguousarray(heads.T)[None, :, :]) ** 2   # [tail slot, head slot, edge]
     near = np.zeros((n, m), dtype=np.intp)          # the first nearest head on a tie
     d1, d2 = dist[:, 0], np.full((n, m), np.inf)
     for j in range(1, n):
@@ -259,7 +261,8 @@ def _match_edges(tails: np.ndarray, heads: np.ndarray, margin: float, leaf=True)
         d2 = np.where(closer, d1, np.minimum(d2, dist[:, j]))
         d1 = np.where(closer, dist[:, j], d1)
         near[closer] = j
-    best = d1.sum(axis=0)
+    # each edge's slots summed as one contiguous run, as numpy sums a row
+    best = np.ascontiguousarray(d1.T).sum(axis=1)
     g1, g2 = d2[0] - d1[0], np.full(m, np.inf)      # the two smallest gaps
     for g in d2[1:] - d1[1:]:
         g1, g2 = np.minimum(g1, g), np.minimum(g2, np.maximum(g1, g))
@@ -452,7 +455,9 @@ def _bisect(p, fibers, flags, tol):
     """
     n = p.degree
     tails, heads = p.base.edges.T
-    f0, f1, m0, m1 = fibers[tails], fibers[heads], flags[tails], flags[heads]
+    # gathered slot-major, (n, E) transposed, so the depth-0 match copies nothing
+    f0, f1 = np.take(fibers.T, tails, axis=1).T, np.take(fibers.T, heads, axis=1).T
+    m0, m1 = flags[tails], flags[heads]
     levels, mids = [], []
     for depth in itertools.count():
         merged = m0 | m1
@@ -468,7 +473,7 @@ def _bisect(p, fibers, flags, tol):
             raise AmbiguousMatchError(
                 f"edge {edge[0]}: matching ambiguous at depth {depth} "
                 f"(best {best[at[0]]:.3e}, runner-up bound {bound[at[0]]:.3e})")
-        f0, f1, m0, m1 = f0[at], f1[at], m0[at], m1[at]
+        f0, f1, m0, m1 = np.take(f0, at, axis=0), np.take(f1, at, axis=0), m0[at], m1[at]
         tm = t0 + 0.5 ** (depth + 1)
         fm = solve_fiber(p.coeffs_at_locations(edge, tm), tol)
         mm = _min_fiber_gap(fm) < tol.branch_tol
@@ -509,21 +514,19 @@ def _reindexed(A: RootBundle, q: MonicPolynomial, smap: SelfMap) -> RootBundle |
     φ at degree 3 or more takes ``A``'s solve of the same rows, where a
     separate continuation solve can differ in the last bits.
     """
-    p, base, tol = A.poly, A.base, A.tol
-    phi = smap.image_samples
-    if q.coeff_values.tobytes() != np.take(p.coeff_values, phi, axis=0).tobytes():
+    p, base, phi = A.poly, A.base, smap.image_samples
+    # compared as uint64 words, byte for byte; A's fibers passed
+    # _check_residuals row by row on these very rows, so they need no recheck
+    words = [np.ascontiguousarray(c).view(np.uint64) for c in (q.coeff_values, p.coeff_values)]
+    if not np.array_equal(words[0], np.take(words[1], phi, axis=0)):
         return None
-    tails, heads = base.edges.T
-    image = base.edge_ids(phi[tails], phi[heads])
-    bisected = np.zeros(base.n_edges, dtype=bool)
-    bisected[list(A.refinement)] = True
-    if np.any(image < 0) or np.any(bisected[image]):
+    image = base.edge_ids(*np.take(phi, base.edges).T)
+    if np.any(image < 0) or np.isin(image, list(A.refinement)).any():
         return None
     # np.take gathers whole rows several times faster than fancy indexing
-    fibers = np.take(A.fibers, phi, axis=0)
-    _check_residuals(q.coeff_values, fibers, tol)
-    return RootBundle(base, A.degree, fibers, np.take(A.edge_perms, image, axis=0),
-                      np.take(A.branch_flags, phi), refinement={}, poly=q, tol=tol)
+    return RootBundle(base, A.degree, np.take(A.fibers, phi, axis=0),
+                      np.take(A.edge_perms, image, axis=0),
+                      np.take(A.branch_flags, phi), refinement={}, poly=q, tol=A.tol)
 
 
 def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -> RootBundle:

@@ -45,19 +45,20 @@ class InadmissibleError(ExtendError):
 
 
 def _tree_transports(bundles, nodes, tree_edges, dirs, pred, moving):
-    """Per bundle, the transports F of the owners, and each sample's row
-    ``owner`` of F: T = F[owner] has T[root] = id and T[x] = step(x) . T[pred[x]].
+    """Each sample's row ``owner``, and per bundle given (only the source when
+    it is the target) its owner table F, one row per owner, with F's inverse
+    rows: T = F[owner] has T[root] = id and T[x] = step(x) . T[pred[x]].
 
     ``step(x)``, the sheet permutation along x's tree edge, is the identity
-    unless ``moving`` marks that edge, so T is constant between the steps
-    that move a sheet.  A sample's owner is its nearest ancestor-or-self
-    whose step moves a sheet, or the root (row 0, the one sample that is
-    its own ``pred``), found by pointer jumping.  The owners' transports are composed together,
-    as one block-diagonal permutation per owner, by pointer doubling: while
-    ``F[x] = P[x] . F[anc[x]]`` for a partial product P, each round sets
-    ``P[x] <- P[x] . P[anc[x]]`` and ``anc[x] <- anc[anc[x]]`` for every x
-    whose ``anc`` is not yet the root, so owners at most d moves deep take
-    about log2(d) rounds.
+    unless ``moving`` marks that edge, so T is constant between the steps that
+    move a sheet.  A sample's owner is its nearest ancestor-or-self whose step
+    moves a sheet, or the root (row 0, the one sample that is its own
+    ``pred``), found by pointer jumping.  The owners' transports are composed
+    together, as one block-diagonal permutation per owner, by pointer
+    doubling: while ``F[x] = P[x] . F[anc[x]]`` for a partial product P, each
+    round sets ``P[x] <- P[x] . P[anc[x]]`` and ``anc[x] <- anc[anc[x]]`` for
+    every x whose ``anc`` is not yet the root, so owners at most d moves deep
+    take about log2(d) rounds.
     """
     moves = moving[tree_edges]
     movers = nodes[moves]
@@ -82,12 +83,14 @@ def _tree_transports(bundles, nodes, tree_edges, dirs, pred, moving):
         F[todo] = np.take_along_axis(F[todo], F[up], axis=1)
         anc[todo] = anc[up]
         todo = todo[anc[todo] != 0]
-    return row[owner], [F[:, lo:hi] - lo for lo, hi in zip(offsets, offsets[1:])]
+    both = np.stack([F, _inverse_rows(F)])      # each block-diagonal, a block per bundle
+    return row[owner], [tuple(both[..., lo:hi] - lo) for lo, hi in zip(offsets, offsets[1:])]
 
 
 class LiftProblem:
     """Fiber-assignment constraints between two bundles over one base, and
-    the tolerances both were built with."""
+    the tolerances both were built with.  Sheet transports are kept one row
+    per owner, one table when the target is the source (:meth:`_build_transports`)."""
 
     def __init__(self, source: RootBundle, target: RootBundle):
         if source.base is not target.base:
@@ -99,7 +102,7 @@ class LiftProblem:
         self.tol = source.tol
         self.base = source.base
         self.basepoint = self._pick_basepoint()
-        self._build_loop_constraints(*self._build_transports())
+        self._build_loop_constraints(self._build_transports())
         self._build_orbits()
         self._build_merge_constraints()
         self._probes: dict[int, _QuotientProbe] = {}     # filled by divided_quotient_test
@@ -113,33 +116,32 @@ class LiftProblem:
     def _build_transports(self):
         """Sheet transports from the basepoint along the BFS spanning tree.
 
-        ``TA[x]`` (``TB[x]``) sends a basepoint slot of the source (target)
-        to its slot at sample x; ``cotree`` lists the edges off the tree.
-        Both are gathered as T = F[owner] from the transports F of the
-        owners (see ``_tree_transports``); returns ``owner`` and the (E,)
-        mask of the edges that move a sheet in either bundle.
-        """
+        ``FA[owner[x]]`` (``FB[owner[x]]``) sends a basepoint slot of the
+        source (target) to its slot at sample x, ``invFA`` (``invFB``) back,
+        one row per owner (see ``_tree_transports``); when the target is the
+        source they are found once, and ``FB is FA``.  ``cotree`` lists the
+        edges off the tree.  Returns the (E,) mask of the moving edges."""
         base = self.base
         tree, _ = base.spanning_tree(self.basepoint)
         nodes, tree_edges, dirs = tree.T
-        ends = base.edges[tree_edges]
+        ends = np.take(base.edges, tree_edges, axis=0)
         pred = np.arange(base.n_samples)
         pred[nodes] = np.where(dirs > 0, ends[:, 0], ends[:, 1])
         # a permutation is the identity exactly when its inverse is, so the
-        # test needs no direction
+        # test needs no direction, and when it fixes every slot but the last
+        bundles = (self.source,) if self.target is self.source else (self.source, self.target)
         moving = np.zeros(base.n_edges, dtype=bool)
-        for bundle in (self.source, self.target):
-            moving |= _reduce_slots(np.logical_or, bundle.edge_perms != np.arange(bundle.degree))
-        owner, (FA, FB) = _tree_transports((self.source, self.target),
-                                           nodes, tree_edges, dirs, pred, moving)
-        self.TA, self.TB = FA[owner], FB[owner]
-        self.invTA, self.invTB = _inverse_rows(FA)[owner], _inverse_rows(FB)[owner]
+        for bundle in bundles:
+            for j in range(bundle.degree - 1):
+                moving |= bundle.edge_perms[:, j] != j
+        self.owner, tables = _tree_transports(bundles, nodes, tree_edges, dirs, pred, moving)
+        (self.FA, self.invFA), (self.FB, self.invFB) = tables[0], tables[-1]
         in_tree = np.zeros(base.n_edges, dtype=bool)
         in_tree[tree_edges] = True
         self.cotree = np.flatnonzero(~in_tree)
-        return owner, moving
+        return moving
 
-    def _build_loop_constraints(self, owner, moving):
+    def _build_loop_constraints(self, moving):
         """Each co-tree edge x->y yields g0 . rhoA = rhoB . g0 at the basepoint.
 
         ``loop_pairs`` keeps each distinct (rhoA, rhoB) once, in order of
@@ -147,16 +149,16 @@ class LiftProblem:
         sheet gives a pair fixed by the owners of its ends, so only the
         first edge of each owner pair is solved, with every moving edge.
         """
-        a, b = self.base.edges[self.cotree].T
+        a, b = np.take(self.owner, np.take(self.base.edges, self.cotree, axis=0)).T
         # one key per owner pair, and a negative one of its own per moving edge
         groups = np.where(moving[self.cotree], -1 - np.arange(len(self.cotree)),
-                        owner[a] * (owner.max() + 1) + owner[b])
+                          a * len(self.FA) + b)
         first = np.sort(np.unique(groups, return_index=True)[1])
         a, b, edges = a[first], b[first], self.cotree[first]
-        rhoA = np.take_along_axis(self.invTA[b], np.take_along_axis(
-            self.source.edge_perms[edges], self.TA[a], axis=1), axis=1)
-        rhoB = np.take_along_axis(self.invTB[b], np.take_along_axis(
-            self.target.edge_perms[edges], self.TB[a], axis=1), axis=1)
+        rhoA, rhoB = (np.take_along_axis(np.take(inv, b, axis=0), np.take_along_axis(
+            bundle.edge_perms[edges], np.take(F, a, axis=0), axis=1), axis=1)
+            for bundle, F, inv in ((self.source, self.FA, self.invFA),
+                                   (self.target, self.FB, self.invFB)))
         keep = []
         if len(edges):
             # one opaque key per (rhoA, rhoB) row; unique's stable sort
@@ -214,9 +216,9 @@ class LiftProblem:
         self.merge_samples = [s for s, clusters in table.items() if clusters]
         for s in self.merge_samples:
             # values of the basepoint slots at s
-            allowed = self.values_agree(s, self.target.fibers[s][self.TB[s]])
+            allowed = self.values_agree(s, self.target.fibers[s][self.FB[self.owner[s]]])
             for cluster in table[s]:
-                slots = [int(self.invTA[s][i]) for i in cluster]
+                slots = self.invFA[self.owner[s]][cluster].tolist()
                 for x, y in itertools.combinations(slots, 2):
                     key = (min(x, y), max(x, y))
                     mat = allowed if x < y else allowed.T
@@ -271,8 +273,7 @@ class LiftProblem:
     def assignments_for(self, g0) -> np.ndarray:
         """Per-sample sheet maps G with G[x, i] the target slot of source slot i."""
         g0 = np.asarray(g0, dtype=np.intp)
-        rows = np.arange(self.base.n_samples)[:, None]
-        return self.TB[rows, g0[self.invTA]]
+        return np.take(np.take_along_axis(self.FB, g0[self.invFA], axis=1), self.owner, axis=0)
 
 
 @dataclass
@@ -290,19 +291,22 @@ class LiftWitness:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """f on the source bundle: value of the assigned target sheet."""
-        rows = np.arange(self.problem.base.n_samples)[:, None]
-        return self.problem.target.fibers[rows, self.assignments]
+        return _row_take(self.problem.target.fibers, self.assignments)
+
+
+def _row_take(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[x, cols[x, i]]`` for each row x of ``cols``, taken flat."""
+    return np.take(table, np.arange(len(cols))[:, None] * table.shape[1] + cols)
 
 
 def validate_witness(problem: LiftProblem, witness: LiftWitness) -> dict:
     """Re-check every lift constraint directly against the raw bundles."""
     A, B = problem.source, problem.target
     G = witness.assignments
-    edges = problem.base.edges
-    permsA = A.edge_perms
-    permsB = B.edge_perms
-    lhs = np.take_along_axis(G[edges[:, 1]], permsA, axis=1)
-    rhs = np.take_along_axis(permsB, G[edges[:, 0]], axis=1)
+    tails, heads = problem.base.edges.T
+    # G[head][permsA] against permsB[G[tail]], edge by edge
+    lhs = np.take(G, heads[:, None] * G.shape[1] + A.edge_perms)
+    rhs = _row_take(B.edge_perms, np.take(G, tails, axis=0))
     edge_ok = bool(np.array_equal(lhs, rhs))
     merge_ok = True
     worst_spread = 0.0
@@ -312,9 +316,7 @@ def validate_witness(problem: LiftProblem, witness: LiftWitness) -> dict:
             spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
             worst_spread = max(worst_spread, spread)
             merge_ok &= bool(problem.values_agree(s, vals).all())
-    fiber_ok = bool(np.array_equal(
-        witness.values,
-        B.fibers[np.arange(problem.base.n_samples)[:, None], G]))
+    fiber_ok = bool(np.array_equal(witness.values, _row_take(B.fibers, G)))
     return {
         "edge_constraints": edge_ok,
         "merge_constraints": merge_ok,
@@ -400,7 +402,7 @@ def _fiber_counts(problem: LiftProblem, sample: int, cyclesB, pairing) -> tuple[
     A = problem.source
     n_src = A.degree - sum(len(c) - 1 for c in A.merge_clusters[sample])
     required = sorted({slot for t in pairing for slot in cyclesB[t[0]]})
-    vals = problem.target.fibers[sample][problem.TB[sample][required]]
+    vals = problem.target.fibers[sample][problem.FB[problem.owner[sample]][required]]
     groups = node_components(len(vals), np.argwhere(problem.values_agree(sample, vals)))
     return n_src, len(groups)
 

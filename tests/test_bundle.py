@@ -407,6 +407,59 @@ def test_screened_matching_equals_the_search(n, margin):
     assert np.array_equal(_match_edges(tails, heads, margin, leaf)[0][kept], perm[kept])
 
 
+def _match_edges_strided(tails, heads, margin, leaf=True):
+    """``_match_edges`` as it was with the squared-distance table built from
+    the strided transposes, kept to pin the contiguous build to it."""
+    from rootlift.bundle import _first_least_assignment
+    m, n = tails.shape
+    dist = np.abs(tails.T[:, None, :] - heads.T[None, :, :]) ** 2
+    near = np.zeros((n, m), dtype=np.intp)
+    d1, d2 = dist[:, 0], np.full((n, m), np.inf)
+    for j in range(1, n):
+        closer = dist[:, j] < d1
+        d2 = np.where(closer, d1, np.minimum(d2, dist[:, j]))
+        d1 = np.where(closer, dist[:, j], d1)
+        near[closer] = j
+    best = d1.sum(axis=0)
+    g1, g2 = d2[0] - d1[0], np.full(m, np.inf)
+    for g in d2[1:] - d1[1:]:
+        g1, g2 = np.minimum(g1, g), np.minimum(g2, np.maximum(g1, g))
+    gap = g1 + g2
+    bound = best + gap
+    clear = _permutation_columns(near) & (gap > 1e-9 * best)
+    settled = clear & (bound * (1.0 - 1e-9) >= margin * best)
+    perms = np.ascontiguousarray(near.T)
+    search = ~clear & leaf
+    first = search & (dist[np.arange(n), np.arange(n)].sum(axis=0) <= best * (1.0 + 1e-12))
+    perms[first] = np.arange(n)
+    for e in np.flatnonzero(search & ~first):
+        perms[e] = _first_least_assignment(dist[:, :, e])
+    return perms, settled, best, bound
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_contiguous_distance_table_matches_the_strided_one_bit_for_bit(n):
+    # random fibers with repeated roots, exact ties (0/1 lattices, equal
+    # rows) and rows the search decides, in both memory layouts
+    from rootlift.bundle import _match_edges
+    rng = np.random.default_rng(900 + n)
+    m = 300
+    tails = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    heads = tails[:, rng.permutation(n)] + 0.3 * rng.standard_normal((m, n))
+    tails[::5, 1] = tails[::5, 0]
+    tails[1::7] = heads[1::7] = 0.5
+    heads[3::11] = tails[3::11]
+    tails[2::9] = rng.integers(0, 2, size=tails[2::9].shape)
+    heads[2::9] = rng.integers(0, 2, size=heads[2::9].shape)
+    leaf = rng.random(m) < 0.5
+    for t, h in ((tails, heads), (np.asfortranarray(tails), np.asfortranarray(heads))):
+        for margin, marks in ((2.0, True), (4.0, leaf)):
+            got = _match_edges(t, h, margin, marks)
+            want = _match_edges_strided(tails, heads, margin, marks)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_non_finite_roots_are_rejected_before_matching(monkeypatch):
     # matching needs finite roots: the residual guard stops a non-finite
     # sample fiber in build_bundle and a non-finite midpoint in _bisect

@@ -217,7 +217,7 @@ def _ref_strip_obstruction(problem):
         if n_src == A.degree:
             continue                    # no merged sheets, so no merge constraint here
         merge_tol = tol.branch_tol + tol.merge_scale * B.local_motion[s]
-        n_req = _group_count(B.fibers[s][problem.TB[s][required_slots]],
+        n_req = _group_count(B.fibers[s][problem.FB[problem.owner[s]][required_slots]],
                              lambda u, v: abs(u - v) <= merge_tol)
         if n_src < n_req:
             return {

@@ -370,6 +370,39 @@ def test_witness_validator_catches_corruption():
     assert not report["valid"]
 
 
+def test_witness_validator_catches_a_flipped_sample_on_a_torus():
+    # the identity control at 64 x 64: one sample's map flipped breaks the
+    # edges at that sample and nothing else
+    base = make_torus2(64, 64)
+    A = build_bundle(poly_from_exprs(base, ["-exp(1i*theta1)", "0"]))
+    problem = LiftProblem(A, A)
+    w = problem.enumerate(max_count=1)[0]
+    assert validate_witness(problem, w)["valid"]
+    corrupt = w.assignments.copy()
+    corrupt[2080] = corrupt[2080][::-1]
+    w.assignments = corrupt
+    del w.values
+    report = validate_witness(problem, w)
+    assert not report["edge_constraints"]
+    assert report["merge_constraints"] and report["fiber_membership"]
+
+
+def test_witness_validator_catches_a_split_merge_on_a_circle():
+    # the sheets +-cos(theta) merge at theta = pi/2 and 3 pi/2; the map that
+    # keeps them apart on the constant sheets +-1 meets every edge
+    # constraint, yet sends each merged pair to two sheets 2 apart
+    base = make_circle(120)
+    A = build_bundle(poly_from_roots(base, ["cos(theta)", "-cos(theta)"]))
+    B = build_bundle(poly_from_roots(base, ["1", "-1"]))
+    problem = LiftProblem(A, B)
+    assert problem.merge_samples == [30, 90]
+    assert [w.g0 for w in problem.enumerate()] == [(0, 0), (1, 1)]
+    w = LiftWitness(problem, (0, 1))
+    report = validate_witness(problem, w)
+    assert report["edge_constraints"] and report["fiber_membership"]
+    assert not report["merge_constraints"] and report["worst_merge_spread"] == 2.0
+
+
 def test_witnesses_compare_by_problem_and_basepoint_map():
     problem, _, _ = _square_pair_problem(101)
     first, second = problem.enumerate(), problem.enumerate()
@@ -406,8 +439,9 @@ def _reference_loop_pairs(problem):
     for eid, (a, b) in enumerate(base.edges.tolist()):
         if eid in in_tree:
             continue
-        rhoA = problem.invTA[b][problem.source.edge_perms[eid][problem.TA[a]]]
-        rhoB = problem.invTB[b][problem.target.edge_perms[eid][problem.TB[a]]]
+        oa, ob = problem.owner[a], problem.owner[b]
+        rhoA = problem.invFA[ob][problem.source.edge_perms[eid][problem.FA[oa]]]
+        rhoB = problem.invFB[ob][problem.target.edge_perms[eid][problem.FB[oa]]]
         pairs.append((rhoA, rhoB))
     return pairs
 
@@ -416,8 +450,8 @@ def _check_against_reference(problem):
     TA, TB = _reference_transports(problem)
     assert len(TA) == problem.base.n_samples
     for s in range(problem.base.n_samples):
-        assert np.array_equal(problem.TA[s], TA[s])
-        assert np.array_equal(problem.TB[s], TB[s])
+        assert np.array_equal(problem.FA[problem.owner[s]], TA[s])
+        assert np.array_equal(problem.FB[problem.owner[s]], TB[s])
     ref = _reference_loop_pairs(problem)
     key = [(tuple(a.tolist()), tuple(b.tolist())) for a, b in ref]
     got = [(tuple(a.tolist()), tuple(b.tolist())) for a, b in problem.loop_pairs]
@@ -558,6 +592,22 @@ def test_the_pullback_is_built_where_reindexing_could_differ(monkeypatch, case, 
     _assert_same_bundle(problem.target, pullback(p, smap))
 
 
+@pytest.mark.parametrize("case", [
+    *PERMUTING[:3],
+    pytest.param(lambda: _on(make_torus2(33, 33), ["-exp(1i*theta1)", "0", "0"], _swap),
+                 id="cubic-swap33")])
+def test_reindexed_residuals_are_the_sources_at_the_images(case):
+    # the re-indexed bundle runs no residual check of its own: its rows and
+    # fibers are the source's at the images, which passed it row by row
+    p, smap = case()
+    A = build_bundle(p)
+    B = bundle._reindexed(A, bundle.pullback_polynomial(p, smap), smap)
+    assert B is not None
+    phi = smap.image_samples
+    assert (_kernels.residuals(B.poly.coeff_values, B.fibers).tobytes()
+            == _kernels.residuals(p.coeff_values, A.fibers)[phi].tobytes())
+
+
 def test_a_cubic_swap_decides_as_the_built_pullback():
     # at degree 3 the continuation solve of the pullback can differ from the
     # source's in the last bits; the decision cannot
@@ -635,8 +685,9 @@ def _permuted(bundle, share, rng):
 
 
 def _check_inverses(problem):
-    for T, inv in ((problem.TA, problem.invTA), (problem.TB, problem.invTB)):
-        assert np.array_equal(np.take_along_axis(inv, T, axis=1),
+    for F, inv in ((problem.FA, problem.invFA), (problem.FB, problem.invFB)):
+        T, invT = F[problem.owner], inv[problem.owner]         # every sample's row
+        assert np.array_equal(np.take_along_axis(invT, T, axis=1),
                               np.broadcast_to(np.arange(T.shape[1]), T.shape))
 
 
@@ -652,6 +703,33 @@ def test_lift_problem_matches_reference_on_permuted_bundles(share):
             for problem in (LiftProblem(A, B), LiftProblem(A, A)):
                 _check_against_reference(problem)
                 _check_inverses(problem)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(lambda: _square_pair_problem(101)[0].source, id="interval-merges"),
+    pytest.param(lambda: build_bundle(crossing_quintic(make_circle(400))), id="circle-quintic"),
+    pytest.param(lambda: build_bundle(poly_from_exprs(make_torus2(16, 16),
+                                                      ["-exp(1i*theta1)", "0"])), id="torus"),
+    pytest.param(lambda: _permuted(_constant_sheets(make_graph(1, [(0, 0), (0, 0)], 20), 3),
+                                   0.1, np.random.default_rng(5)), id="graph-permuted"),
+])
+def test_a_problem_on_one_bundle_shares_its_transports(source):
+    A = source()
+    same, twin = LiftProblem(A, A), LiftProblem(A, dataclasses.replace(A))
+    assert same.FB is same.FA and same.invFB is same.invFA
+    assert twin.FB is not twin.FA
+    assert np.array_equal(same.owner, twin.owner)
+    assert np.array_equal(same.FA, twin.FB) and np.array_equal(same.invFA, twin.invFB)
+    assert ([(a.tolist(), b.tolist()) for a, b in same.loop_pairs]
+            == [(a.tolist(), b.tolist()) for a, b in twin.loop_pairs])
+    assert ([(s.tolist(), c.tolist()) for s, c in same.orbits]
+            == [(s.tolist(), c.tolist()) for s, c in twin.orbits])
+    assert ([(a, b, m.tolist()) for a, b, m in same.merge_pairs]
+            == [(a, b, m.tolist()) for a, b, m in twin.merge_pairs])
+    assert decide_lift(same).to_json() == decide_lift(twin).to_json()
+    for problem in (same, twin):
+        _check_against_reference(problem)
+        _check_inverses(problem)
 
 
 def test_lift_problem_matches_reference_from_a_branch_basepoint():
