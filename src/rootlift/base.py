@@ -251,19 +251,25 @@ class BaseSpace:
     def edge_ids(self, tails, heads) -> np.ndarray:
         """The lowest-id edge with tail ``tails[k]`` and head ``heads[k]``,
         or -1 where there is none: each tail's outgoing edges are tried in
-        edge-id order, one per pass."""
+        edge-id order, one per pass, the last pass first."""
         tails, heads = np.asarray(tails, dtype=np.intp), np.asarray(heads, dtype=np.intp)
-        out_edges = np.argsort(self.edges[:, 0], kind="stable")   # grouped by tail
+        out_edges, first = self._out_edges
+        start = first[tails]
+        count = first[tails + 1] - start
+        found = np.full(len(tails), -1, dtype=np.intp)
+        for k in reversed(range(int(count.max(initial=0)))):
+            e = np.take(out_edges, start + k, mode="clip")
+            found = np.where((np.take(self.edges[:, 1], e) == heads) & (k < count), e, found)
+        return found
+
+    @functools.cached_property
+    def _out_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every sample's outgoing edges in edge-id order, grouped by sample
+        (the adjacency's tail-side entries), and the (S + 1,) offsets of the
+        groups; kept once per base, as :meth:`spanning_tree` keeps its trees."""
         first = np.zeros(self.n_samples + 1, dtype=np.intp)
         np.cumsum(np.bincount(self.edges[:, 0], minlength=self.n_samples), out=first[1:])
-        start, count = first[tails], first[tails + 1] - first[tails]
-        found = np.full(len(tails), -1, dtype=np.intp)
-        edge_heads = self.edges[:, 1].copy()
-        for k in range(int(count.max(initial=0))):
-            e = np.take(out_edges, np.minimum(start + k, self.n_edges - 1))
-            hit = (k < count) & (np.take(edge_heads, e) == heads) & (found < 0)
-            found = np.where(hit, e, found)
-        return found
+        return self.adj_edge[self.adj_dir > 0], first
 
 
 def node_components(n: int, pairs) -> list[np.ndarray]:

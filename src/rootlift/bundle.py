@@ -46,7 +46,6 @@ class Tolerances:
     fit_jump_factor: float = 50.0
     quotient_divergence: float = 1e6
     quotient_cauchy: float = 1e-4
-    admissible_zero_tol: float = 1e-9
 
     def as_dict(self):
         return asdict(self)
@@ -85,9 +84,15 @@ class MonicPolynomial:
 
     @functools.cached_property
     def fibers(self) -> np.ndarray:
-        """(S, n) canonically ordered roots per sample, solved once and
-        shared by :func:`discriminant` and :func:`build_bundle`."""
+        """(S, n) canonically ordered roots per sample, solved once."""
         return _kernels.track_fibers(self.coeff_values)
+
+    @functools.cached_property
+    def fiber_gaps(self) -> np.ndarray:
+        """(S,) smallest pairwise root distance per sample.  Below
+        ``branch_tol`` a sample has merged sheets: :func:`build_bundle`
+        flags it, and :func:`is_admissible` reads the same samples."""
+        return _min_fiber_gap(self.fibers)
 
     def coeffs_at(self, coords) -> np.ndarray:
         """(K, n) coefficients at K coordinates, shape (K,) or (K, 2) on torus2.
@@ -429,7 +434,7 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
     """Solve and glue all fibers of ``p`` into a :class:`RootBundle`."""
     fibers = p.fibers
     _check_residuals(p.coeff_values, fibers, tol)
-    flags = _min_fiber_gap(fibers) < tol.branch_tol
+    flags = p.fiber_gaps < tol.branch_tol
     perms, refinement = _bisect(p, fibers, flags, tol)
     return RootBundle(p.base, p.degree, fibers, perms, flags,
                       refinement=refinement, poly=p, tol=tol)
@@ -535,43 +540,31 @@ def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -
     return build_bundle(pullback_polynomial(p, smap), tol)
 
 
-# -- discriminant and admissibility ---------------------------------------------
-
-
-def discriminant(p: MonicPolynomial) -> funcspec.SampledFunction:
-    """Product of squared root differences per fiber."""
-    fibers = p.fibers
-    prod = np.ones(p.base.n_samples, dtype=complex)
-    for i, j in itertools.combinations(range(p.degree), 2):
-        prod *= (fibers[:, i] - fibers[:, j]) ** 2
-    return funcspec.SampledFunction(p.base, prod)
+# -- admissibility ----------------------------------------------------------------
 
 
 @dataclass
 class AdmissibilityReport:
     admissible: bool
-    zero_tol: float
     window: int
     runs: list[dict]
 
 
-def is_admissible(p: MonicPolynomial, zero_tol: float | None = None,
+def is_admissible(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL,
                   window: int | None = None) -> AdmissibilityReport:
-    """Discrete proxy for the discriminant zero set having empty interior.
+    """Discrete proxy for the set where ``p``'s roots coincide having empty
+    interior.
 
     The polynomial is admissible when no connected run of ``window``
-    samples (along any edge path) keeps |D| below ``zero_tol``.  The
+    samples (along any edge path) has merged sheets: a fiber gap below
+    ``tol.branch_tol``, the samples :func:`build_bundle` flags.  The
     default window scales with resolution so verdicts are stable under
     sample refinement.
     """
-    if zero_tol is None:
-        zero_tol = DEFAULT_TOL.admissible_zero_tol
-    S = p.base.n_samples
     if window is None:
-        window = max(8, math.ceil(0.02 * S))
-    d = discriminant(p).values
+        window = max(8, math.ceil(0.02 * p.base.n_samples))
     runs = []
-    for comp in p.base.components(np.abs(d) < zero_tol):
+    for comp in p.base.components(p.fiber_gaps < tol.branch_tol):
         span = _component_path_span(p.base, comp)
         if span >= window:
             runs.append({
@@ -579,7 +572,7 @@ def is_admissible(p: MonicPolynomial, zero_tol: float | None = None,
                 "size": len(comp),
                 "path_span": span,
             })
-    return AdmissibilityReport(p.degree >= 2 and not runs, zero_tol, window, runs)
+    return AdmissibilityReport(not runs, window, runs)
 
 
 def _component_path_span(base, comp):

@@ -39,7 +39,7 @@ def has_root(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     root surface.  A yes-verdict carries the sampled root function and its
     worst residual.
     """
-    report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
+    report = is_admissible(p, tol=tol)
     if not report.admissible:
         raise InadmissibleError("polynomial is not admissible")
     return _section_verdict(build_bundle(p, tol))
@@ -206,6 +206,6 @@ def random_tree_quadratic(base: BaseSpace, rng, tol: Tolerances = DEFAULT_TOL,
         c0 = _smooth_graph_values(base, rng)
         c1 = _smooth_graph_values(base, rng)
         p = poly_from_values(base, [c0, c1])
-        if is_admissible(p, zero_tol=tol.admissible_zero_tol).admissible:
+        if is_admissible(p, tol=tol).admissible:
             return p
     raise ExtendError("could not draw an admissible quadratic")

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import monodromy as monod
 from ._kernels import _reduce_slots
-from .base import node_components
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
                      _inverse_rows, _match_edges, _reindexed, build_bundle,
                      is_admissible, pullback_polynomial, solve_fiber)
@@ -233,9 +231,12 @@ class LiftProblem:
         A depth-first product over the orbits' choices; each merge pair is
         checked at the orbit that sets the later of its two slots.  Each
         orbit's first slot is the smallest not set before it, so ordering
-        by the choices is ordering by g0.  ``orbits`` is fixed when the
+        by the choices is ordering by g0.  An orbit without a choice leaves
+        no lift, so then nothing is searched.  ``orbits`` is fixed when the
         problem is built, while ``merge_pairs`` is read on every call.
         """
+        if not all(len(choices) for _, choices in self.orbits):
+            return iter(())
         g0 = np.zeros(self.source.degree, dtype=np.intp)
         depth = np.empty_like(g0)                        # the orbit of each slot
         for k, (slots, _) in enumerate(self.orbits):
@@ -382,81 +383,8 @@ def _trim_certificate(cert):
     return _jsonable(cert)
 
 
-def _strip_pairing(problem: LiftProblem):
-    """The cycles of the first loop's source and target permutations, and
-    per source cycle the target cycles an equivariant basepoint map can
-    send it onto: those whose length divides its own."""
-    rhoA, rhoB = problem.loop_pairs[0]
-    cyclesA = monod.permutation_cycles(rhoA)
-    cyclesB = monod.permutation_cycles(rhoB)
-    pairing = [[k for k, c in enumerate(cyclesB) if len(a) % len(c) == 0] for a in cyclesA]
-    return cyclesA, cyclesB, pairing
-
-
-def _fiber_counts(problem: LiftProblem, sample: int, cyclesB, pairing) -> tuple[int, int]:
-    """Under a forced pairing, the source's sheets at ``sample`` with each
-    merged group counted once, and the groups that the values of the paired
-    target slots connect under :meth:`LiftProblem.values_agree`.  A lift
-    sends each merged group into one such group and reaches every paired
-    slot, so it needs the first count at least the second."""
-    A = problem.source
-    n_src = A.degree - sum(len(c) - 1 for c in A.merge_clusters[sample])
-    required = sorted({slot for t in pairing for slot in cyclesB[t[0]]})
-    vals = problem.target.fibers[sample][problem.FB[problem.owner[sample]][required]]
-    groups = node_components(len(vals), np.argwhere(problem.values_agree(sample, vals)))
-    return n_src, len(groups)
-
-
-def _strip_obstruction(problem: LiftProblem):
-    """Circle fast paths: winding divisibility, then forced-pairing counting.
-
-    Returns a certificate dict when a sound obstruction is found, else None.
-    Both arguments are consequences of the loop-equivariance constraint;
-    the count, taken at the merge samples with the lift search's own merge
-    rules, can only say "no" where the search would.
-    """
-    if problem.base.kind != "circle" or not problem.loop_pairs:
-        return None
-    cyclesA, cyclesB, pairing = _strip_pairing(problem)
-    for cyc, targets in zip(cyclesA, pairing):
-        if not targets:
-            return {
-                "kind": "strip_divisibility",
-                "source_winding": len(cyc),
-                "target_windings": sorted(len(c) for c in cyclesB),
-            }
-    if any(len(t) != 1 for t in pairing):
-        return None                    # pairing not forced; leave it to the search
-    for s in problem.merge_samples:
-        n_src, n_req = _fiber_counts(problem, s, cyclesB, pairing)
-        if n_src < n_req:
-            return {
-                "kind": "fiber_count",
-                "sample": s,
-                "coordinate": float(problem.base.coords[s]),
-                "source_distinct": n_src,
-                "target_distinct": n_req,
-                "pairing": [[len(cyclesA[i]), len(cyclesB[t[0]])]
-                            for i, t in enumerate(pairing)],
-            }
-    return None
-
-
 def recheck_certificate(problem: LiftProblem, certificate: dict) -> bool:
     """Re-derive a negative certificate from the problem: True when it holds."""
-    if certificate["kind"] == "strip_divisibility":
-        sA = monod.strips(problem.source).windings
-        sB = monod.strips(problem.target).windings
-        a = certificate["source_winding"]
-        return a in sA and all(a % b != 0 for b in sB)
-    if certificate["kind"] == "fiber_count":
-        s = certificate["sample"]
-        _, cyclesB, pairing = _strip_pairing(problem)
-        if s not in problem.merge_samples or any(len(t) != 1 for t in pairing):
-            return False
-        n_src, n_req = _fiber_counts(problem, s, cyclesB, pairing)
-        return n_src < n_req and [n_src, n_req] == [certificate["source_distinct"],
-                                                    certificate["target_distinct"]]
     if certificate["kind"] == "csp_exhaustion":
         return not problem.enumerate(max_count=1)
     return False
@@ -471,13 +399,12 @@ def _base_diagnostics(problem: LiftProblem) -> dict:
 
 
 def decide_lift(problem: LiftProblem) -> Verdict:
-    """Existence decision: fast-path certificates, then the first lift as
-    witness and the exact lift count."""
-    cert = _strip_obstruction(problem)
-    if cert is not None:
-        if not recheck_certificate(problem, cert):
-            raise ExtendError("fast-path certificate failed its recheck")
-        return Verdict("no", certificate=cert, diagnostics=_base_diagnostics(problem))
+    """Existence decision: the first lift as witness and the exact lift
+    count, or a ``csp_exhaustion`` certificate.  Its ``orbit_choices``
+    holds each orbit's number of choices: a 0 means the loops alone leave
+    no basepoint map, as on a circle a source winding that no target
+    winding divides does; otherwise the merges at ``merge_samples`` refute
+    every map the loops allow."""
     lifts = problem.enumerate(max_count=1)
     if lifts:
         witness = lifts[0]
@@ -494,6 +421,7 @@ def decide_lift(problem: LiftProblem) -> Verdict:
         "source_degree": problem.source.degree,
         "target_degree": problem.target.degree,
         "loop_constraints": len(problem.cotree),
+        "orbit_choices": [len(choices) for _, choices in problem.orbits],
         "merge_samples": [int(s) for s in problem.merge_samples],
     }
     return Verdict("no", certificate=cert, diagnostics=_base_diagnostics(problem))
@@ -505,11 +433,10 @@ def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> Lif
     ``p`` is not admissible.  Where ``smap`` permutes the samples, edges
     onto edges, the pullback's bundle is the source's re-indexed (see
     :func:`bundle._reindexed`); otherwise it is built like the source's."""
-    report = is_admissible(p, zero_tol=tol.admissible_zero_tol)
+    report = is_admissible(p, tol=tol)
     if not report.admissible:
         raise InadmissibleError(
-            f"polynomial is not admissible: {len(report.runs)} flat "
-            f"discriminant run(s)")
+            f"polynomial is not admissible: {len(report.runs)} run(s) of merged sheets")
     A = build_bundle(p, tol)
     q = pullback_polynomial(p, smap)
     B = _reindexed(A, q, smap)

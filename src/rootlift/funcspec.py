@@ -25,9 +25,8 @@ wrapper :func:`eval_scalar`.  It is the reference: a point at a sample
 coordinate reproduces that sample's value bit for bit, and a non-finite
 value off the samples is an :class:`EvalError` that names the point.  Its
 ``side`` takes the branch beside a ``piecewise`` threshold, and
-:func:`breakpoints` lists the thresholds where a value can jump;
-:func:`survey` also tells whether a ``sqrt`` or a variable denominator can
-break one between them.
+:func:`survey` lists the thresholds where a value can jump, and tells
+whether a ``sqrt`` or a variable denominator can break one between them.
 """
 
 from __future__ import annotations
@@ -416,17 +415,12 @@ def _eval(node, env, side=None):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def breakpoints(exprs) -> dict:
-    """Each variable's distinct ``piecewise`` thresholds in ``exprs``, as an
-    ascending array: the only coordinates where a branch can switch."""
-    return survey(exprs)[0]
-
-
 def survey(exprs) -> tuple[dict, bool]:
-    """:func:`breakpoints` of ``exprs``, and whether they hold a ``sqrt`` or
-    a ``/`` whose denominator holds a variable, either of which can also
-    break a value between thresholds: both from one walk of each
-    expression."""
+    """Each variable's distinct ``piecewise`` thresholds in ``exprs``, as an
+    ascending array (the only coordinates where a branch can switch), and
+    whether they hold a ``sqrt`` or a ``/`` whose denominator holds a
+    variable, either of which can also break a value between thresholds:
+    both from one walk of each expression."""
     cuts: dict = {}
     kinks = [_survey(expr, cuts)[1] for expr in exprs]
     return {var: np.array(sorted(ts)) for var, ts in cuts.items()}, any(kinks)

@@ -186,9 +186,19 @@ def exhaustive_match(tails, heads):
 # -- reference discriminant ---------------------------------------------------------
 
 
+def root_discriminant(p) -> np.ndarray:
+    """Discriminant as the product of squared root differences of each of
+    ``p``'s sample fibers."""
+    fibers = p.fibers
+    prod = np.ones(p.base.n_samples, dtype=complex)
+    for i, j in itertools.combinations(range(p.degree), 2):
+        prod *= (fibers[:, i] - fibers[:, j]) ** 2
+    return prod
+
+
 def resultant_discriminant(p) -> np.ndarray:
     """Discriminant via the Sylvester resultant of p and p', the reference
-    for the product of squared root differences of ``bundle.discriminant``."""
+    for :func:`root_discriminant`."""
     n = p.degree
     S = p.base.n_samples
     desc = np.concatenate([np.ones((S, 1), dtype=complex),

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from instancegen import (random_admissible_poly, random_circle_selfmap, random_tree,
-                         resultant_discriminant, synthetic_strip_bundle)
+                         resultant_discriminant, root_discriminant, synthetic_strip_bundle)
 from rootlift import (build_bundle, identity_selfmap, make_circle, make_graph,
                       make_interval, pullback)
 from rootlift._kernels import residuals
-from rootlift.bundle import discriminant
 from rootlift.cli import run_scenario
 from rootlift.closedness import closedness_report, has_root
 from rootlift.extend import (LiftProblem, ah_fit, decide_lift,
@@ -104,15 +103,16 @@ def test_criterion_3_circle_rotation_reproduction():
     verdict = decide_lift(problem)
     assert verdict.answer == "no"
     cert = verdict.certificate
-    assert cert["kind"] == "fiber_count"
-    assert cert["source_distinct"] == 4
-    assert cert["target_distinct"] == 5
-    # the obstruction sample is the one nearest the point -1 (theta = pi)
-    assert abs(base.coords[cert["sample"]] - math.pi) <= 2 * math.pi / 2000
+    # the loops leave 3 x 2 basepoint maps, and the merge at the sample
+    # nearest the point -1 (theta = pi) refutes them all
+    assert cert["kind"] == "csp_exhaustion"
+    assert cert["orbit_choices"] == [3, 2]
+    assert [abs(base.coords[s] - math.pi) <= 2 * math.pi / 2000
+            for s in cert["merge_samples"]] == [True]
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    print(f"\nACCEPTANCE 3: PASS (half-turn: cole=no, fiber-count 4 vs 5 "
-          f"at theta~pi; {elapsed:.2f}s)")
+    print(f"\nACCEPTANCE 3: PASS (half-turn: cole=no, 3 x 2 loop-allowed maps "
+          f"refuted at theta~pi; {elapsed:.2f}s)")
 
 
 def test_criterion_4_torus_scenario(tmp_path):
@@ -215,7 +215,7 @@ def test_criterion_8_bundle_numerics():
     IA = build_bundle(ip)
     assert np.max(residuals(ip.coeff_values, IA.fibers)) < 1e-9
     # discriminant two ways
-    prod = discriminant(p).values
+    prod = root_discriminant(p)
     resd = resultant_discriminant(p)
     away = ~A.branch_flags
     rel = np.abs(prod - resd) / np.maximum(np.abs(prod), 1.0)

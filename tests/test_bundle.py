@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from instancegen import exhaustive_match, resultant_discriminant
+from instancegen import exhaustive_match, resultant_discriminant, root_discriminant
 from rootlift import (build_bundle, identity_selfmap, is_admissible, make_circle,
                       make_interval, make_torus2, poly_from_exprs, poly_from_roots,
                       poly_from_values, pullback, sample_selfmap, solve_fiber)
 from rootlift.bundle import (DEFAULT_TOL, AmbiguousMatchError, BundleError, MonicPolynomial,
-                             Tolerances, _min_fiber_gap, _permutation_columns, discriminant,
+                             Tolerances, _min_fiber_gap, _permutation_columns,
                              pullback_polynomial)
 from rootlift.scenarios import (crossing_quintic, cubic_contact_text, interval_square_pair,
                                 time_warp_map)
@@ -99,7 +99,7 @@ def test_fiber_residuals_below_tolerance():
 def _assert_resultant_agrees(p):
     """The product agrees with the resultant to a relative 1e-6 away from
     samples whose sheets merge."""
-    prod = discriminant(p).values
+    prod = root_discriminant(p)
     rel = np.abs(prod - resultant_discriminant(p)) / np.maximum(np.abs(prod), 1.0)
     away = _min_fiber_gap(p.fibers) >= DEFAULT_TOL.branch_tol
     assert np.all(rel[away] <= 1e-6)
@@ -108,8 +108,7 @@ def _assert_resultant_agrees(p):
 def test_discriminant_quadratic_is_4c():
     base = make_interval(11)
     p = poly_from_exprs(base, ["-(0.5+0.25i)+0*x", "0"])   # t^2 - c
-    d = discriminant(p)
-    assert np.allclose(d.values, 4 * (0.5 + 0.25j))
+    assert np.allclose(root_discriminant(p), 4 * (0.5 + 0.25j))
     _assert_resultant_agrees(p)
 
 
@@ -117,21 +116,21 @@ def test_discriminant_square_pair_value_at_zero():
     # D = 4 r^2, r(0) = -4 -> 64
     base = make_interval(5)
     p = interval_square_pair(base)
-    assert discriminant(p).values[0] == pytest.approx(64.0)
+    assert root_discriminant(p)[0] == pytest.approx(64.0)
     _assert_resultant_agrees(p)
 
 
 def test_discriminant_t2_plus_1():
     base = make_interval(7)
     p = poly_from_exprs(base, ["1+0*x", "0"])
-    assert np.allclose(discriminant(p).values, -4.0)
+    assert np.allclose(root_discriminant(p), -4.0)
     _assert_resultant_agrees(p)
 
 
 def test_resultant_matches_product_formula():
     base = make_circle(64)
     p = poly_from_exprs(base, ["-exp(1i*theta)", "0.3+0.1i", "0.2+0i"])
-    prod = discriminant(p).values
+    prod = root_discriminant(p)
     res = resultant_discriminant(p)
     rel = np.abs(prod - res) / np.maximum(np.abs(prod), 1.0)
     assert np.max(rel) < 1e-8

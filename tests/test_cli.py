@@ -92,8 +92,12 @@ def test_main_builtin_roundtrip(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     doc = json.loads((tmp_path / "verdict.json").read_text())
-    assert doc["analyses"]["cole"]["answer"] == "no"
-    assert doc["analyses"]["cole"]["certificate_kind"] == "fiber_count"
+    cole = doc["analyses"]["cole"]
+    assert cole["answer"] == "no"
+    assert cole["certificate_kind"] == "csp_exhaustion"
+    # the merge at theta = pi, sample 100 of 200, refutes the 3 x 2 maps the loop allows
+    assert cole["certificate_data"]["orbit_choices"] == [3, 2]
+    assert cole["certificate_data"]["merge_samples"] == [100]
 
 
 def test_run_config_file_via_main(tmp_path):

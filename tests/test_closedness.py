@@ -151,10 +151,15 @@ def test_tree_quadratics_always_have_roots():
 
 
 def test_tree_draws_use_the_given_admissibility_tolerance():
-    # at this zero tolerance the default filter accepts draws that has_root
+    # at this branch tolerance the default filter accepts draws that has_root
     # rejects as inadmissible
     base = make_graph(4, [(0, 1), (1, 2), (1, 3)], 8)
-    tol = Tolerances(admissible_zero_tol=1.0)
+    tol = Tolerances(branch_tol=1.0)
+    rng = np.random.default_rng(0)
+    draws = [random_tree_quadratic(base, rng) for _ in range(20)]
+    with pytest.raises(InadmissibleError):
+        for p in draws:
+            has_root(p, tol)
     rep = closedness_report(base, tol=tol)
     assert rep.algebraically_closed_verdict
     assert len(rep.trials) == 20 and all(t["has_root"] == "yes" for t in rep.trials)

@@ -51,10 +51,12 @@ def test_half_turn_rejected_with_fiber_count_certificate():
     verdict = decide_lift(problem)
     assert verdict.answer == "no"
     cert = verdict.certificate
-    assert cert["kind"] == "fiber_count"
-    assert cert["source_distinct"] == 4 and cert["target_distinct"] == 5
-    # the counting obstruction sits at the sample nearest the point -1
-    assert abs(base.coords[cert["sample"]] - math.pi) < 2 * math.pi / 400
+    # the loop allows 3 x 2 basepoint maps, and the merge at the sample
+    # nearest the point -1, where 5 target values meet 4 source sheets,
+    # refutes them all
+    assert cert["kind"] == "csp_exhaustion" and cert["orbit_choices"] == [3, 2]
+    assert [abs(base.coords[s] - math.pi) < 2 * math.pi / 400
+            for s in cert["merge_samples"]] == [True]
 
 
 def test_time_warp_unique_lift():
@@ -77,9 +79,10 @@ def test_strip_divisibility_certificate_kind():
     base = make_circle(40)
     v = decide_lift(LiftProblem(synthetic_strip_bundle(base, [2]),
                                 synthetic_strip_bundle(base, [3])))
-    assert v.certificate["kind"] == "strip_divisibility"
-    assert v.certificate["source_winding"] == 2
-    assert v.certificate["target_windings"] == [3]
+    # a winding-2 strip has no image in a winding-3 one: its orbit has no choice
+    assert v.certificate["kind"] == "csp_exhaustion"
+    assert v.certificate["orbit_choices"] == [0]
+    assert v.certificate["merge_samples"] == []
 
 
 def test_square_pair_lift_enumeration():

@@ -162,10 +162,10 @@ def test_breakpoints_list_each_variables_distinct_thresholds():
     exprs = [parse("piecewise(theta1<=3, piecewise(theta2>=-1, 1, 2), theta1)"),
              parse("piecewise(theta1>=3, sqrt(theta1), piecewise(theta1<=0.5, 0, 1))"),
              parse("theta2")]
-    cuts = funcspec.breakpoints(exprs)
+    cuts, _ = funcspec.survey(exprs)
     assert {var: ts.tolist() for var, ts in cuts.items()} == {"theta1": [0.5, 3.0],
                                                               "theta2": [-1.0]}
-    assert funcspec.breakpoints([parse("exp(1i*x)")]) == {}
+    assert funcspec.survey([parse("exp(1i*x)")])[0] == {}
 
 
 def test_walk_visits_every_node_parent_first():

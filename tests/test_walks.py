@@ -16,7 +16,7 @@ from rootlift import (build_bundle, cli, funcspec, make_circle, make_graph, make
                       make_torus2, poly_from_exprs, poly_from_roots, poly_from_values,
                       pullback, sample_selfmap)
 from rootlift.base import BaseSpace, BaseSpaceError, _hop_distances
-from rootlift.bundle import DEFAULT_TOL, RootBundle, discriminant, is_admissible
+from rootlift.bundle import DEFAULT_TOL, RootBundle, _min_fiber_gap, is_admissible
 from rootlift.closedness import winding_function
 from rootlift.extend import _QuotientProbe, _transport_slots, ah_fit, lift_problem
 from rootlift.monodromy import component_count, components
@@ -332,7 +332,7 @@ def test_admissibility_runs_match_reference_walk(name):
     for mask in _masks(base, 3 * len(name)):
         g = np.where(mask, 0.0, 1.0 + np.arange(base.n_samples))
         p = poly_from_values(base, [g, zeros])
-        marked = np.abs(discriminant(p).values) < DEFAULT_TOL.admissible_zero_tol
+        marked = _min_fiber_gap(p.fibers) < DEFAULT_TOL.branch_tol
         for window in (1, 2, 3, 5, None):
             report = is_admissible(p, window=window)
             assert report.runs == _ref_admissibility_runs(base, marked, report.window)
