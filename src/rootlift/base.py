@@ -10,8 +10,9 @@ A :class:`SelfMap` on a base with a coordinate chart (interval, circle,
 torus) is its coordinate expressions and their exact values at the samples;
 on a graph, which has no chart, it is each sample's image location (edge +
 parameter).  Images need not land on sample points; ``image_samples``
-names the sample nearest each image, so a pullback can tell when the map
-only permutes the samples.
+names the sample nearest each image, and ``on_samples`` whether every image
+is that sample up to rounding, so a pullback can tell when the map only
+sends samples to samples.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ class SelfMap:
         """(S,) the sample nearest each image: on a chart, each image
         coordinate rounded to the grid (modulo the sample count on a
         circle's or torus's coordinate); on a graph, the nearer end of the
-        image's edge."""
+        image's edge; :attr:`on_samples` tests it against rounding."""
         base = self.base
         if base.kind == "graph":
             return base.nearest_samples(self.image_edges, self.image_params)
@@ -329,6 +330,21 @@ class SelfMap:
         sides = base.meta.get("shape", (base.n_samples,))
         steps = self.image_coords.reshape(base.n_samples, -1) / TWO_PI * np.array(sides)
         return np.ravel_multi_index(tuple(np.rint(steps).astype(np.intp).T), sides, mode="wrap")
+
+    @functools.cached_property
+    def on_samples(self) -> bool:
+        """Whether each image coordinate lies within 4·eps·L of its
+        :attr:`image_samples` entry's, L the chart period: 1 on the interval,
+        2π per circle or torus coordinate, measured around the circle.
+        False on a graph, which has no chart."""
+        base = self.base
+        if base.kind == "graph":
+            return False
+        S, period = base.n_samples, 1.0 if base.kind == "interval" else TWO_PI
+        off = np.abs(self.image_coords.reshape(S, -1)
+                     - np.take(base.coords.reshape(S, -1), self.image_samples, axis=0))
+        # around the circle; on the interval off is at most half a step
+        return bool(np.all(np.minimum(off, period - off) <= 4.0 * np.finfo(float).eps * period))
 
 
 def _expression_images(kind: str, exprs, coords: np.ndarray):

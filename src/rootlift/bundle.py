@@ -440,8 +440,9 @@ def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundl
                       refinement=refinement, poly=p, tol=tol)
 
 
-def _bisect(p, fibers, flags, tol):
-    """Sheet permutations of every edge of ``p``'s base, by bisection.
+def _bisect(p, fibers, flags, tol, ids=None):
+    """Sheet permutations of every edge of ``p``'s base, or of the edges
+    ``ids`` (ascending) alone, by bisection.
 
     Each edge starts as one span at depth 0; a span at depth d is its edge
     and its left end t0, of width 2^-d.  A span is a leaf, with its minimal
@@ -455,11 +456,12 @@ def _bisect(p, fibers, flags, tol):
     span's permutation composes its halves', left then right, from the
     deepest depth up.
 
-    Returns the (E, n) permutations and the midpoints of each edge that
-    split, edges and midpoints ascending.
+    Returns the (E, n) permutations, or one per edge of ``ids`` (an edge's
+    does not depend on the others bisected with it), and the midpoints of
+    each edge that split, edges and midpoints ascending.
     """
     n = p.degree
-    tails, heads = p.base.edges.T
+    tails, heads = (p.base.edges if ids is None else np.take(p.base.edges, ids, axis=0)).T
     # gathered slot-major, (n, E) transposed, so the depth-0 match copies nothing
     f0, f1 = np.take(fibers.T, tails, axis=1).T, np.take(fibers.T, heads, axis=1).T
     m0, m1 = flags[tails], flags[heads]
@@ -473,7 +475,8 @@ def _bisect(p, fibers, flags, tol):
             break
         at = np.flatnonzero(split)
         # a depth-0 span is its whole edge: no per-edge index arrays are built
-        edge, t0 = (at, np.zeros(len(at))) if depth == 0 else (edge[at], t0[at])
+        edge = (at if ids is None else ids[at]) if depth == 0 else edge[at]
+        t0 = np.zeros(len(at)) if depth == 0 else t0[at]
         if depth >= tol.max_refine_depth:
             raise AmbiguousMatchError(
                 f"edge {edge[0]}: matching ambiguous at depth {depth} "
@@ -504,34 +507,45 @@ def _bisect(p, fibers, flags, tol):
 
 def _reindexed(A: RootBundle, q: MonicPolynomial, smap: SelfMap) -> RootBundle | None:
     """The bundle of ``q``, the pullback of ``A``'s polynomial by ``smap``,
-    as ``A`` re-indexed, or None where that could differ from
-    :func:`build_bundle`.
+    as ``A`` re-indexed, or None where ``smap`` does not send samples to
+    samples and edges onto edges.
 
     With φ the sample nearest each image (:attr:`SelfMap.image_samples`),
-    ``A`` is re-indexed when ``q``'s coefficient rows are the source's rows
-    at φ byte for byte, and each edge (a, b) maps onto an edge of the base
-    with tail φa and head φb that ``A`` did not bisect.  A build of ``q``
-    would then match (a, b) from the end fibers and merge flags ``A``
-    matched (φa, φb) from, so it would settle the edge, or take it as a
-    leaf, with the same permutation, and bisect no edge.  Fibers of degree
-    2 or less are solved row by row, and under the identity every row keeps
-    its place, so there the fibers are a build's bit for bit; a non-identity
-    φ at degree 3 or more takes ``A``'s solve of the same rows, where a
-    separate continuation solve can differ in the last bits.
+    ``q``'s rows must be the source's at φ byte for byte, or the images
+    those samples up to rounding (:attr:`SelfMap.on_samples`) with ``A``'s
+    fibers at φ passing :func:`_check_residuals` on ``q``'s rows; and each
+    edge (a, b) must have an image edge between φa and φb.  The fibers and
+    flags are ``A``'s at φ, so a build would match an edge whose image runs
+    forward, unbisected, as ``A`` matched it; one :func:`_bisect` matches
+    the rest.  A separate solve's roots can differ in the last bits.
     """
     p, base, phi = A.poly, A.base, smap.image_samples
-    # compared as uint64 words, byte for byte; A's fibers passed
-    # _check_residuals row by row on these very rows, so they need no recheck
+    # compared as uint64 words; A's fibers passed _check_residuals on equal rows
     words = [np.ascontiguousarray(c).view(np.uint64) for c in (q.coeff_values, p.coeff_values)]
-    if not np.array_equal(words[0], np.take(words[1], phi, axis=0)):
+    same = np.array_equal(words[0], np.take(words[1], phi, axis=0))
+    if not (same or smap.on_samples):
         return None
-    image = base.edge_ids(*np.take(phi, base.edges).T)
-    if np.any(image < 0) or np.isin(image, list(A.refinement)).any():
+    tails, heads = np.take(phi, base.edges).T
+    image = base.edge_ids(tails, heads)
+    back = np.flatnonzero(image < 0)
+    image[back] = base.edge_ids(heads[back], tails[back])   # collapsed edges find none
+    if np.any(image < 0):
         return None
     # np.take gathers whole rows several times faster than fancy indexing
-    return RootBundle(base, A.degree, np.take(A.fibers, phi, axis=0),
-                      np.take(A.edge_perms, image, axis=0),
-                      np.take(A.branch_flags, phi), refinement={}, poly=q, tol=A.tol)
+    fibers = np.take(A.fibers, phi, axis=0)
+    if not same:
+        try:
+            _check_residuals(q.coeff_values, fibers, A.tol)
+        except BundleError:
+            return None
+    flags = np.take(A.branch_flags, phi)
+    perms = np.take(A.edge_perms, image, axis=0)
+    ids = np.union1d(back, np.flatnonzero(np.isin(image, list(A.refinement))))
+    refinement = {}
+    if ids.size:        # _bisect copies the fibers slot-major, even for no edge
+        perms[ids], refinement = _bisect(q, fibers, flags, A.tol, ids)
+    return RootBundle(base, A.degree, fibers, perms, flags,
+                      refinement=refinement, poly=q, tol=A.tol)
 
 
 def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -> RootBundle:

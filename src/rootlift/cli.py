@@ -222,11 +222,43 @@ def _lift_rows(a, targets, re, im):
     return (rows * m) % _columns(m, n, range(a, a + m), targets.ravel().tolist(), re, im)
 
 
-def write_bundle_csv(bundle, path, witness=None, lift_path=None):
+def _reused_parts(fibers, a, source):
+    """:func:`_parts` of the rows of samples a, a+1, …, where each row equal
+    as bytes to the source's row at phi takes the source's texts, and only
+    the other rows are formatted; see :func:`write_bundle_csv`."""
+    src_fibers, texts, phi = source
+    m, n = fibers.shape
+    at = phi[a:a + m]
+    same = (np.ascontiguousarray(fibers).view(np.uint64)
+            == np.take(src_fibers, at, axis=0).view(np.uint64)).all(axis=1)
+    if not same.any():
+        return _parts(fibers)
+    # one pool: the other rows' texts, then those of the equal rows' source
+    # blocks; start is each row's first root in it
+    re, im = _parts(fibers[~same])
+    start = np.empty(m, dtype=np.intp)
+    start[~same] = n * np.arange(m - np.count_nonzero(same))
+    for blk in np.unique(at[same] // _BLOCK).tolist():
+        rows = same & (at // _BLOCK == blk)
+        start[rows] = len(re) + (at[rows] - blk * _BLOCK) * n
+        words = texts[blk].split(",")
+        re += words[:len(words) // 2]
+        im += words[len(words) // 2:]
+    at = (start[:, None] + np.arange(n)).ravel().tolist()
+    return list(map(re.__getitem__, at)), list(map(im.__getitem__, at))
+
+
+def write_bundle_csv(bundle, path, witness=None, lift_path=None, keep=None, source=None):
     """Write the bundle's roots to ``path``.  Given a ``witness`` of a lift
     into this bundle, also write its values to ``lift_path`` in the same pass:
     they are the bundle's own roots (``LiftWitness.values``), so each lift row
-    takes the text of the root it was gathered from."""
+    takes the text of the root it was gathered from.
+
+    A list ``keep`` receives each block's root texts as one string, real
+    parts then imaginary.  With ``source`` = (another bundle's fibers, the
+    texts ``keep`` took of them, the (S,) source sample phi of each sample),
+    row s takes the source's texts at phi[s] wherever the two fiber rows
+    are equal as bytes, as a pullback's by a map onto the samples are."""
     if witness is not None and witness.problem.target is not bundle:
         raise ValueError("the witness lifts into another bundle")
     base = bundle.base
@@ -250,7 +282,10 @@ def write_bundle_csv(bundle, path, witness=None, lift_path=None):
             coord_texts = (map(repr, c) for c in coords[a:b].T.tolist())
             heads = list(map(head.__mod__, zip(range(a, b), *coord_texts)))
             tails = list(map(_TAILS.__getitem__, bundle.branch_flags[a:b].tolist()))
-            re, im = _parts(bundle.fibers[a:b])
+            re, im = (_parts(bundle.fibers[a:b]) if source is None
+                      else _reused_parts(bundle.fibers[a:b], a, source))
+            if keep is not None:
+                keep.append(",".join(re + im))
             fh.write((rows * m) % _columns(m, n, heads, re, im, tails))
             if witness is not None:
                 targets = assignments[a:b]
@@ -320,17 +355,15 @@ def _analyze(config: dict, factor: int, override: int | None,
             "residual_max": res_a,
             "components": monodromy.component_count(bundle_a),
         }
-        if out_dir:
-            write_bundle_csv(bundle_a, os.path.join(out_dir, "bundle_p.csv"))
-            if svg and base.kind in ("interval", "circle"):
-                figdir = os.path.join(out_dir, "figures")
-                os.makedirs(figdir, exist_ok=True)
-                figures.emit_bundle_svg(
-                    bundle_a, os.path.join(figdir, "bundle_p.svg"),
-                    f"{config['name']}: root curves")
-                figures.emit_bundle_svg(
-                    bundle_b, os.path.join(figdir, "bundle_pT.svg"),
-                    f"{config['name']}: pulled-back root curves")
+        if out_dir and svg and base.kind in ("interval", "circle"):
+            figdir = os.path.join(out_dir, "figures")
+            os.makedirs(figdir, exist_ok=True)
+            figures.emit_bundle_svg(
+                bundle_a, os.path.join(figdir, "bundle_p.svg"),
+                f"{config['name']}: root curves")
+            figures.emit_bundle_svg(
+                bundle_b, os.path.join(figdir, "bundle_pT.svg"),
+                f"{config['name']}: pulled-back root curves")
 
     if "strips" in analyses and bundle_a is not None:
         results["strips"] = {
@@ -344,12 +377,16 @@ def _analyze(config: dict, factor: int, override: int | None,
         witness = cole.witness if out_dir else None
         results["cole"] = cole.to_json(None if witness is None else "lift_f.csv")
     if out_dir:
-        # the target's roots and the lift f, which takes its values from
-        # them, in one pass
+        # the source's roots, then the target's and the lift f, which takes
+        # its values from them, in one pass; a target row equal to the
+        # source's at its image sample takes the source's texts
         lift_path = os.path.join(out_dir, "lift_f.csv")
         if "bundle" in analyses and bundle_b is not None:
-            write_bundle_csv(bundle_b, os.path.join(out_dir, "bundle_pT.csv"),
-                             witness, lift_path)
+            texts = []
+            write_bundle_csv(bundle_a, os.path.join(out_dir, "bundle_p.csv"), keep=texts)
+            write_bundle_csv(bundle_b, os.path.join(out_dir, "bundle_pT.csv"), witness,
+                             lift_path, source=(bundle_a.fibers, texts, smap.image_samples))
+            del texts
         elif witness is not None:
             write_lift_csv(witness, lift_path)
     if "ah" in analyses and problem is not None:
@@ -359,30 +396,21 @@ def _analyze(config: dict, factor: int, override: int | None,
         checks = cross_checks(problem, cole=cole, ah=ah)
         implies, root = checks["ah_implies_cole"], checks["root_implies_ah"]
         results["cross_checks"] = {
-            "ah_implies_cole": {
-                "ah": implies["ah"].answer,
-                "cole": implies["cole"].answer,
-                "consistent": implies["consistent"],
-            },
-            "root_implies_ah": {
-                "pullback_has_root": root["has_root"].answer,
-                "ah": root["ah"].answer,
-                "consistent": root["consistent"],
-            },
+            "ah_implies_cole": {"ah": implies["ah"].answer, "cole": implies["cole"].answer,
+                                "consistent": implies["consistent"]},
+            "root_implies_ah": {"pullback_has_root": root["has_root"].answer,
+                                "ah": root["ah"].answer, "consistent": root["consistent"]},
         }
 
     if "torus_controls" in analyses and poly is not None:
         # pulling back by the identity reproduces the source's coefficients
         # bit for bit, so the identity control is the source against itself
         source = bundle_a or build_bundle(poly, tol)
-        prob_id = LiftProblem(source, source)
         results["torus_controls"] = {
-            "identity_cole": decide_lift(prob_id).to_json(),
-        }
+            "identity_cole": decide_lift(LiftProblem(source, source)).to_json()}
 
     if "closedness" in analyses:
-        report = closedness_report(base, trials=20,
-                                   seed=config.get("seed", 0), tol=tol)
+        report = closedness_report(base, trials=20, seed=config.get("seed", 0), tol=tol)
         results["closedness"] = report.to_json()
 
     return results
@@ -397,9 +425,8 @@ def _observed_answers(results: dict) -> dict:
     if "strips" in results:
         out["strips"] = results["strips"]
     if "closedness" in results:
-        out["algebraically_closed"] = (
-            "yes" if results["closedness"]["algebraically_closed_verdict"]
-            else "no")
+        closed = results["closedness"]["algebraically_closed_verdict"]
+        out["algebraically_closed"] = "yes" if closed else "no"
     return out
 
 

@@ -430,9 +430,9 @@ def decide_lift(problem: LiftProblem) -> Verdict:
 def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> LiftProblem:
     """The lift problem between the root bundles of ``p`` and of its
     pullback by ``smap``; raises :class:`InadmissibleError` first when
-    ``p`` is not admissible.  Where ``smap`` permutes the samples, edges
-    onto edges, the pullback's bundle is the source's re-indexed (see
-    :func:`bundle._reindexed`); otherwise it is built like the source's."""
+    ``p`` is not admissible.  Where ``smap`` sends samples to samples up to
+    rounding and edges onto edges, in either direction, the pullback's
+    bundle is the source's re-indexed (:func:`bundle._reindexed`)."""
     report = is_admissible(p, tol=tol)
     if not report.admissible:
         raise InadmissibleError(

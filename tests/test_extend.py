@@ -267,7 +267,7 @@ def test_cross_checks_build_each_bundle_once(monkeypatch, check):
     base = make_interval(201)
     rep = cross_checks(lift_problem(interval_square_pair(base), flip_map(base)))[check]
     assert rep["consistent"]
-    assert len(built) == 2           # the polynomial and its pullback
+    assert len(built) == 1           # the polynomial; the flip's pullback is re-indexed
 
 
 def test_root_free_identity_still_extends():
@@ -542,7 +542,8 @@ def test_image_samples_are_the_samples_nearest_the_images():
     assert np.array_equal(identity_selfmap(graph).image_samples, np.arange(graph.n_samples))
 
 
-# self-maps that permute the samples, edges onto edges in their orientation
+# self-maps that permute the samples, edges onto edges in either orientation,
+# with coefficient rows equal to the source's at the images byte for byte
 PERMUTING = [
     *(pytest.param(lambda n=n: _on(make_torus2(n, n), ["-exp(1i*theta1)", "0"], _swap),
                    id=f"torus-swap{n}") for n in (16, 33, 64)),
@@ -554,7 +555,15 @@ PERMUTING = [
                  id="torus-identity"),
     pytest.param(lambda: _on(make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0)], 6), _graph_wobble,
                              identity_selfmap), id="graph-identity"),
+    # the source bisects edges of this one, and the flip reverses every edge
+    pytest.param(lambda: _on(make_torus2(8, 8), ["-(sin(theta1)-0.65)^2", "0"], _swap),
+                 id="bisected-swap"),
+    pytest.param(_interval_map("1-x"), id="reversed"),
 ]
+
+
+def _midpoints(B):
+    return sum(map(len, B.refinement.values()))
 
 
 @pytest.mark.parametrize("case", PERMUTING)
@@ -563,22 +572,39 @@ def test_a_permuting_map_reindexes_the_source_bundle(monkeypatch, case):
     S = p.base.n_samples
     tracked, solved = _counted_solves(monkeypatch)
     problem = lift_problem(p, smap)
-    # the source's fibers are the only ones solved
-    assert tracked == [S] and sum(solved) <= S
-    assert not problem.source.refinement
+    # the source's fibers are the only sample fibers solved; the rest are
+    # the midpoints of the two bisections
+    assert tracked == [S]
+    assert sum(solved) <= S + _midpoints(problem.source) + _midpoints(problem.target)
     _assert_same_bundle(problem.target, pullback(p, smap))
 
 
+def _graph_identity_off_by_rounding(base):
+    """The identity of a graph with each image a rounding step along its
+    edge: every image's nearest sample is its own, and rows differ in the
+    last bits, so the byte rule, the graph's only rule, fails."""
+    edges, params = base.sample_locations()
+    return sample_selfmap(base, (edges, np.where(params == 0.0, 1e-15, params - 1e-15)))
+
+
+def _quintic_under(n, text):
+    base = make_circle(n)
+    return crossing_quintic(base), sample_selfmap(base, text)
+
+
 # self-maps whose pullback is built: coefficient rows that differ from the
-# source's at the nearest samples, image edges the source bisected, and
-# reversed and collapsed edges
+# source's at the nearest samples with images off the samples (by 1e-12 and
+# by 3.5e-7 rad from the half turn's), a graph's rows that differ by
+# rounding, and collapsed edges
 BUILT = [
     pytest.param(lambda: _on(make_torus2(33, 33), ["-exp(1i*theta1)", "0"],
                              lambda base: sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))),
                  False, id="shifted-swap"),
-    pytest.param(lambda: _on(make_torus2(8, 8), ["-(sin(theta1)-0.65)^2", "0"], _swap),
-                 True, id="bisected-swap"),
-    pytest.param(_interval_map("1-x"), True, id="reversed"),
+    pytest.param(lambda: _quintic_under(2000, f"theta+{math.pi!r}+1e-12"), False,
+                 id="half-turn+1e-12"),
+    pytest.param(lambda: _quintic_under(2000, "theta+3.141593"), False, id="theta+3.141593"),
+    pytest.param(lambda: _on(make_graph(3, [(0, 1), (1, 2), (2, 0)], 6), _graph_wobble,
+                             _graph_identity_off_by_rounding), False, id="graph-rounding"),
     pytest.param(_interval_map("0.5"), True, id="collapsed"),
 ]
 
@@ -593,6 +619,82 @@ def test_the_pullback_is_built_where_reindexing_could_differ(monkeypatch, case, 
     problem = lift_problem(p, smap)
     assert len(tracked) == 2
     _assert_same_bundle(problem.target, pullback(p, smap))
+
+
+def _flip(n):
+    base = make_interval(n)
+    return interval_square_pair(base), flip_map(base)
+
+
+# images on the samples up to rounding, with rows that differ from the
+# source's in the last bits (the half turn and the flip), and the swap whose
+# source bisects edges, with rows equal as bytes
+ON_SAMPLES = [
+    *(pytest.param(lambda n=n: _quintic_under(n, f"theta+{math.pi!r}"), id=f"half-turn{n}")
+      for n in (2000, 8000)),
+    *(pytest.param(lambda n=n: _flip(n), id=f"flip{n}") for n in (2001, 8001)),
+    PERMUTING[-2],
+]
+
+
+@pytest.mark.parametrize("case", ON_SAMPLES)
+def test_a_map_onto_the_samples_up_to_rounding_reindexes(monkeypatch, case):
+    p, smap = case()
+    phi = smap.image_samples
+    tracked, _ = _counted_solves(monkeypatch)
+    problem = lift_problem(p, smap)
+    assert tracked == [p.base.n_samples]
+    A, B = problem.source, problem.target
+    assert smap.on_samples
+    assert ((B.poly.coeff_values.tobytes() == p.coeff_values[phi].tobytes())
+            == (p.base.kind == "torus2"))
+    assert B.fibers.tobytes() == A.fibers[phi].tobytes()
+    bundle._check_residuals(B.poly.coeff_values, B.fibers, B.tol)
+    # kept edges carry the source's permutations at their images; the edges
+    # re-matched carry what a bisection of every edge gives them
+    tails, heads = phi[p.base.edges].T
+    image = p.base.edge_ids(tails, heads)
+    kept = (image >= 0) & ~np.isin(image, list(A.refinement))
+    assert kept.any() or p.base.kind == "interval"
+    assert np.array_equal(B.edge_perms[kept], A.edge_perms[image[kept]])
+    perms, refinement = bundle._bisect(B.poly, B.fibers, B.branch_flags, B.tol)
+    assert np.array_equal(B.edge_perms, perms)
+    assert B.refinement == refinement
+    built = LiftProblem(A, pullback(p, smap))
+    for decide in (decide_lift, decide_subalgebra):
+        assert decide(problem).to_json() == decide(built).to_json()
+
+
+@pytest.mark.parametrize("text, backwards", [(f"theta+{math.pi!r}", False), ("-theta", True)])
+def test_edges_whose_image_runs_backwards_are_matched_again(text, backwards):
+    # the source's edges carry seeded sheet permutations, 3-cycles among
+    # them, that its constant sheets do not show: an edge whose image runs
+    # forward keeps its image's, and one whose image runs backwards takes
+    # what a bisection of the constant sheets gives it, the identity
+    base = make_circle(100)
+    A = _permuted(_constant_sheets(base, 3), 0.5, np.random.default_rng(3))
+    smap = sample_selfmap(base, text)
+    B = bundle._reindexed(A, bundle.pullback_polynomial(A.poly, smap), smap)
+    tails, heads = smap.image_samples[base.edges].T
+    if backwards:
+        assert np.array_equal(B.edge_perms, np.tile(np.arange(3), (base.n_edges, 1)))
+    else:
+        assert np.array_equal(B.edge_perms, A.edge_perms[base.edge_ids(tails, heads)])
+
+
+def test_rows_off_by_rounding_whose_roots_fail_the_residual_rule_are_built(monkeypatch):
+    # the source's fibers stand for the pullback's only where they pass the
+    # residual rule on its own rows
+    p, smap = _quintic_under(2000, f"theta+{math.pi!r}")
+    A = build_bundle(p)
+    q = bundle.pullback_polynomial(p, smap)
+    assert bundle._reindexed(A, q, smap) is not None
+
+    def fail(coeffs, roots, tol):
+        raise bundle.BundleError("fiber residual above tolerance")
+
+    monkeypatch.setattr(bundle, "_check_residuals", fail)
+    assert bundle._reindexed(A, q, smap) is None
 
 
 @pytest.mark.parametrize("case", [

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from rootlift import (build_bundle, make_circle, make_interval, make_torus2,
-                      poly_from_exprs, poly_from_roots)
-from rootlift import figures
+                      poly_from_exprs, poly_from_roots, sample_selfmap)
+from rootlift import cli, figures
 from rootlift.cli import _BLOCK, _coord_columns, write_bundle_csv, write_lift_csv
 from rootlift.extend import decide_lift, lift_problem
 from rootlift.figures import HEIGHT, MARGIN, PALETTE, PANEL_GAP, WIDTH, _fmt
-from rootlift.scenarios import flip_map, interval_square_pair, quintic_root_texts
+from rootlift.scenarios import (crossing_quintic, flip_map, half_turn_text,
+                                interval_square_pair, quintic_root_texts, time_warp_text)
 
 
 def _ref_write_bundle_csv(bundle, path):
@@ -219,6 +220,56 @@ def test_lift_csv_bytes_match_the_per_line_writer(tmp_path):
                                        values=zeros.fibers[np.arange(n)[:, None], G])
         got = _check_lift_csv(tmp_path, zero_witness, zeros)
         assert b",-0.0,-0.0\n" in got
+
+
+def _quintic_problem(n, text):
+    base = make_circle(n)
+    smap = sample_selfmap(base, text)
+    return lift_problem(crossing_quintic(base), smap), smap
+
+
+def _flip_problem(n):
+    base = make_interval(n)
+    return lift_problem(interval_square_pair(base), flip_map(base)), flip_map(base)
+
+
+# which rows of bundle_pT.csv equal bundle_p.csv's at the image sample as
+# bytes, and whether a lift is written with it
+@pytest.mark.parametrize("case, reused, lifts", [
+    pytest.param(lambda: _quintic_problem(400, half_turn_text()), "all", False, id="half-turn"),
+    pytest.param(lambda: _flip_problem(401), "all", True, id="flip"),
+    pytest.param(lambda: _quintic_problem(400, time_warp_text()), "some", True, id="warp"),
+    pytest.param(lambda: _quintic_problem(400, "theta+3.141593"), "none", False,
+                 id="theta+3.141593"),
+])
+def test_pullback_csv_reuses_the_source_texts_byte_for_byte(tmp_path, monkeypatch, case,
+                                                            reused, lifts):
+    # bundle_pT.csv takes bundle_p.csv's texts at the image sample wherever
+    # the two fiber rows are equal as bytes, and formats only the other rows;
+    # lift_f.csv takes bundle_pT.csv's texts
+    problem, smap = case()
+    A, B = problem.source, problem.target
+    phi = smap.image_samples
+    same = (B.fibers.view(np.uint64) == A.fibers[phi].view(np.uint64)).all(axis=1)
+    assert {"all": same.all(), "some": same.any() and not same.all(),
+            "none": not same.any()}[reused]
+    witness = decide_lift(problem).witness
+    assert (witness is not None) == lifts
+    texts = []
+    write_bundle_csv(A, tmp_path / "p.csv", keep=texts)
+    assert len(texts) == -(-A.base.n_samples // _BLOCK)
+    formatted = []
+    parts = cli._parts
+    monkeypatch.setattr(cli, "_parts", lambda z: formatted.append(len(z)) or parts(z))
+    write_bundle_csv(B, tmp_path / "pT.csv", witness, tmp_path / "lift.csv",
+                     source=(A.fibers, texts, phi))
+    assert sum(formatted) == np.count_nonzero(~same)
+    for bundle, name in ((A, "p"), (B, "pT")):
+        _ref_write_bundle_csv(bundle, tmp_path / "ref.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    if witness is not None:
+        _ref_write_lift_csv(witness, tmp_path / "ref_lift.csv")
+        assert (tmp_path / "lift.csv").read_bytes() == (tmp_path / "ref_lift.csv").read_bytes()
 
 
 def test_lift_pass_refuses_a_witness_into_another_bundle(tmp_path):
