@@ -118,25 +118,30 @@ def solve_fibers(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(roots, axis=1)
 
 
-def track_fibers(coeffs: np.ndarray) -> np.ndarray:
+def track_fibers(coeffs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """:func:`solve_fibers` for rows in base-sample order, by continuation:
     rows 0, 16, 32, ... by :func:`solve_fibers`, every other row by
     Weierstrass sweeps z_i -= W_i = p(z_i) / prod_{j != i} (z_i - z_j) from
     the roots of the nearest of them.  A row is polished and sorted once its
     discs D(z_i, n|W_i|), |p(z_i)| raised by Horner's rounding bound, have
     radii at most 1e-10 max(1, |z_i|) and are disjoint, so each holds one
-    root; a row not accepted in 8 sweeps is solved by :func:`solve_fibers`."""
+    root; a row not accepted in 8 sweeps is solved by :func:`solve_fibers`.
+    Given ascending ``rows``, only those are solved, from the same anchors
+    and row by row, so the result is ``track_fibers(coeffs)[rows]``."""
     coeffs = np.ascontiguousarray(coeffs, dtype=complex)
     m, n = coeffs.shape
-    if n <= 2:
-        return solve_fibers(coeffs)
-    roots = np.empty_like(coeffs)
-    roots[::_STRIDE] = solve_fibers(coeffs[::_STRIDE])
-    rows = np.flatnonzero(np.arange(m) % _STRIDE)
+    rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.intp)
+    if not rows.size:
+        return np.empty((0, n), dtype=complex)
+    if n <= 2:          # the closed form, row by row; only a subset is copied
+        return solve_fibers(coeffs[rows] if len(rows) < m else coeffs)
     near = np.minimum((rows + _STRIDE // 2) // _STRIDE, (m - 1) // _STRIDE) * _STRIDE
-    z, c, done = roots[near], coeffs[rows], np.zeros(m, dtype=bool)
+    first = np.diff(near, prepend=-1) != 0       # each anchor's rows are one run
+    roots = np.take(solve_fibers(coeffs[near[first]]), np.cumsum(first) - 1, axis=0)
+    left = np.flatnonzero(rows % _STRIDE)        # positions of the rows to track
+    z, c, done = roots[left], coeffs[rows[left]], np.zeros(len(rows), dtype=bool)
     for _ in range(_SWEEPS):
-        if not rows.size:
+        if not left.size:
             break
         with np.errstate(all="ignore"):
             p = horner(c, z)
@@ -161,11 +166,11 @@ def track_fibers(coeffs: np.ndarray) -> np.ndarray:
                 fits &= apart
             ok[k] = np.all(fits, axis=1)     # on these few rows numpy measured as fast
         z -= w
-        roots[rows[ok]], done[rows[ok]] = z[ok], True
-        rows, z, c = rows[~ok], z[~ok], c[~ok]
-    roots[done] = np.sort(polish(coeffs[done], roots[done]), axis=1)
-    if rows.size:
-        roots[rows] = solve_fibers(coeffs[rows])
+        roots[left[ok]], done[left[ok]] = z[ok], True
+        left, z, c = left[~ok], z[~ok], c[~ok]
+    roots[done] = np.sort(polish(coeffs[rows[done]], roots[done]), axis=1)
+    if left.size:
+        roots[left] = solve_fibers(coeffs[rows[left]])
     return roots
 
 

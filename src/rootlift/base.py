@@ -10,9 +10,9 @@ A :class:`SelfMap` on a base with a coordinate chart (interval, circle,
 torus) is its coordinate expressions and their exact values at the samples;
 on a graph, which has no chart, it is each sample's image location (edge +
 parameter).  Images need not land on sample points; ``image_samples``
-names the sample nearest each image, and ``on_samples`` whether every image
-is that sample up to rounding, so a pullback can tell when the map only
-sends samples to samples.
+names the sample nearest each image, and ``on_samples`` which images are
+that sample up to rounding, so a pullback can take the rows of its source
+that the map sends to samples.
 """
 
 from __future__ import annotations
@@ -303,7 +303,8 @@ class SelfMap:
     interval and circle, (S, 2) on torus2.  A graph base has no chart, so
     there the map is a location table: sample ``s`` maps to parameter
     ``image_params[s]`` along edge ``image_edges[s]``.  Images need not land
-    on sample points; :attr:`image_samples` is the sample nearest each.
+    on sample points; :attr:`image_samples` is the sample nearest each, and
+    :attr:`on_samples` marks the images that are that sample up to rounding.
     """
 
     base: BaseSpace
@@ -332,19 +333,19 @@ class SelfMap:
         return np.ravel_multi_index(tuple(np.rint(steps).astype(np.intp).T), sides, mode="wrap")
 
     @functools.cached_property
-    def on_samples(self) -> bool:
-        """Whether each image coordinate lies within 4·eps·L of its
+    def on_samples(self) -> np.ndarray:
+        """(S,) whether each image coordinate lies within 4·eps·L of its
         :attr:`image_samples` entry's, L the chart period: 1 on the interval,
         2π per circle or torus coordinate, measured around the circle.
-        False on a graph, which has no chart."""
+        False throughout on a graph, which has no chart."""
         base = self.base
         if base.kind == "graph":
-            return False
+            return np.zeros(base.n_samples, dtype=bool)
         S, period = base.n_samples, 1.0 if base.kind == "interval" else TWO_PI
         off = np.abs(self.image_coords.reshape(S, -1)
                      - np.take(base.coords.reshape(S, -1), self.image_samples, axis=0))
         # around the circle; on the interval off is at most half a step
-        return bool(np.all(np.minimum(off, period - off) <= 4.0 * np.finfo(float).eps * period))
+        return (np.minimum(off, period - off) <= 4.0 * np.finfo(float).eps * period).all(axis=1)
 
 
 def _expression_images(kind: str, exprs, coords: np.ndarray):

@@ -1,16 +1,16 @@
 """Discretized root surfaces: fibers, continuation matching, pullbacks.
 
-``build_bundle`` solves the polynomial fiber at every sample, then glues
-adjacent fibers with minimum-total-squared-distance assignments, the
-lexicographically first where costs tie.  A nearest-sheet bound settles
-every edge whose nearest heads form a permutation that clearly wins; any
-other edge is bisected adaptively until each span is settled or the fibers
-are inside the branch tolerance, where sheets genuinely merge and the
-minimal assignment is accepted; all such edges are bisected together, one
-depth at a time.  Off-sample coefficients come from the polynomial's source,
-which evaluates with the same array evaluator as its sampled values
-(exact for expressions, root curves and pullbacks), and are linear
-interpolants otherwise.
+``build_bundle`` solves the polynomial fiber at every sample, a pullback's
+where its source's bundle does not give it, then glues adjacent fibers with
+minimum-total-squared-distance assignments, the lexicographically first
+where costs tie.  A nearest-sheet bound settles every edge whose nearest
+heads form a permutation that clearly wins; any other edge is bisected
+adaptively until each span is settled or the fibers are inside the branch
+tolerance, where sheets genuinely merge and the minimal assignment is
+accepted; all such edges are bisected together, one depth at a time.
+Off-sample coefficients come from the polynomial's source, which evaluates
+with the same array evaluator as its sampled values (exact for expressions,
+root curves and pullbacks), and are linear interpolants otherwise.
 """
 
 from __future__ import annotations
@@ -205,12 +205,20 @@ def solve_fiber(coeffs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return roots if coeffs.ndim == 2 else roots[0]
 
 
-def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
+def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances, samples=None):
     """Each root z's residual must stay within ``tol.root_residual`` times
     max(1, max|c_k|, |z|ⁿ + Σ_k |c_k||z|^k), the last term being the bound
     on the rounding of Horner's scheme at z, so a large root is held to its
-    own scale; a :class:`BundleError` names the first row that fails, which
-    is a sample when the rows are a base's, and its worst failing residual."""
+    own scale; a :class:`BundleError` names the first row that fails, or
+    its entry of the rows' ``samples``, and its worst failing residual."""
+    rows, worst = _residual_failures(coeffs, roots, tol)
+    if rows.size:
+        s = int(rows[0] if samples is None else samples[rows[0]])
+        raise BundleError(f"fiber residual {worst[0]:.3e} above tolerance at sample {s}")
+
+
+def _residual_failures(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
+    """The rows failing :func:`_check_residuals`, and each one's worst residual."""
     res = _kernels.residuals(coeffs, roots)
     # written as ~(res <= allowance) so that a NaN residual fails
     scale = np.maximum(1.0, _kernels._reduce_slots(np.maximum, np.abs(coeffs)))
@@ -220,10 +228,7 @@ def _check_residuals(coeffs: np.ndarray, roots: np.ndarray, tol: Tolerances):
         horner_bound = _kernels.horner(np.abs(coeffs[rows]), np.abs(roots[rows]))
         bad[rows] &= ~(res[rows] <= tol.root_residual * horner_bound)
         rows = rows[bad[rows].any(axis=1)]
-    if rows.size:
-        s = int(rows[0])
-        raise BundleError(f"fiber residual {np.max(res[s][bad[s]]):.3e} "
-                          f"above tolerance at sample {s}")
+    return rows, np.max(np.where(bad[rows], res[rows], -np.inf), axis=1, initial=-np.inf)
 
 
 def _min_fiber_gap(fibers: np.ndarray) -> np.ndarray:
@@ -430,14 +435,52 @@ class RootBundle:
         return out
 
 
-def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootBundle:
-    """Solve and glue all fibers of ``p`` into a :class:`RootBundle`."""
-    fibers = p.fibers
-    _check_residuals(p.coeff_values, fibers, tol)
-    flags = p.fiber_gaps < tol.branch_tol
-    perms, refinement = _bisect(p, fibers, flags, tol)
-    return RootBundle(p.base, p.degree, fibers, perms, flags,
-                      refinement=refinement, poly=p, tol=tol)
+def build_bundle(p: MonicPolynomial, tol: Tolerances = DEFAULT_TOL,
+                 source: tuple[RootBundle, SelfMap] | None = None) -> RootBundle:
+    """Solve and glue the fibers of ``p`` into a :class:`RootBundle`.
+
+    With ``source`` = (A, smap), ``p`` the pullback of A's polynomial by
+    ``smap`` and A built with ``tol``, row s takes A's fibers and flags at
+    φ(s) (:attr:`SelfMap.image_samples`) where its coefficients equal A's
+    there as bytes, or where its image is φ(s) up to rounding
+    (:attr:`SelfMap.on_samples`) and A's fibers pass :func:`_check_residuals`
+    on its row; only the other rows are solved, with a whole solve's bits.
+    An edge keeps A's permutation where both ends took A's rows and its
+    image edge runs forward, unbisected; one :func:`_bisect` matches the rest."""
+    base, coeffs = p.base, p.coeff_values
+    taken = np.zeros(base.n_samples, dtype=bool)
+    if source is not None:
+        A, smap = source
+        phi = smap.image_samples
+        # as uint64 words, a row at a time; A's fibers passed the residual check on equal rows
+        words = [np.ascontiguousarray(c).view(np.uint64) for c in (coeffs, A.poly.coeff_values)]
+        taken = _kernels._reduce_slots(np.logical_and, words[0] == np.take(words[1], phi, axis=0))
+        near = np.flatnonzero(~taken)
+        if near.size:           # the rounding mask, only where a row differs
+            near = near[smap.on_samples[near]]
+            taken[near] = True
+            taken[near[_residual_failures(coeffs[near], A.fibers[phi[near]], tol)[0]]] = False
+    if not taken.any():
+        fibers, flags = p.fibers, p.fiber_gaps < tol.branch_tol
+        _check_residuals(coeffs, fibers, tol)
+        perms, refinement = _bisect(p, fibers, flags, tol)
+    else:
+        # np.take gathers whole rows several times faster than fancy indexing
+        fibers, flags = np.take(A.fibers, phi, axis=0), np.take(A.branch_flags, phi)
+        tails, heads = base.edges.T
+        image = base.edge_ids(np.take(phi, tails), np.take(phi, heads))
+        kept = (image >= 0) & ~np.isin(image, list(A.refinement))
+        solve = np.flatnonzero(~taken)
+        if solve.size:
+            fibers[solve] = _kernels.track_fibers(coeffs, solve)
+            _check_residuals(coeffs[solve], fibers[solve], tol, samples=solve)
+            flags[solve] = _min_fiber_gap(fibers[solve]) < tol.branch_tol
+            kept &= taken[tails] & taken[heads]
+        perms, refinement = np.take(A.edge_perms, image, axis=0), {}
+        ids = np.flatnonzero(~kept)
+        if ids.size:        # _bisect copies the fibers slot-major, even for no edge
+            perms[ids], refinement = _bisect(p, fibers, flags, tol, ids)
+    return RootBundle(base, p.degree, fibers, perms, flags, refinement=refinement, poly=p, tol=tol)
 
 
 def _bisect(p, fibers, flags, tol, ids=None):
@@ -505,52 +548,8 @@ def _bisect(p, fibers, flags, tol, ids=None):
     return perm, refinement
 
 
-def _reindexed(A: RootBundle, q: MonicPolynomial, smap: SelfMap) -> RootBundle | None:
-    """The bundle of ``q``, the pullback of ``A``'s polynomial by ``smap``,
-    as ``A`` re-indexed, or None where ``smap`` does not send samples to
-    samples and edges onto edges.
-
-    With φ the sample nearest each image (:attr:`SelfMap.image_samples`),
-    ``q``'s rows must be the source's at φ byte for byte, or the images
-    those samples up to rounding (:attr:`SelfMap.on_samples`) with ``A``'s
-    fibers at φ passing :func:`_check_residuals` on ``q``'s rows; and each
-    edge (a, b) must have an image edge between φa and φb.  The fibers and
-    flags are ``A``'s at φ, so a build would match an edge whose image runs
-    forward, unbisected, as ``A`` matched it; one :func:`_bisect` matches
-    the rest.  A separate solve's roots can differ in the last bits.
-    """
-    p, base, phi = A.poly, A.base, smap.image_samples
-    # compared as uint64 words; A's fibers passed _check_residuals on equal rows
-    words = [np.ascontiguousarray(c).view(np.uint64) for c in (q.coeff_values, p.coeff_values)]
-    same = np.array_equal(words[0], np.take(words[1], phi, axis=0))
-    if not (same or smap.on_samples):
-        return None
-    tails, heads = np.take(phi, base.edges).T
-    image = base.edge_ids(tails, heads)
-    back = np.flatnonzero(image < 0)
-    image[back] = base.edge_ids(heads[back], tails[back])   # collapsed edges find none
-    if np.any(image < 0):
-        return None
-    # np.take gathers whole rows several times faster than fancy indexing
-    fibers = np.take(A.fibers, phi, axis=0)
-    if not same:
-        try:
-            _check_residuals(q.coeff_values, fibers, A.tol)
-        except BundleError:
-            return None
-    flags = np.take(A.branch_flags, phi)
-    perms = np.take(A.edge_perms, image, axis=0)
-    ids = np.union1d(back, np.flatnonzero(np.isin(image, list(A.refinement))))
-    refinement = {}
-    if ids.size:        # _bisect copies the fibers slot-major, even for no edge
-        perms[ids], refinement = _bisect(q, fibers, flags, A.tol, ids)
-    return RootBundle(base, A.degree, fibers, perms, flags,
-                      refinement=refinement, poly=q, tol=A.tol)
-
-
 def pullback(p: MonicPolynomial, smap: SelfMap, tol: Tolerances = DEFAULT_TOL) -> RootBundle:
-    """Bundle of the coefficient-composed polynomial; its fiber over x is
-    the fiber of ``p`` over the self-map image of x."""
+    """The bundle of ``p`` composed with ``smap``, solved at every sample."""
     return build_bundle(pullback_polynomial(p, smap), tol)
 
 

@@ -93,10 +93,8 @@ def winding_function(base: BaseSpace, loop) -> np.ndarray:
     the cycle, so the function is continuous and never vanishes.
     """
     samples = base.walk_samples(loop)[:-1]
-    L = len(samples)
     values = np.zeros(base.n_samples, dtype=complex)
-    for k, s in enumerate(samples.tolist()):
-        values[s] = np.exp(2j * math.pi * k / L)
+    values[samples] = np.exp(1j * (2 * math.pi * np.arange(len(samples)) / len(samples)))
     order, pred = base.bfs(samples)
     if len(order) != base.n_samples:
         raise ExtendError("graph base is not connected")

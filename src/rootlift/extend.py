@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import _reduce_slots
 from .bundle import (DEFAULT_TOL, MonicPolynomial, RootBundle, Tolerances,
-                     _inverse_rows, _match_edges, _reindexed, build_bundle,
+                     _inverse_rows, _match_edges, build_bundle,
                      is_admissible, pullback_polynomial, solve_fiber)
 
 MAX_LIFTS = 4096         # lifts decide_subalgebra probes before it answers "inconclusive"
@@ -429,18 +429,15 @@ def decide_lift(problem: LiftProblem) -> Verdict:
 
 def lift_problem(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> LiftProblem:
     """The lift problem between the root bundles of ``p`` and of its
-    pullback by ``smap``; raises :class:`InadmissibleError` first when
-    ``p`` is not admissible.  Where ``smap`` sends samples to samples up to
-    rounding and edges onto edges, in either direction, the pullback's
-    bundle is the source's re-indexed (:func:`bundle._reindexed`)."""
+    pullback by ``smap``, the second built from the first's rows and edges
+    (:func:`build_bundle`); raises :class:`InadmissibleError` first when
+    ``p`` is not admissible."""
     report = is_admissible(p, tol=tol)
     if not report.admissible:
         raise InadmissibleError(
             f"polynomial is not admissible: {len(report.runs)} run(s) of merged sheets")
     A = build_bundle(p, tol)
-    q = pullback_polynomial(p, smap)
-    B = _reindexed(A, q, smap)
-    return LiftProblem(A, build_bundle(q, tol) if B is None else B)
+    return LiftProblem(A, build_bundle(pullback_polynomial(p, smap), tol, source=(A, smap)))
 
 
 def cole_extendable(p: MonicPolynomial, smap, tol: Tolerances = DEFAULT_TOL) -> Verdict:

@@ -298,27 +298,34 @@ def test_polynomial_needs_exactly_one_key(tmp_path, polynomial):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out2")]) == 1
 
 
-# example 1's flip sends samples to samples, so its pullback bundle is the
-# source's re-indexed; example 2's warp does not, and it is built
-@pytest.mark.parametrize("name, samples, builds", [
-    pytest.param("example1", 301, 1, id="example1-301"),
-    pytest.param("example2", 240, 2, id="example2-240")])
-def test_cross_checks_build_each_bundle_once(tmp_path, monkeypatch, name, samples, builds):
-    from rootlift import bundle, closedness, extend
+# example 1's flip sends samples to samples, so its pullback bundle takes
+# every row of the source's; example 2's warp is the identity off
+# [pi - 1, pi + 1], and its pullback solves only the 77 rows inside
+@pytest.mark.parametrize("name, samples, solved", [
+    pytest.param("example1", 301, [301], id="example1-301"),
+    pytest.param("example2", 240, [240, 77], id="example2-240")])
+def test_cross_checks_build_each_bundle_once(tmp_path, monkeypatch, name, samples, solved):
+    from rootlift import _kernels, bundle, closedness, extend
 
-    built = []
-    original = bundle.build_bundle
+    built, tracked = [], []
+    original, track = bundle.build_bundle, _kernels.track_fibers
 
     def counting(p, *args, **kwargs):
         built.append(p)
         return original(p, *args, **kwargs)
 
+    def counting_rows(coeffs, rows=None):
+        tracked.append(len(coeffs) if rows is None else len(rows))
+        return track(coeffs, rows)
+
     for module in (bundle, extend, closedness, cli):
         monkeypatch.setattr(module, "build_bundle", counting)
+    monkeypatch.setattr(_kernels, "track_fibers", counting_rows)
     cfg = scenarios.builtin_scenario(name, samples=samples)
     assert "cross_checks" in cfg["analyses"]
     assert run_scenario(cfg, str(tmp_path)) == 0
-    assert len(built) == builds      # the polynomial, and its pullback where built
+    assert len(built) == 2           # the polynomial, and its pullback
+    assert tracked == solved         # and no row of either solved twice
     doc = json.loads((tmp_path / "verdict.json").read_text())
     assert doc["analyses"]["cross_checks"]["root_implies_ah"]["consistent"]
 

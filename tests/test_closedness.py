@@ -110,6 +110,28 @@ def test_winding_function_unit_modulus_and_winding():
     assert _winding_number(g[cycle_samples]) == 1
 
 
+def _cycle_values_one_by_one(base, loop):
+    """The cycle's samples and their winding values set one sample at a
+    time, the reference for the array expression."""
+    samples = base.walk_samples(loop)[:-1]
+    L = len(samples)
+    values = np.zeros(base.n_samples, dtype=complex)
+    for k, s in enumerate(samples.tolist()):
+        values[s] = np.exp(2j * math.pi * k / L)
+    return samples, values
+
+
+@pytest.mark.parametrize("base", [
+    make_graph(1, [(0, 0)], 3), make_graph(1, [(0, 0)], 997), make_graph(1, [(0, 0)], 4096),
+    make_graph(2, [(0, 1), (0, 1), (0, 1)], 50),
+    make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 33),
+], ids=["loop3", "loop997", "loop4096", "theta50", "square-diagonal33"])
+def test_winding_function_sets_the_cycle_as_one_sample_at_a_time(base):
+    for loop in base.loop_basis:
+        samples, want = _cycle_values_one_by_one(base, loop)
+        assert winding_function(base, loop)[samples].tobytes() == want[samples].tobytes()
+
+
 def test_cycle_witness_quadratic_has_no_root():
     base = make_graph(1, [(0, 0)], 20)
     w = cycle_witness_quadratic(base, base.loop_basis[0])

@@ -264,10 +264,12 @@ def test_cross_checks_build_each_bundle_once(monkeypatch, check):
 
     for module in (bundle, extend, closedness):
         monkeypatch.setattr(module, "build_bundle", counting)
+    tracked, _ = _counted_solves(monkeypatch)
     base = make_interval(201)
     rep = cross_checks(lift_problem(interval_square_pair(base), flip_map(base)))[check]
     assert rep["consistent"]
-    assert len(built) == 1           # the polynomial; the flip's pullback is re-indexed
+    assert len(built) == 2           # the polynomial, and its pullback from the source's rows
+    assert tracked == [201]          # the flip's pullback solves no row
 
 
 def test_root_free_identity_still_extends():
@@ -494,9 +496,21 @@ def _counted_solves(monkeypatch):
     """The row counts of every ``track_fibers`` call from now on, and of
     every ``solve_fibers`` call (:func:`_count_solves`)."""
     tracked, track = [], _kernels.track_fibers
-    monkeypatch.setattr(_kernels, "track_fibers",
-                        lambda coeffs: tracked.append(len(coeffs)) or track(coeffs))
+
+    def counting(coeffs, rows=None):
+        tracked.append(len(coeffs) if rows is None else len(rows))
+        return track(coeffs, rows)
+
+    monkeypatch.setattr(_kernels, "track_fibers", counting)
     return tracked, _count_solves(monkeypatch)
+
+
+def _tracked_rows(monkeypatch):
+    """The ``rows`` argument of every ``track_fibers`` call from now on."""
+    calls, track = [], _kernels.track_fibers
+    monkeypatch.setattr(_kernels, "track_fibers",
+                        lambda coeffs, rows=None: calls.append(rows) or track(coeffs, rows))
+    return calls
 
 
 def _assert_same_bundle(B, C):
@@ -594,8 +608,9 @@ def _quintic_under(n, text):
 
 # self-maps whose pullback is built: coefficient rows that differ from the
 # source's at the nearest samples with images off the samples (by 1e-12 and
-# by 3.5e-7 rad from the half turn's), a graph's rows that differ by
-# rounding, and collapsed edges
+# by 3.5e-7 rad from the half turn's), and a graph's rows that differ by
+# rounding; a map that collapses every edge takes the source's rows, equal
+# as bytes, and matches every edge again
 BUILT = [
     pytest.param(lambda: _on(make_torus2(33, 33), ["-exp(1i*theta1)", "0"],
                              lambda base: sample_selfmap(base, ("theta2+0.1", "theta1+0.1"))),
@@ -617,7 +632,7 @@ def test_the_pullback_is_built_where_reindexing_could_differ(monkeypatch, case, 
             == p.coeff_values[smap.image_samples].tobytes()) == same_rows
     tracked, _ = _counted_solves(monkeypatch)
     problem = lift_problem(p, smap)
-    assert len(tracked) == 2
+    assert len(tracked) == 1 + (not same_rows)
     _assert_same_bundle(problem.target, pullback(p, smap))
 
 
@@ -645,7 +660,7 @@ def test_a_map_onto_the_samples_up_to_rounding_reindexes(monkeypatch, case):
     problem = lift_problem(p, smap)
     assert tracked == [p.base.n_samples]
     A, B = problem.source, problem.target
-    assert smap.on_samples
+    assert smap.on_samples.all()
     assert ((B.poly.coeff_values.tobytes() == p.coeff_values[phi].tobytes())
             == (p.base.kind == "torus2"))
     assert B.fibers.tobytes() == A.fibers[phi].tobytes()
@@ -674,7 +689,7 @@ def test_edges_whose_image_runs_backwards_are_matched_again(text, backwards):
     base = make_circle(100)
     A = _permuted(_constant_sheets(base, 3), 0.5, np.random.default_rng(3))
     smap = sample_selfmap(base, text)
-    B = bundle._reindexed(A, bundle.pullback_polynomial(A.poly, smap), smap)
+    B = build_bundle(bundle.pullback_polynomial(A.poly, smap), source=(A, smap))
     tails, heads = smap.image_samples[base.edges].T
     if backwards:
         assert np.array_equal(B.edge_perms, np.tile(np.arange(3), (base.n_edges, 1)))
@@ -683,18 +698,29 @@ def test_edges_whose_image_runs_backwards_are_matched_again(text, backwards):
 
 
 def test_rows_off_by_rounding_whose_roots_fail_the_residual_rule_are_built(monkeypatch):
-    # the source's fibers stand for the pullback's only where they pass the
-    # residual rule on its own rows
+    # the source's fibers stand for the pullback's only at the rows where
+    # they pass the residual rule on its own rows; only the others are solved
     p, smap = _quintic_under(2000, f"theta+{math.pi!r}")
     A = build_bundle(p)
     q = bundle.pullback_polynomial(p, smap)
-    assert bundle._reindexed(A, q, smap) is not None
+    # rows moved by 1e-6, which the source's roots no longer solve
+    failing = np.arange(3, 2000, 7)
+    coeffs = q.coeff_values.copy()
+    coeffs[failing, 0] += 1e-6
+    whole = _kernels.track_fibers(coeffs)
+    solved = _tracked_rows(monkeypatch)
+    phi = smap.image_samples
+    assert build_bundle(q, source=(A, smap)).fibers.tobytes() == A.fibers[phi].tobytes()
+    assert solved == []
 
-    def fail(coeffs, roots, tol):
-        raise bundle.BundleError("fiber residual above tolerance")
-
-    monkeypatch.setattr(bundle, "_check_residuals", fail)
-    assert bundle._reindexed(A, q, smap) is None
+    q = bundle.MonicPolynomial(q.base, coeffs)       # off-sample rows interpolated
+    B = build_bundle(q, source=(A, smap))
+    assert len(solved) == 1 and np.array_equal(solved[0], failing)
+    assert B.fibers[failing].tobytes() == whole[failing].tobytes()
+    rest = np.setdiff1d(np.arange(2000), failing)
+    assert B.fibers[rest].tobytes() == A.fibers[phi[rest]].tobytes()
+    perms, refinement = bundle._bisect(q, B.fibers, B.branch_flags, B.tol)
+    assert np.array_equal(B.edge_perms, perms) and B.refinement == refinement
 
 
 @pytest.mark.parametrize("case", [
@@ -706,11 +732,36 @@ def test_reindexed_residuals_are_the_sources_at_the_images(case):
     # fibers are the source's at the images, which passed it row by row
     p, smap = case()
     A = build_bundle(p)
-    B = bundle._reindexed(A, bundle.pullback_polynomial(p, smap), smap)
-    assert B is not None
+    B = build_bundle(bundle.pullback_polynomial(p, smap), source=(A, smap))
     phi = smap.image_samples
+    assert B.fibers.tobytes() == A.fibers[phi].tobytes()
     assert (_kernels.residuals(B.poly.coeff_values, B.fibers).tobytes()
             == _kernels.residuals(p.coeff_values, A.fibers)[phi].tobytes())
+
+
+@pytest.mark.parametrize("n, lo, hi", [(2000, 682, 1318), (8000, 2727, 5273)])
+def test_the_time_warp_solves_only_the_rows_it_moves(monkeypatch, n, lo, hi):
+    # example 2's warp is the identity off [pi - 1, pi + 1] and fixes pi,
+    # so those rows equal the source's as bytes; one call solves the rest,
+    # and one bisection matches only the edges that touch them
+    base = make_circle(n)
+    p, smap = crossing_quintic(base), time_warp_map(base)
+    whole = _kernels.track_fibers(bundle.pullback_polynomial(p, smap).coeff_values)
+    solved = _tracked_rows(monkeypatch)
+    matched, bisect = [], bundle._bisect
+    monkeypatch.setattr(bundle, "_bisect",
+                        lambda *args: matched.append(args[4:]) or bisect(*args))
+    problem = lift_problem(p, smap)
+    moved = np.setdiff1d(np.arange(lo, hi + 1), [n // 2])
+    assert solved[0] is None and len(solved) == 2 and np.array_equal(solved[1], moved)
+    assert matched[0] == () and len(matched) == 2
+    assert np.array_equal(matched[1][0], np.arange(lo - 1, hi + 1))
+    A, B = problem.source, problem.target
+    kept = np.setdiff1d(np.arange(n), moved)
+    assert B.fibers[kept].tobytes() == A.fibers[kept].tobytes()
+    assert B.fibers[moved].tobytes() == whole[moved].tobytes()
+    perms, refinement = bisect(B.poly, B.fibers, B.branch_flags, B.tol)
+    assert np.array_equal(B.edge_perms, perms) and B.refinement == refinement
 
 
 def test_a_cubic_swap_decides_as_the_built_pullback():

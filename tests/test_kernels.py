@@ -1,7 +1,10 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootlift import _kernels
 from rootlift.bundle import DEFAULT_TOL, _check_residuals
@@ -301,6 +304,77 @@ def test_wide_disjoint_discs_are_never_accepted(monkeypatch):
     _check_residuals(coeffs, got, DEFAULT_TOL)
     assert np.count_nonzero(~by_solve[trap]) >= 3
     _assert_same_roots(coeffs[~by_solve], got[~by_solve], want[~by_solve])
+
+
+# -- a subset of rows, with the bits of the whole array's solve ----------------------
+
+
+def _near_double_rows(m=160):
+    # a pair of roots 1e-9 apart: the sweeps' discs overlap, so every
+    # tracked row falls back to the eigenvalue solve
+    return _circle_rows(m, lambda t: np.array([np.exp(1j * t), np.exp(1j * t) + 1e-9, 3.0, 3j]))
+
+
+_SUBSET_FAMILIES = {
+    **{f"cycle{d}": lambda d=d: _cycle_rows(d, m=300) for d in range(2, 10)},
+    **{f"trivial{d}": lambda d=d: _trivial_rows(d, m=100) for d in range(2, 10)},
+    "smooth0": lambda: _smooth_rows(0, m=300),
+    "near-double": _near_double_rows,
+    # the touch at pi sits on sample 1000, where the roots merge
+    "quintic2000": lambda: _quintic_rows(2000),
+}
+
+
+@functools.cache
+def _subset_family(name):
+    coeffs = _SUBSET_FAMILIES[name]()
+    return coeffs, _kernels.track_fibers(coeffs)
+
+
+@st.composite
+def _ascending_rows(draw, m):
+    """Ascending rows of m: a random set, a run, or one row between anchors."""
+    kind = draw(st.sampled_from(["set", "run", "between"]))
+    if kind == "set":
+        return np.array(sorted(draw(st.sets(st.integers(0, m - 1), max_size=80))), dtype=np.intp)
+    if kind == "run":
+        a = draw(st.integers(0, m - 1))
+        return np.arange(a, draw(st.integers(a + 1, m)))
+    # rows strictly between two anchors, whose nearest anchor is not among them
+    k = draw(st.integers(0, (m - 1) // 16))
+    lo = 16 * k + 1
+    return np.arange(lo, min(lo + draw(st.integers(1, 15)), m))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SUBSET_FAMILIES)), st.data())
+def test_track_fibers_of_a_row_subset_is_the_whole_solve_at_those_rows(name, data):
+    coeffs, whole = _subset_family(name)
+    rows = data.draw(_ascending_rows(len(coeffs)))
+    got = _kernels.track_fibers(coeffs, rows)
+    assert got.shape == (len(rows), coeffs.shape[1])
+    assert got.tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("name", ["trivial7", "near-double", "quintic2000"])
+def test_row_subsets_cover_rows_that_fall_back(monkeypatch, name):
+    # these families have rows the sweeps do not certify, which are solved
+    # by eigenvalues in the whole solve and in a subset's alike
+    coeffs, whole = _subset_family(name)
+    _, _, by_solve = _tracked(monkeypatch, coeffs)
+    fallback = np.flatnonzero(by_solve & (np.arange(len(coeffs)) % 16 != 0))
+    assert fallback.size
+    rows = fallback[::3]
+    assert _kernels.track_fibers(coeffs, rows).tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_an_empty_row_subset_makes_no_solve(monkeypatch, degree):
+    calls = []
+    monkeypatch.setattr(_kernels, "solve_fibers", lambda rows: calls.append(rows))
+    got = _kernels.track_fibers(_cycle_rows(degree, m=40), np.array([], dtype=np.intp))
+    assert got.shape == (0, degree) and got.dtype == complex
+    assert calls == []
 
 
 # -- slot reductions and the in-place polish against their references ----------------
